@@ -149,9 +149,13 @@ def _permutation_mixture(y, x) -> tuple[np.ndarray, np.ndarray]:
     return w, perms
 
 
+def _mix(q, unitaries, rho) -> np.ndarray:
+    """sum_i q_i U_i rho U_i^dag."""
+    return np.einsum("i,iab,bc,idc->ad", q, unitaries, rho, unitaries.conj())
+
+
 def _reconstruction_residual(q, unitaries, rho_in, rho_out) -> float:
-    recon = np.einsum("i,iab,bc,idc->ad", q, unitaries, rho_in, unitaries.conj())
-    return float(np.max(np.abs(recon - rho_out)))
+    return float(np.max(np.abs(_mix(q, unitaries, rho_in) - rho_out)))
 
 
 def _check_reconstruction(residual: float, tol: Tolerances) -> None:
@@ -296,10 +300,4 @@ def apply_decomposition(decomp: ChannelDecomposition, rho) -> np.ndarray:
     d = decomp.unitaries.shape[1]
     if rho.shape != (d, d):
         raise ValidationError("state dimension mismatch")
-    return np.einsum(
-        "i,iab,bc,idc->ad",
-        decomp.probabilities,
-        decomp.unitaries,
-        rho,
-        decomp.unitaries.conj(),
-    )
+    return _mix(decomp.probabilities, decomp.unitaries, rho)

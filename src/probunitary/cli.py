@@ -1,6 +1,10 @@
 """Command-line front end.
 
-Subcommands: decompose, simulate, channel, models.  Exit codes:
+Subcommands write under the ``--out`` prefix: decompose writes
+``<out>.rates.csv`` (time, q_0..q_{d-1}, negative and singular flags,
+condition estimate) and ``<out>.hamiltonians.json`` (H on every grid
+time); simulate writes ``<out>.ensemble.csv``; channel writes
+``<out>.channel.json``; models prints the model catalogue.  Exit codes:
 0 success, 2 input/validation error, 3 singular system, 4 refusal to
 simulate unphysical (negative/singular) rates.
 """
@@ -9,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -37,15 +42,25 @@ def _read_lindblad_spec(path):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-    if "hamiltonian" not in doc:
+    if not isinstance(doc, dict) or "hamiltonian" not in doc:
         raise ValidationError(f"{path}: missing key 'hamiltonian'")
     h = io.matrix_from_json(doc["hamiltonian"], where=f"{path}: hamiltonian")
+    items = doc.get("jump_ops", [])
+    if not isinstance(items, list):
+        raise ValidationError(f"{path}: jump_ops is not a list")
     jumps = []
-    for k, item in enumerate(doc.get("jump_ops", [])):
-        op = io.matrix_from_json(
-            item["operator"], where=f"{path}: jump_ops[{k}]"
-        )
-        jumps.append((op, float(item.get("gamma", 1.0))))
+    for k, item in enumerate(items):
+        where = f"{path}: jump_ops[{k}]"
+        if not isinstance(item, dict) or "operator" not in item:
+            raise ValidationError(f"{where}: not an object with key 'operator'")
+        op = io.matrix_from_json(item["operator"], where=where)
+        try:
+            gamma = float(item.get("gamma", 1.0))
+        except (TypeError, ValueError):
+            gamma = math.nan
+        if not math.isfinite(gamma):
+            raise ValidationError(f"{where}: gamma is not a finite number")
+        jumps.append((op, gamma))
     rho0 = None
     if "rho0" in doc:
         rho0 = io.matrix_from_json(doc["rho0"], where=f"{path}: rho0")
@@ -53,6 +68,10 @@ def _read_lindblad_spec(path):
 
 
 def _load_samples(args):
+    if not (math.isfinite(args.dt) and args.dt > 0 and math.isfinite(args.horizon)):
+        raise ValidationError(
+            f"--dt {args.dt} must be positive and --horizon {args.horizon} finite"
+        )
     if args.input is not None:
         return io.read_trajectory(args.input)
     if args.model is None:
@@ -83,7 +102,6 @@ def cmd_decompose(args) -> int:
         return EXIT_SINGULAR
     io.write_rate_report(f"{args.out}.rates.csv", decomposition)
     io.write_hamiltonians(f"{args.out}.hamiltonians.json", decomposition)
-    io.write_flags(f"{args.out}.flags.json", decomposition)
     return EXIT_OK
 
 

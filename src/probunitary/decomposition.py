@@ -2,8 +2,9 @@
 
 Given samples of rho(t), this module tracks a continuous eigenframe
 across the grid, builds the driving Hamiltonian from the transported
-eigenvectors, conjugates the cyclic shifts into the instantaneous frame,
-and solves for the jump rates at every grid time.
+eigenvectors and solves for the jump rates at every grid time, each in
+one batched computation over the grid.  The cyclic shifts conjugated
+into the instantaneous frame are rebuilt from the frame when needed.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from .errors import TrajectoryTooCoarse, ValidationError
 from .linalg import (
     RateSolveResult,
     Spectrum,
+    _phase_fix,
+    _solve_circulant_batch,
     hermitian_eigendecomposition,
     solve_circulant_rates,
     weyl_family,
@@ -72,16 +75,20 @@ class EigenframeSeries:
 
 @dataclass
 class DecompositionSeries:
-    """Per-time Hamiltonians, conjugated shift unitaries, rates and flags."""
+    """Per-time Hamiltonians, rates and flags, plus the aligned frames.
+
+    The conjugated shift unitaries U~_i(t_k) = V_k W_i V_k^dag are not
+    stored: build_tilde_unitaries(frames.eigenvectors[k]) rebuilds them
+    from the tracked eigenframe.
+    """
 
     times: np.ndarray
     hamiltonians: np.ndarray           # (n, d, d)
-    unitaries: np.ndarray              # (n, d, d, d)
     rates: np.ndarray                  # (n, d); rates[:, 0] is the total rate
     negative_flags: np.ndarray         # (n,) bool
     singular_flags: np.ndarray         # (n,) bool
     condition_estimates: np.ndarray    # (n,)
-    frames: EigenframeSeries | None = field(default=None, repr=False)
+    frames: EigenframeSeries = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -186,9 +193,7 @@ def align_spectra(
                     w, _ = polar(block)
                     vecs[:, cluster] = vecs[:, cluster] @ w.conj().T
             else:
-                for i in cluster:
-                    nz = np.flatnonzero(np.abs(vecs[:, i]) > 1e-12)[0]
-                    vecs[:, i] *= np.exp(-1j * np.angle(vecs[nz, i]))
+                vecs[:, cluster] = _phase_fix(vecs[:, cluster])
                 # keep branch continuity at least up to sign
                 for i in cluster:
                     if np.vdot(evecs[k - 1][:, i], vecs[:, i]).real < 0:
@@ -196,12 +201,8 @@ def align_spectra(
             start = stop
         # accumulated transport phase of each branch relative to the
         # dominant-component-real-positive gauge, unwrapped in time
-        for i in range(d):
-            ref = int(np.argmax(np.abs(vecs[:, i])))
-            delta = np.angle(vecs[ref, i])
-            phases[k, i] = delta + 2 * np.pi * np.round(
-                (phases[k - 1, i] - delta) / (2 * np.pi)
-            )
+        delta = np.angle(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(d)])
+        phases[k] = delta + 2 * np.pi * np.round((phases[k - 1] - delta) / (2 * np.pi))
         evals[k], evecs[k] = vals, vecs
 
     return EigenframeSeries(
@@ -217,35 +218,45 @@ def align_eigenframes(
     return align_spectra(times, spectra, gauge=gauge, tol=tol)
 
 
-def _grad(values: np.ndarray, times: np.ndarray, k: int) -> np.ndarray:
-    """Central difference in the interior, one-sided at the endpoints."""
-    n = len(times)
-    if n < 2:
+def _d_dt(values: np.ndarray, frames: EigenframeSeries) -> np.ndarray:
+    """Time derivative along the grid by np.gradient's stencils: second
+    order in the interior, one-sided at the endpoints."""
+    if len(frames.times) < 2:
         raise ValidationError("need at least two grid points to differentiate")
-    if k == 0:
-        return (values[1] - values[0]) / (times[1] - times[0])
-    if k == n - 1:
-        return (values[-1] - values[-2]) / (times[-1] - times[-2])
-    return (values[k + 1] - values[k - 1]) / (times[k + 1] - times[k - 1])
+    return np.gradient(values, frames.times, axis=0)
+
+
+def _hamiltonians(frames: EigenframeSeries) -> np.ndarray:
+    """Driving Hamiltonians i sum_i |d/dt psi_i><psi_i| on every grid time."""
+    v = frames.eigenvectors
+    dv = _d_dt(v, frames)
+    h = 1j * np.einsum("kab,kcb->kac", dv, v.conj())
+    return (h + h.conj().transpose(0, 2, 1)) / 2
+
+
+def _rate_system(frames: EigenframeSeries) -> tuple[np.ndarray, np.ndarray]:
+    """Populations p (clipped, normalized) and eigenvalue derivatives f
+    of the rate system on every grid time, each of shape (n, d)."""
+    p = np.clip(frames.eigenvalues, 0.0, None)
+    f = _d_dt(frames.eigenvalues, frames)
+    return p / p.sum(axis=1, keepdims=True), f
 
 
 def build_hamiltonian(frames: EigenframeSeries, t: float) -> np.ndarray:
-    """Minimal-norm driving Hamiltonian i sum_i |d/dt psi_i><psi_i| at t."""
+    """Minimal-norm driving Hamiltonian at grid time t: the row of the
+    batched computation that decompose_trajectory stores."""
     k = frames.index_of(t)
-    dv = _grad(frames.eigenvectors, frames.times, k)
-    h = 1j * dv @ frames.eigenvectors[k].conj().T
-    return (h + h.conj().T) / 2
+    return _hamiltonians(frames)[k]
 
 
 def compute_rates_at(
     frames: EigenframeSeries, t: float, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> RateSolveResult:
-    """Jump rates at grid time t from the tracked eigenvalue branches."""
+    """Jump rates at grid time t from the tracked eigenvalue branches: the
+    row that decompose_trajectory stores, with the singularity report."""
     k = frames.index_of(t)
-    f = _grad(frames.eigenvalues, frames.times, k)
-    p = np.clip(frames.eigenvalues[k], 0.0, None)
-    p = p / p.sum()
-    return solve_circulant_rates(p, f, mode="continuous", tol=tol, strict=False)
+    p, f = _rate_system(frames)
+    return solve_circulant_rates(p[k], f[k], mode="continuous", tol=tol, strict=False)
 
 
 def build_tilde_unitaries(frame) -> np.ndarray:
@@ -281,47 +292,19 @@ def reconstruct_rhs(rho, h, unitaries, q) -> np.ndarray:
 def decompose_trajectory(
     samples, gauge: str = "transport", tol: Tolerances = DEFAULT_TOLERANCES
 ) -> DecompositionSeries:
-    """Full pipeline: align frames, then build H, U~ and q on every grid time."""
+    """Full pipeline: align frames, then build H and q on every grid time."""
     frames = align_eigenframes(samples, gauge=gauge, tol=tol)
-    n, d = frames.eigenvalues.shape
-    times = frames.times
-
-    # batched finite differences (np.gradient uses the same stencils)
-    dvecs = np.gradient(frames.eigenvectors, times, axis=0)
-    hams = 1j * np.einsum("kab,kcb->kac", dvecs, frames.eigenvectors.conj())
-    hams = (hams + hams.conj().transpose(0, 2, 1)) / 2
-
-    shifts = weyl_family(d)
-    unitaries = np.einsum(
-        "kab,ibc,kdc->kiad", frames.eigenvectors, shifts, frames.eigenvectors.conj()
-    )
-    unitaries[:, 0] = np.eye(d)
-
-    f_all = np.gradient(frames.eigenvalues, times, axis=0)
-    rates = np.empty((n, d))
-    negative = np.zeros(n, dtype=bool)
-    singular = np.zeros(n, dtype=bool)
-    condition = np.empty(n)
-    spacings = np.diff(times)
-    for k in range(n):
-        p = np.clip(frames.eigenvalues[k], 0.0, None)
-        result = solve_circulant_rates(
-            p / p.sum(), f_all[k], mode="continuous", tol=tol, strict=False
-        )
-        rates[k] = result.q
-        condition[k] = result.condition_estimate
-        # grid-aware flag: rates of order 1/dt are indistinguishable from
-        # a singular crossing at this resolution and break the scheme
-        dt_local = spacings[min(k, n - 2)]
-        singular[k] = result.singular or condition[k] * dt_local >= 1.0
-        negative[k] = bool(np.any(result.q[1:] < -tol.rate_negativity))
-
+    p, f = _rate_system(frames)
+    rates, singular, condition, _ = _solve_circulant_batch(p, f, "continuous", tol)
+    # grid-aware flag: rates of order 1/dt are indistinguishable from
+    # a singular crossing at this resolution and break the scheme
+    spacings = np.diff(frames.times)
+    singular |= condition * np.append(spacings, spacings[-1]) >= 1.0
     return DecompositionSeries(
-        times=times,
-        hamiltonians=hams,
-        unitaries=unitaries,
+        times=frames.times,
+        hamiltonians=_hamiltonians(frames),
         rates=rates,
-        negative_flags=negative,
+        negative_flags=np.any(rates[:, 1:] < -tol.rate_negativity, axis=1),
         singular_flags=singular,
         condition_estimates=condition,
         frames=frames,

@@ -24,7 +24,6 @@ __all__ = [
     "write_matrix_file",
     "write_rate_report",
     "write_hamiltonians",
-    "write_flags",
     "write_ensemble_csv",
     "write_channel_json",
 ]
@@ -133,16 +132,6 @@ def write_hamiltonians(path, decomposition: DecompositionSeries) -> None:
     doc = {
         "times": [_sig(t) for t in decomposition.times],
         "hamiltonians": [matrix_to_json(h) for h in decomposition.hamiltonians],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-
-
-def write_flags(path, decomposition: DecompositionSeries) -> None:
-    doc = {
-        "times": [_sig(t) for t in decomposition.times],
-        "negative_rate": [int(x) for x in decomposition.negative_flags],
-        "singular": [int(x) for x in decomposition.singular_flags],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)

@@ -194,6 +194,51 @@ def _block_report(p, tol: Tolerances) -> str:
     return desc if singular else "spectrum nearly block-constant"
 
 
+def _solve_circulant_batch(p, f, mode: str, tol: Tolerances):
+    """Solve M v = f with M[k, i] = p[(k + i) mod d] for every row of the
+    (n, d) arrays p and f by DFT diagonalization.
+
+    M (see rate_system_matrix) is the convolution circulant of p up to an
+    index reversal, so the DFT still diagonalizes the solve.  Returns
+    per-row arrays (q, singular, condition, inconsistent): q in the
+    convention of ``mode`` (see solve_circulant_rates), minimum-norm on
+    singular rows; condition inf on singular rows; inconsistent where f
+    has a component outside the range of a singular M.
+    """
+    p = np.asarray(p, dtype=float)
+    f = np.asarray(f, dtype=float)
+    if p.ndim != 2 or f.shape != p.shape:
+        raise ValidationError(f"inconsistent dimensions: p {p.shape}, f {f.shape}")
+    if mode not in ("continuous", "channel"):
+        raise ValidationError(f"unknown mode {mode!r}")
+    if not np.all(np.isfinite(f)):
+        raise ValidationError("f contains NaN or Inf entries")
+    if p.min() < -1e-8 or p.max() > 1 + 1e-8 or np.abs(p.sum(axis=1) - 1).max() > 1e-8:
+        raise ValidationError("p is not a probability vector within tolerance")
+
+    symbol = np.fft.fft(p, axis=1)
+    fhat = np.fft.fft(f, axis=1)
+    mags = np.abs(symbol)
+    top = mags.max(axis=1)
+    alive = mags > tol.singular_symbol * top[:, None]
+    singular = ~alive.all(axis=1)
+    # components of f outside the range of M
+    dead_mass = np.where(alive, 0.0, np.abs(fhat)).max(axis=1)
+    inconsistent = singular & (dead_mass > 1e-10 * np.maximum(1.0, np.abs(f).max(axis=1)))
+    vhat = np.where(alive, fhat / np.where(alive, symbol, 1.0), 0.0)
+    condition = np.full(p.shape[0], np.inf)
+    np.divide(top, mags.min(axis=1), out=condition, where=~singular)
+
+    w = np.fft.ifft(vhat, axis=1).real
+    # undo the index reversal (fixes index 0, swaps i and d-i)
+    q = w[:, (-np.arange(p.shape[1])) % p.shape[1]]
+    if mode == "continuous":
+        q[:, 0] = -q[:, 0]
+    else:
+        q[:, 0] += 1.0
+    return q, singular, condition, inconsistent
+
+
 def solve_circulant_rates(
     p,
     f,
@@ -201,11 +246,8 @@ def solve_circulant_rates(
     tol: Tolerances = DEFAULT_TOLERANCES,
     strict: bool = True,
 ) -> RateSolveResult:
-    """Solve the circulant rate system P v = f by DFT diagonalization.
-
-    Solves M v = f with M[k, i] = p[(k + i) mod d] (see
-    rate_system_matrix); M is the convolution circulant of p up to an
-    index reversal, so the DFT still diagonalizes the solve.
+    """Solve the circulant rate system M v = f for one p, f by DFT
+    diagonalization; M[k, i] = p[(k + i) mod d] (see rate_system_matrix).
 
     ``mode`` selects the sign convention of the first unknown:
     "continuous" has v = (-q0, q1, ...), "channel" has v = (q0 - 1, q1, ...).
@@ -214,51 +256,16 @@ def solve_circulant_rates(
     range of M, a SingularSystem error is raised unless ``strict`` is
     False, in which case that component is dropped.
     """
-    p = np.asarray(p, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if p.ndim != 1 or f.shape != p.shape:
-        raise ValidationError(f"inconsistent dimensions: p {p.shape}, f {f.shape}")
-    if mode not in ("continuous", "channel"):
-        raise ValidationError(f"unknown mode {mode!r}")
-    if not np.all(np.isfinite(f)):
-        raise ValidationError("f contains NaN or Inf entries")
-    if p.min() < -1e-8 or p.max() > 1 + 1e-8 or abs(p.sum() - 1) > 1e-8:
-        raise ValidationError("p is not a probability vector within tolerance")
-
-    symbol = np.fft.fft(p)
-    fhat = np.fft.fft(f)
-    mags = np.abs(symbol)
-    cutoff = tol.singular_symbol * mags.max()
-    alive = mags > cutoff
-    singular = not np.all(alive)
-
-    if singular:
-        # components of f outside the range of P
-        dead_mass = np.abs(fhat[~alive]).max(initial=0.0)
-        if strict and dead_mass > 1e-10 * max(1.0, np.abs(f).max()):
-            raise SingularSystem(
-                "singular circulant system with inconsistent right-hand side",
-                block_structure=_block_report(p, tol),
-            )
-        vhat = np.where(alive, fhat / np.where(alive, symbol, 1.0), 0.0)
-        condition = np.inf
-        block = _block_report(p, tol)
-    else:
-        vhat = fhat / symbol
-        condition = mags.max() / mags.min()
-        block = None
-
-    w = np.fft.ifft(vhat).real
-    # M equals the convolution circulant of p composed with an index
-    # reversal; undo the reversal (fixes index 0, swaps i and d-i)
-    v = w[(-np.arange(p.shape[0])) % p.shape[0]]
-    q = v.copy()
-    if mode == "continuous":
-        q[0] = -v[0]
-    else:
-        q[0] = v[0] + 1.0
+    q, singular, condition, inconsistent = _solve_circulant_batch([p], [f], mode, tol)
+    block = _block_report(p, tol) if singular[0] else None
+    if strict and inconsistent[0]:
+        raise SingularSystem(
+            "singular circulant system with inconsistent right-hand side",
+            block_structure=block,
+        )
     return RateSolveResult(
-        q=q, singular=singular, condition_estimate=condition, block_structure=block
+        q=q[0], singular=bool(singular[0]), condition_estimate=float(condition[0]),
+        block_structure=block,
     )
 
 

@@ -107,7 +107,7 @@ def jc_rate(omega: float, t: float) -> float:
     return 0.5 * omega * math.tan(omega * t)
 
 
-def amplitude_damping_exact(gamma: float, omega: float, t: float) -> np.ndarray:
+def amplitude_damping_exact(gamma: float, t: float) -> np.ndarray:
     """Populations diag(e^{-gamma t}, 1 - e^{-gamma t}) of the decaying atom."""
     if t < 0:
         raise ValidationError("time must be nonnegative")
@@ -184,9 +184,7 @@ def sample_model(
         ]
     if name == "amplitude-damping":
         return [
-            TrajectorySample(
-                time=float(t), rho=amplitude_damping_exact(params.gamma, params.level_splitting, t)
-            )
+            TrajectorySample(time=float(t), rho=amplitude_damping_exact(params.gamma, t))
             for t in grid
         ]
     if name == "lindblad":

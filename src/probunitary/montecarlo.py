@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .decomposition import DecompositionSeries
+from .decomposition import DecompositionSeries, build_tilde_unitaries
 from .errors import (
     NegativeRate,
     RefusesToSimulate,
@@ -50,33 +50,52 @@ class EnsembleResult:
 
 
 def _hermitian_propagator(h, dt: float) -> np.ndarray:
-    """exp(-i h dt) via eigendecomposition of the Hermitian generator."""
+    """exp(-i h dt) via eigendecomposition of the Hermitian generator;
+    ``h`` may be one (d, d) matrix or a stack of them."""
     evals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(-1j * evals * dt)) @ vecs.conj().T
+    phases = np.exp(-1j * evals * dt)[..., None, :]
+    return (vecs * phases) @ vecs.conj().swapaxes(-1, -2)
+
+
+def _jump_edges(q, dt: float, tol: Tolerances) -> np.ndarray:
+    """Cumulative jump probabilities q_1 dt, q_1 dt + q_2 dt, ... along the
+    last axis of q, refusing negative rates and steps whose total
+    jump probability reaches 1."""
+    jump_rates = q[..., 1:]
+    if np.any(jump_rates < -tol.rate_negativity):
+        raise NegativeRate("negative rates cannot be realized by the scheme")
+    jump_rates = np.clip(jump_rates, 0.0, None)
+    total = (jump_rates.sum(axis=-1) * dt).max()
+    if total >= 1.0:
+        raise StepTooLarge(f"total jump probability {total:.3f} >= 1; reduce dt")
+    return np.cumsum(jump_rates * dt, axis=-1)
+
+
+def _apply_branches(states, branch, unitaries, propagator) -> None:
+    """Conjugate each state in place by the operator of its branch:
+    unitaries[b + 1] for jump branch b < d - 1, the propagator for d - 1."""
+    for b, u in enumerate([*unitaries[1:], propagator]):
+        mask = branch == b
+        if mask.any():
+            states[mask] = np.einsum("ab,nbc,dc->nad", u, states[mask], u.conj())
 
 
 def step(state, h, unitaries, q, dt, draw, tol: Tolerances = DEFAULT_TOLERANCES):
     """Advance one state by one step of the scheme using a uniform draw.
 
     The draw is partitioned into [0, q_1 dt), [q_1 dt, q_1 dt + q_2 dt),
-    ...; the remainder selects the Hamiltonian branch.
+    ...; the remainder selects the Hamiltonian branch.  This is one
+    trajectory of run_ensemble's step.
     """
-    state = np.asarray(state, dtype=complex)
-    q = np.asarray(q, dtype=float)
-    jump_rates = q[1:]
-    if np.any(jump_rates < -tol.rate_negativity):
-        raise NegativeRate("negative rates cannot be realized by the scheme")
-    jump_rates = np.clip(jump_rates, 0.0, None)
-    total = jump_rates.sum() * dt
-    if total >= 1.0:
-        raise StepTooLarge(f"total jump probability {total:.3f} >= 1; reduce dt")
-    edges = np.cumsum(jump_rates * dt)
-    idx = int(np.searchsorted(edges, draw, side="right"))
-    if idx < jump_rates.size:
-        u = np.asarray(unitaries[idx + 1], dtype=complex)
-    else:
-        u = _hermitian_propagator(np.asarray(h, dtype=complex), dt)
-    return u @ state @ u.conj().T
+    unitaries = np.asarray(unitaries, dtype=complex)
+    if unitaries.shape[0] != np.shape(q)[0]:
+        raise ValidationError("step needs one unitary per rate")
+    states = np.array(state, dtype=complex)[None]
+    edges = _jump_edges(np.asarray(q, dtype=float), dt, tol)
+    branch = np.searchsorted(edges, [draw], side="right")
+    propagator = _hermitian_propagator(np.asarray(h, dtype=complex), dt)
+    _apply_branches(states, branch, unitaries, propagator)
+    return states[0]
 
 
 def _flagged_interval(decomposition: DecompositionSeries, horizon: float):
@@ -123,14 +142,8 @@ def run_ensemble(
     # midpoint Hamiltonian and rates, left-endpoint jump unitaries
     h_mid = 0.5 * (decomposition.hamiltonians[:n_steps] + decomposition.hamiltonians[1 : n_steps + 1])
     q_mid = 0.5 * (decomposition.rates[:n_steps] + decomposition.rates[1 : n_steps + 1])
-    jump_rates = np.clip(q_mid[:, 1:], 0.0, None)
-    totals = jump_rates.sum(axis=1) * dt
-    if totals.max() >= 1.0:
-        raise StepTooLarge("total jump probability per step reaches 1; reduce dt")
-    edges = np.cumsum(jump_rates * dt, axis=1)          # (n_steps, d-1)
-    propagators = np.stack(
-        [_hermitian_propagator(h_mid[k], dt) for k in range(n_steps)]
-    )
+    edges = _jump_edges(q_mid, dt, tol)                 # (n_steps, d-1)
+    propagators = _hermitian_propagator(h_mid, dt)
 
     # one counter-based stream per trajectory, drawn up front
     draws = np.empty((config.n_traj, n_steps))
@@ -156,17 +169,8 @@ def run_ensemble(
     record(0)
     for k in range(n_steps):
         branch = np.searchsorted(edges[k], draws[:, k], side="right")
-        for b in range(d):
-            if b < d - 1:
-                mask = branch == b
-                u = decomposition.unitaries[k, b + 1]
-            else:
-                mask = branch >= d - 1
-                u = propagators[k]
-            if mask.any():
-                states[mask] = np.einsum(
-                    "ab,nbc,dc->nad", u, states[mask], u.conj()
-                )
+        unitaries = build_tilde_unitaries(decomposition.frames.eigenvectors[k])
+        _apply_branches(states, branch, unitaries, propagators[k])
         record(k + 1)
 
     tdist = None

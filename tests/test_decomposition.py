@@ -142,7 +142,7 @@ class TestRates:
         t_star = math.log(4 / 3)  # rho_11 = 0.75
         times = np.array([t_star - dt, t_star, t_star + dt])
         samples = [
-            TrajectorySample(time=t, rho=amplitude_damping_exact(1.0, 1.0, t))
+            TrajectorySample(time=t, rho=amplitude_damping_exact(1.0, t))
             for t in times
         ]
         frames = align_eigenframes(samples)
@@ -196,7 +196,10 @@ class TestReconstruction:
         ]
         dec = decompose_trajectory(samples)
         rhs = reconstruct_rhs(
-            samples[1].rho, dec.hamiltonians[1], dec.unitaries[1], dec.rates[1]
+            samples[1].rho,
+            dec.hamiltonians[1],
+            build_tilde_unitaries(dec.frames.eigenvectors[1]),
+            dec.rates[1],
         )
         expected = np.diag([-0.5 * math.sin(t0), 0.5 * math.sin(t0)])
         np.testing.assert_allclose(rhs, expected, atol=1e-4)
@@ -209,7 +212,8 @@ class TestReconstruction:
         dec = decompose_trajectory(samples)
         k = len(times) // 2
         rho = samples[k].rho
-        rhs = reconstruct_rhs(rho, dec.hamiltonians[k], dec.unitaries[k], dec.rates[k])
+        us = build_tilde_unitaries(dec.frames.eigenvectors[k])
+        rhs = reconstruct_rhs(rho, dec.hamiltonians[k], us, dec.rates[k])
         assert abs(np.trace(rhs)) <= 1e-9
         v = dec.frames.eigenvectors[k]
         h = dec.hamiltonians[k]
@@ -253,7 +257,7 @@ class TestPipeline:
         dt = 1e-3
         times = np.arange(0, 1.0 + dt / 2, dt)
         samples = [
-            TrajectorySample(time=t, rho=amplitude_damping_exact(1.0, 1.0, t))
+            TrajectorySample(time=t, rho=amplitude_damping_exact(1.0, t))
             for t in times
         ]
         dec = decompose_trajectory(samples)
@@ -296,6 +300,24 @@ class TestPipeline:
                 u_ref @ rho @ u_ref.conj().T - u_alt @ rho @ u_alt.conj().T
             ).max() <= 1e-8
 
+    @pytest.mark.parametrize("k", [7, 0])
+    def test_per_time_helpers_return_pipeline_rows(self, rng, k):
+        # a genuinely non-uniform grid, where a three-point central
+        # difference and np.gradient's stencil differ
+        from conftest import random_hermitian
+        from probunitary.models import LindbladSpec
+
+        spec = LindbladSpec(
+            hamiltonian=random_hermitian(rng, 3),
+            jump_ops=((random_hermitian(rng, 3, 0.5), 1.0),),
+        )
+        times = np.cumsum(np.concatenate([[0.0], rng.uniform(5e-4, 2e-3, 15)]))
+        rho0 = random_density_matrix(rng, 3, min_gap=0.1)
+        dec = decompose_trajectory(integrate(spec, rho0, times))
+        t = times[k]
+        assert np.array_equal(build_hamiltonian(dec.frames, t), dec.hamiltonians[k])
+        assert np.array_equal(compute_rates_at(dec.frames, t).q, dec.rates[k])
+
     def test_first_order_convergence(self, rng):
         spec = amplitude_damping_spec(0.9)
         rho0 = random_density_matrix(rng, 2, min_gap=0.2)
@@ -311,7 +333,7 @@ class TestPipeline:
                 rhs = reconstruct_rhs(
                     samples[k].rho,
                     dec.hamiltonians[k],
-                    dec.unitaries[k],
+                    build_tilde_unitaries(dec.frames.eigenvectors[k]),
                     dec.rates[k],
                 )
                 worst = max(worst, np.abs(rhs - rho_dot[k]).max())

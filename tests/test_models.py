@@ -42,13 +42,13 @@ class TestClosedForms:
 
     def test_amplitude_damping_values(self):
         np.testing.assert_allclose(
-            amplitude_damping_exact(1.0, 1.0, 0.0), np.diag([1, 0])
+            amplitude_damping_exact(1.0, 0.0), np.diag([1, 0])
         )
         np.testing.assert_allclose(
-            amplitude_damping_exact(1.0, 1.0, math.log(2)), np.eye(2) / 2, atol=1e-15
+            amplitude_damping_exact(1.0, math.log(2)), np.eye(2) / 2, atol=1e-15
         )
         np.testing.assert_allclose(
-            amplitude_damping_exact(1.0, 1.0, math.log(4 / 3)),
+            amplitude_damping_exact(1.0, math.log(4 / 3)),
             np.diag([0.75, 0.25]),
             atol=1e-15,
         )
@@ -127,7 +127,7 @@ class TestIntegrator:
             samples = integrate(spec, rho0, grid)
             worst = 0.0
             for s in samples:
-                exact = amplitude_damping_exact(1.0, 1.0, s.time)
+                exact = amplitude_damping_exact(1.0, s.time)
                 worst = max(worst, np.abs(s.rho - exact).max())
             return worst
 

@@ -64,6 +64,11 @@ class TestStep:
         with pytest.raises(NegativeRate):
             step(np.eye(2) / 2, np.zeros((2, 2)), us, np.array([0.0, -0.5]), 0.1, 0.5)
 
+    def test_one_unitary_per_rate(self):
+        us = np.stack([np.eye(2)] * 3).astype(complex)
+        with pytest.raises(ValidationError):
+            step(np.eye(2) / 2, np.zeros((2, 2)), us, np.array([0.0, 0.5]), 0.1, 0.5)
+
     def test_step_too_large(self):
         us = np.stack([np.eye(2), np.eye(2)]).astype(complex)
         with pytest.raises(StepTooLarge):
@@ -135,6 +140,43 @@ class TestEnsemble:
         with pytest.raises(RefusesToSimulate) as exc:
             run_ensemble(config, dec, samples[0].rho)
         assert exc.value.t_start is not None
+
+    def test_ensemble_is_step_per_trajectory(self, rng):
+        # run_ensemble and step share the branch code: replaying each
+        # trajectory's Philox draws through step with the midpoint H and q
+        # reproduces the recorded means exactly
+        from conftest import random_hermitian
+        from probunitary.decomposition import build_tilde_unitaries
+        from probunitary.models import LindbladSpec
+
+        dt, n_steps, n_traj, seed = 1e-2, 20, 3, 4
+        grid = np.arange(0, n_steps * dt + dt / 2, dt)
+        spec = LindbladSpec(
+            hamiltonian=random_hermitian(rng, 2),
+            jump_ops=((random_hermitian(rng, 2), 3.0),),
+        )
+        rho0 = random_density_matrix(rng, 2, min_gap=0.3)
+        dec = decompose_trajectory(integrate(spec, rho0, grid))
+        config = SimConfig(dt=dt, n_traj=n_traj, seed=seed, horizon=grid[-1])
+        result = run_ensemble(config, dec, rho0)
+        assert result.mean_rho.shape[0] == n_steps + 1
+
+        draws = [
+            np.random.Generator(
+                np.random.Philox(key=np.array([seed, i], dtype=np.uint64))
+            ).random(n_steps)
+            for i in range(n_traj)
+        ]
+        states = [np.asarray(rho0, dtype=complex)] * n_traj
+        jumps = 0
+        for k in range(n_steps):
+            h = 0.5 * (dec.hamiltonians[k] + dec.hamiltonians[k + 1])
+            q = 0.5 * (dec.rates[k] + dec.rates[k + 1])
+            us = build_tilde_unitaries(dec.frames.eigenvectors[k])
+            states = [step(s, h, us, q, dt, draws[i][k]) for i, s in enumerate(states)]
+            jumps += sum(draws[i][k] < q[1] * dt for i in range(n_traj))
+            assert np.array_equal(result.mean_rho[k + 1], np.mean(states, axis=0))
+        assert 0 < jumps < n_steps * n_traj
 
     def test_dt_mismatch_rejected(self):
         dec, rho0, samples = damping_problem(1e-3, horizon=0.2)
