@@ -77,9 +77,7 @@ def _load_samples(args):
     if args.model is None:
         raise ValidationError("either --model or --input is required")
     grid = np.arange(0.0, args.horizon + args.dt / 2, args.dt)
-    params = ModelParams(
-        omega=args.omega, gamma=args.gamma, level_splitting=args.level_splitting
-    )
+    params = ModelParams(omega=args.omega, gamma=args.gamma)
     if args.model == "lindblad":
         if args.lindblad_spec is None:
             raise ValidationError("--model lindblad requires --lindblad-spec")
@@ -141,7 +139,6 @@ def _add_model_options(parser):
     parser.add_argument("--input", help="trajectory JSON file")
     parser.add_argument("--omega", type=float, default=1.0)
     parser.add_argument("--gamma", type=float, default=1.0)
-    parser.add_argument("--level-splitting", type=float, default=1.0)
     parser.add_argument("--lindblad-spec", help="Lindblad spec JSON file")
     parser.add_argument("--dt", type=float, default=1e-3)
     parser.add_argument("--horizon", type=float, default=1.0)

@@ -31,10 +31,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues (descending) and a phase-fixed eigenvector matrix.
+    """Eigenvalues and a phase-fixed eigenvector matrix.
 
     Columns of ``eigenvectors`` are the eigenvectors in the same order as
-    ``eigenvalues``.
+    ``eigenvalues``; see hermitian_eigendecomposition for that order.
     """
 
     eigenvalues: np.ndarray
@@ -105,10 +105,13 @@ def hermitian_eigendecomposition(
 ) -> Spectrum:
     """Eigendecompose a Hermitian matrix with a deterministic convention.
 
-    Eigenvalues are returned in descending order.  Each eigenvector is
-    phase-fixed (first significant component real positive); within a
-    degenerate cluster, columns are ordered by descending lexicographic
-    key on their (real, imag) entries so the output is reproducible.
+    Each eigenvector is phase-fixed (first significant component real
+    positive).  Eigenpairs are in descending eigenvalue order, except
+    inside a numerically degenerate cluster (a run of eigenvalues whose
+    gaps are below ``tol.degeneracy_gap``): there the pairs are ordered by
+    descending lexicographic key on the eigenvector's (real, imag)
+    entries, so the output is reproducible but the cluster's eigenvalues
+    need not be sorted.  Consumers that need sorted values re-sort them.
     """
     m = _as_complex_matrix(m)
     herm = np.max(np.abs(m - m.conj().T))

@@ -63,7 +63,6 @@ class ModelParams:
 
     omega: float = 1.0           # Rabi / interaction strength
     gamma: float = 1.0           # vacuum decay rate
-    level_splitting: float = 1.0
 
     def __post_init__(self):
         if self.omega <= 0 or self.gamma <= 0:
@@ -74,12 +73,12 @@ MODEL_CATALOGUE = {
     "jc": {
         "description": "resonant vacuum Jaynes-Cummings reduced qubit, "
         "initially excited",
-        "params": ["omega", "level_splitting"],
+        "params": ["omega"],
     },
     "amplitude-damping": {
         "description": "two-level atom decaying into the vacuum, "
         "initially excited",
-        "params": ["gamma", "level_splitting"],
+        "params": ["gamma"],
     },
     "lindblad": {
         "description": "generic Lindblad equation integrated by RK4 "

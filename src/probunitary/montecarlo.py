@@ -5,6 +5,19 @@ shift unitaries (probability q_i dt) or the Hamiltonian propagator
 exp(-i H dt).  Every trajectory owns a counter-based RNG stream keyed by
 (seed, trajectory index), so the ensemble mean is bit-identical under
 any parallel schedule.
+
+The ensemble is held as one (d, d, n_traj) array, trajectory axis last.
+Each step conjugates every state by the propagator at once and then
+redoes only the few trajectories that jumped (about q dt of them), the
+wavefunction Monte Carlo pattern of Dalibard, Castin & Molmer (PRL 68,
+580, 1992).  A state's update never depends on the batch it is in, so
+``step`` is exactly one trajectory of ``run_ensemble``.  Compared with
+the earlier per-branch einsum kernel, the means and standard errors are
+reduced along the trajectory axis in numpy's pairwise order: the means
+of the amplitude-damping model are bit-identical (every state there is
+exactly |0><0| or |1><1|, so every partial sum is exact), its standard
+errors move in their last digits, and generic means move at the
+rounding level (up to 4e-14 after 200 steps of a random d = 2 model).
 """
 
 from __future__ import annotations
@@ -71,13 +84,33 @@ def _jump_edges(q, dt: float, tol: Tolerances) -> np.ndarray:
     return np.cumsum(jump_rates * dt, axis=-1)
 
 
-def _apply_branches(states, branch, unitaries, propagator) -> None:
-    """Conjugate each state in place by the operator of its branch:
-    unitaries[b + 1] for jump branch b < d - 1, the propagator for d - 1."""
-    for b, u in enumerate([*unitaries[1:], propagator]):
-        mask = branch == b
-        if mask.any():
-            states[mask] = np.einsum("ab,nbc,dc->nad", u, states[mask], u.conj())
+def _conjugate(u, states) -> np.ndarray:
+    """u s u^dag for every state s along the last axis of ``states``
+    (shape (d, d, n)).  Each side is d broadcast multiply-adds summed over
+    the inner index in a fixed order, so the bits of one state's result
+    do not depend on how many states share the batch."""
+    left = u[:, 0, None, None] * states[0]
+    for b in range(1, u.shape[0]):
+        left += u[:, b, None, None] * states[b]
+    uc = u.conj()[None, :, :, None]
+    out = left[:, None, 0] * uc[..., 0, :]
+    for c in range(1, u.shape[0]):
+        out += left[:, None, c] * uc[..., c, :]
+    return out
+
+
+def _apply_branches(states, branch, unitaries, propagator) -> np.ndarray:
+    """One step of the states (d, d, n): every state is conjugated by the
+    propagator, then the jumpers (branch b < d - 1) are redone from their
+    pre-step states with unitaries[b + 1]."""
+    out = _conjugate(propagator, states)
+    jumpers = np.flatnonzero(branch < unitaries.shape[0] - 1)
+    jump_branch = branch[jumpers]
+    for b in range(unitaries.shape[0] - 1):
+        hit = jumpers[jump_branch == b]
+        if hit.size:
+            out[..., hit] = _conjugate(unitaries[b + 1], states[..., hit])
+    return out
 
 
 def step(state, h, unitaries, q, dt, draw, tol: Tolerances = DEFAULT_TOLERANCES):
@@ -90,22 +123,22 @@ def step(state, h, unitaries, q, dt, draw, tol: Tolerances = DEFAULT_TOLERANCES)
     unitaries = np.asarray(unitaries, dtype=complex)
     if unitaries.shape[0] != np.shape(q)[0]:
         raise ValidationError("step needs one unitary per rate")
-    states = np.array(state, dtype=complex)[None]
+    states = np.array(state, dtype=complex)[..., None]
     edges = _jump_edges(np.asarray(q, dtype=float), dt, tol)
     branch = np.searchsorted(edges, [draw], side="right")
     propagator = _hermitian_propagator(np.asarray(h, dtype=complex), dt)
-    _apply_branches(states, branch, unitaries, propagator)
-    return states[0]
+    return _apply_branches(states, branch, unitaries, propagator)[..., 0]
 
 
-def _flagged_interval(decomposition: DecompositionSeries, horizon: float):
+def _flagged_intervals(decomposition: DecompositionSeries, horizon: float):
+    """(first, last) grid time of every contiguous run of flagged
+    (negative or singular) grid points up to the horizon."""
     mask = (decomposition.times <= horizon + 1e-12) & (
         decomposition.negative_flags | decomposition.singular_flags
     )
-    if not mask.any():
-        return None
-    bad = decomposition.times[mask]
-    return float(bad.min()), float(bad.max())
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
+    times = decomposition.times
+    return [(float(times[a]), float(times[b - 1])) for a, b in edges.reshape(-1, 2)]
 
 
 def run_ensemble(
@@ -128,12 +161,13 @@ def run_ensemble(
     spacing = np.diff(times[: n_steps + 1])
     if np.abs(spacing - config.dt).max() > 1e-9 * config.dt:
         raise ValidationError("config.dt does not match the decomposition grid")
-    bad = _flagged_interval(decomposition, config.horizon)
-    if bad is not None:
+    flagged = _flagged_intervals(decomposition, config.horizon)
+    if flagged:
+        spans = ", ".join(f"[{a:g}, {b:g}]" for a, b in flagged)
         raise RefusesToSimulate(
-            f"decomposition flagged negative/singular on [{bad[0]:g}, {bad[1]:g}]",
-            t_start=bad[0],
-            t_end=bad[1],
+            f"decomposition flagged negative/singular on {spans}",
+            t_start=flagged[0][0],
+            t_end=flagged[0][1],
         )
 
     d = decomposition.dim
@@ -145,33 +179,39 @@ def run_ensemble(
     edges = _jump_edges(q_mid, dt, tol)                 # (n_steps, d-1)
     propagators = _hermitian_propagator(h_mid, dt)
 
-    # one counter-based stream per trajectory, drawn up front
-    draws = np.empty((config.n_traj, n_steps))
+    # one counter-based stream per trajectory keyed by (seed, i), drawn up
+    # front step-major; re-keying one Philox gives the same draws as a fresh
+    # Generator(Philox(key=[seed, i])) per trajectory
+    key = np.array([config.seed, 0], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key)
+    fresh = bitgen.state                # zero counter, empty buffer
+    fresh["state"]["key"] = key
+    rng = np.random.Generator(bitgen)
+    draws = np.empty((n_steps, config.n_traj))
     for i in range(config.n_traj):
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([config.seed, i], dtype=np.uint64))
-        )
-        draws[i] = rng.random(n_steps)
+        key[1] = i
+        bitgen.state = fresh
+        draws[:, i] = rng.random(n_steps)
 
-    states = np.broadcast_to(
-        np.asarray(rho0, dtype=complex), (config.n_traj, d, d)
-    ).copy()
+    states = np.repeat(
+        np.asarray(rho0, dtype=complex)[..., None], config.n_traj, axis=-1
+    )
     mean = np.empty((n_steps + 1, d, d), dtype=complex)
     err = np.empty((n_steps + 1, d, d))
 
-    def record(k):
-        mean[k] = states.mean(axis=0)
-        dev = states - mean[k]
+    def record(k, states):
+        mean[k] = states.mean(axis=-1)
+        dev = states - mean[k][..., None]
         err[k] = np.sqrt(
-            np.mean(np.abs(dev) ** 2, axis=0) / max(config.n_traj - 1, 1)
+            np.mean(np.abs(dev) ** 2, axis=-1) / max(config.n_traj - 1, 1)
         )
 
-    record(0)
+    record(0, states)
     for k in range(n_steps):
-        branch = np.searchsorted(edges[k], draws[:, k], side="right")
+        branch = np.searchsorted(edges[k], draws[k], side="right")
         unitaries = build_tilde_unitaries(decomposition.frames.eigenvectors[k])
-        _apply_branches(states, branch, unitaries, propagators[k])
-        record(k + 1)
+        states = _apply_branches(states, branch, unitaries, propagators[k])
+        record(k + 1, states)
 
     tdist = None
     if exact is not None:

@@ -52,6 +52,14 @@ def test_nonpositive_dt_exits_2(tmp_path, capsys, dt):
     assert len(err.splitlines()) == 1 and "--dt" in err
 
 
+def test_level_splitting_option_removed(tmp_path):
+    # the closed-form models never used it
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--model", "jc", "--level-splitting", "2",
+              "--out", str(tmp_path / "run")])
+    assert exc.value.code == EXIT_VALIDATION
+
+
 def test_decompose_writes_rates_and_hamiltonians(tmp_path):
     spec = write_spec(tmp_path / "spec.json", [{"operator": SIGMA_X, "gamma": 0.5}])
     assert main(decompose_argv(tmp_path, spec, "--dt", "1e-2")) == EXIT_OK

@@ -15,7 +15,7 @@ from probunitary.linalg import (
     weyl_family,
 )
 
-from conftest import random_hermitian
+from conftest import random_hermitian, random_unitary
 
 
 class TestValidation:
@@ -73,6 +73,20 @@ class TestEigendecomposition:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError):
             hermitian_eigendecomposition(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    def test_degenerate_cluster_ordered_by_key(self, rng):
+        # rank-2 d=5 state: the three zero eigenvalues form one cluster, which
+        # is ordered by eigenvector key, not by (rounding-level) eigenvalue
+        u = random_unitary(rng, 5)
+        m = u @ np.diag([0.63, 0.37, 0.0, 0.0, 0.0]) @ u.conj().T
+        spec = hermitian_eigendecomposition(m)
+        vals, vecs = spec.eigenvalues, spec.eigenvectors
+        np.testing.assert_allclose(vals, [0.63, 0.37, 0, 0, 0], atol=1e-12)
+        assert np.max(np.abs(m @ vecs - vecs * vals)) <= 1e-12
+        keys = [
+            tuple(x for z in vecs[:, j] for x in (z.real, z.imag)) for j in (2, 3, 4)
+        ]
+        assert keys == sorted(keys, reverse=True)
 
 
 class TestRealWeyl:

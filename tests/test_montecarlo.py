@@ -178,6 +178,48 @@ class TestEnsemble:
             assert np.array_equal(result.mean_rho[k + 1], np.mean(states, axis=0))
         assert 0 < jumps < n_steps * n_traj
 
+    def test_refusal_lists_every_flagged_interval(self):
+        # JC up to t = 7 is flagged on two separate windows, (pi/2, pi) and
+        # (3 pi/2, 2 pi); the refusal bounds the first and names both
+        grid = np.arange(0, 7.0 + 5e-4, 1e-3)
+        samples = sample_model("jc", grid)
+        dec = decompose_trajectory(samples)
+        config = SimConfig(dt=1e-3, n_traj=10, seed=1, horizon=7.0)
+        with pytest.raises(RefusesToSimulate) as exc:
+            run_ensemble(config, dec, samples[0].rho)
+        assert np.pi / 2 - 1e-3 <= exc.value.t_start <= np.pi / 2 + 1e-3
+        assert np.pi - 2e-3 <= exc.value.t_end <= np.pi
+        assert "[1.57, 3.141], [4.712, 6.283]" in str(exc.value)
+
+    def test_amplitude_damping_exact_oracle(self):
+        # H = 0, so the propagator is exactly I, and U~_1 = X: every state
+        # stays exactly |0><0| or |1><1|, so the sum over trajectories at
+        # step k is exactly diag(N - m_k, m_k), with m_k the trajectories that
+        # have jumped an odd number of times, replayed from the Philox draws
+        # and jump edges; the mean is that sum divided by N as a complex array
+        dt, horizon, n_traj, seed = 1e-3, 0.5, 5000, 5
+        dec, rho0, samples = damping_problem(dt, horizon=horizon)
+        n_steps = len(samples) - 1
+        assert not np.any(dec.hamiltonians)
+        config = SimConfig(dt=dt, n_traj=n_traj, seed=seed, horizon=horizon)
+        result = run_ensemble(config, dec, rho0)
+
+        draws = np.stack([
+            np.random.Generator(
+                np.random.Philox(key=np.array([seed, i], dtype=np.uint64))
+            ).random(n_steps)
+            for i in range(n_traj)
+        ])
+        edges = 0.5 * (dec.rates[:-1, 1] + dec.rates[1:, 1]) * dt
+        odd = np.cumsum(draws < edges, axis=1) % 2
+        m = np.concatenate(([0], odd.sum(axis=0)))
+        expected = np.zeros((n_steps + 1, 2, 2), dtype=complex)
+        expected[:, 0, 0] = n_traj - m
+        expected[:, 1, 1] = m
+        expected /= n_traj
+        assert 0 < m[-1] < n_traj
+        assert np.array_equal(result.mean_rho, expected)
+
     def test_dt_mismatch_rejected(self):
         dec, rho0, samples = damping_problem(1e-3, horizon=0.2)
         config = SimConfig(dt=2e-3, n_traj=10, seed=1, horizon=0.2)
