@@ -37,13 +37,7 @@ EXIT_UNPHYSICAL = 4
 
 
 def _read_lindblad_spec(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-    if not isinstance(doc, dict) or "hamiltonian" not in doc:
-        raise ValidationError(f"{path}: missing key 'hamiltonian'")
+    doc = io.read_json_object(path, ("hamiltonian",))
     h = io.matrix_from_json(doc["hamiltonian"], where=f"{path}: hamiltonian")
     items = doc.get("jump_ops", [])
     if not isinstance(items, list):
@@ -182,7 +176,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, FileNotFoundError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SingularChannel as exc:

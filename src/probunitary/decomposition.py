@@ -20,10 +20,10 @@ from .errors import TrajectoryTooCoarse, ValidationError
 from .linalg import (
     RateSolveResult,
     Spectrum,
-    _phase_fix,
     _solve_circulant_batch,
     hermitian_eigendecomposition,
     solve_circulant_rates,
+    validate_density_matrix,
     weyl_family,
 )
 
@@ -104,18 +104,8 @@ def _spectra_of(samples, tol: Tolerances) -> tuple[np.ndarray, list[Spectrum]]:
     dims = {s.rho.shape[0] for s in samples}
     if len(dims) != 1:
         raise ValidationError("trajectory samples have mismatched dimensions")
-    rhos = np.stack([np.asarray(s.rho, dtype=complex) for s in samples])
-    herm = np.abs(rhos - rhos.conj().transpose(0, 2, 1)).max()
-    if herm > tol.hermiticity:
-        raise ValidationError(f"non-Hermitian sample: deviation {herm:.3e}")
-    traces = np.einsum("kii->k", rhos).real
-    if np.abs(traces - 1).max() > tol.trace:
-        raise ValidationError("sample trace deviates from 1")
+    rhos = validate_density_matrix(np.stack([s.rho for s in samples]), tol)
     evals, evecs = np.linalg.eigh(rhos)
-    if evals.min() < -tol.psd:
-        raise ValidationError(
-            f"sample not positive semidefinite: min eigenvalue {evals.min():.3e}"
-        )
     spectra = [
         Spectrum(eigenvalues=evals[k][::-1], eigenvectors=evecs[k][:, ::-1])
         for k in range(len(samples))
@@ -124,21 +114,16 @@ def _spectra_of(samples, tol: Tolerances) -> tuple[np.ndarray, list[Spectrum]]:
 
 
 def align_spectra(
-    times,
-    spectra,
-    gauge: str = "transport",
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    times, spectra, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> EigenframeSeries:
     """Match eigenvector branches across frames and fix their gauge.
 
     Matching is an optimal assignment on squared overlaps; the phase of
-    each matched vector is then set by discrete parallel transport
-    (gauge="transport") or by the per-frame deterministic phase fix
-    (gauge="fixed").  Degenerate clusters are aligned as a subspace via
-    the polar part of the overlap block.
+    each matched vector is then set by discrete parallel transport.
+    Degenerate clusters are aligned as a subspace via the polar part of
+    the overlap block.  Adjacent frames whose aligned vectors overlap
+    less than ``tol.overlap_floor`` raise TrajectoryTooCoarse.
     """
-    if gauge not in ("transport", "fixed"):
-        raise ValidationError(f"unknown gauge {gauge!r}")
     times = np.asarray(times, dtype=float)
     n = len(spectra)
     d = spectra[0].dim
@@ -159,19 +144,12 @@ def align_spectra(
         if vecs.shape != (d, d):
             raise ValidationError("frame dimension mismatch")
         overlap = evecs[k - 1].conj().T @ vecs
-        diag = np.diagonal(overlap)
-        if np.abs(diag).min() < tol.overlap_floor:
+        if np.abs(np.diagonal(overlap)).min() < tol.overlap_floor:
             # identity matching is only optimal when every diagonal
             # overlap dominates; otherwise solve the assignment problem
-            rows, cols = linear_sum_assignment(-np.abs(overlap) ** 2)
+            _, cols = linear_sum_assignment(-np.abs(overlap) ** 2)
             vals = vals[cols]
             vecs = vecs[:, cols]
-            diag = overlap[rows, cols]
-        if np.abs(diag).min() < tol.overlap_floor:
-            raise TrajectoryTooCoarse(
-                f"eigenvector overlap {np.abs(diag).min():.3f} below "
-                f"{tol.overlap_floor} between t={times[k - 1]} and t={times[k]}"
-            )
         # cluster branches whose eigenvalues are numerically degenerate
         order = np.argsort(vals)[::-1]
         start = 0
@@ -183,22 +161,22 @@ def align_spectra(
             ):
                 stop += 1
             cluster = order[start:stop]
-            if gauge == "transport":
-                if cluster.size == 1:
-                    i = cluster[0]
-                    b = np.vdot(evecs[k - 1][:, i], vecs[:, i])
+            if cluster.size == 1:
+                i = cluster[0]
+                b = np.vdot(evecs[k - 1][:, i], vecs[:, i])
+                if b != 0:  # a zero overlap fails the floor below
                     vecs[:, i] *= b.conj() / abs(b)
-                else:
-                    block = evecs[k - 1][:, cluster].conj().T @ vecs[:, cluster]
-                    w, _ = polar(block)
-                    vecs[:, cluster] = vecs[:, cluster] @ w.conj().T
             else:
-                vecs[:, cluster] = _phase_fix(vecs[:, cluster])
-                # keep branch continuity at least up to sign
-                for i in cluster:
-                    if np.vdot(evecs[k - 1][:, i], vecs[:, i]).real < 0:
-                        vecs[:, i] *= -1.0
+                block = evecs[k - 1][:, cluster].conj().T @ vecs[:, cluster]
+                w, _ = polar(block)
+                vecs[:, cluster] = vecs[:, cluster] @ w.conj().T
             start = stop
+        aligned = np.abs(np.einsum("ij,ij->j", evecs[k - 1].conj(), vecs)).min()
+        if aligned < tol.overlap_floor:
+            raise TrajectoryTooCoarse(
+                f"eigenvector overlap {aligned:.3f} below "
+                f"{tol.overlap_floor} between t={times[k - 1]} and t={times[k]}"
+            )
         # accumulated transport phase of each branch relative to the
         # dominant-component-real-positive gauge, unwrapped in time
         delta = np.angle(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(d)])
@@ -211,11 +189,11 @@ def align_spectra(
 
 
 def align_eigenframes(
-    samples, gauge: str = "transport", tol: Tolerances = DEFAULT_TOLERANCES
+    samples, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> EigenframeSeries:
     """Diagonalize every sample and align the frames along the grid."""
     times, spectra = _spectra_of(samples, tol)
-    return align_spectra(times, spectra, gauge=gauge, tol=tol)
+    return align_spectra(times, spectra, tol=tol)
 
 
 def _d_dt(values: np.ndarray, frames: EigenframeSeries) -> np.ndarray:
@@ -290,10 +268,10 @@ def reconstruct_rhs(rho, h, unitaries, q) -> np.ndarray:
 
 
 def decompose_trajectory(
-    samples, gauge: str = "transport", tol: Tolerances = DEFAULT_TOLERANCES
+    samples, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> DecompositionSeries:
     """Full pipeline: align frames, then build H and q on every grid time."""
-    frames = align_eigenframes(samples, gauge=gauge, tol=tol)
+    frames = align_eigenframes(samples, tol=tol)
     p, f = _rate_system(frames)
     rates, singular, condition, _ = _solve_circulant_batch(p, f, "continuous", tol)
     # grid-aware flag: rates of order 1/dt are indistinguishable from

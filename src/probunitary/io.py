@@ -1,12 +1,13 @@
 """JSON/CSV serialization of trajectories, matrices and reports.
 
-Matrices are stored row-major with explicit [re, im] entry pairs and
-17-significant-digit decimals, so a write/read round trip is exact.
+Matrices are stored row-major with explicit [re, im] entry pairs.  JSON
+holds each float as its shortest round-trip repr, so a write/read round
+trip is bit-exact; CSV holds ``%.17g`` decimals with CRLF line ends.
+Every matrix stack and table crosses the file boundary as one array.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 
 import numpy as np
@@ -18,6 +19,7 @@ from .linalg import validate_density_matrix
 __all__ = [
     "matrix_to_json",
     "matrix_from_json",
+    "read_json_object",
     "write_trajectory",
     "read_trajectory",
     "read_matrix_file",
@@ -29,162 +31,162 @@ __all__ = [
 ]
 
 
-def _sig(x: float) -> float:
-    # 17 significant decimal digits: enough for an exact float64 round trip
-    return float(f"{x:.17g}")
-
-
 def matrix_to_json(m) -> list:
+    """Nested lists of [re, im] pairs for a matrix or a stack (..., d, d)."""
     m = np.asarray(m, dtype=complex)
-    return [[[_sig(e.real), _sig(e.imag)] for e in row] for row in m]
+    return np.stack((m.real, m.imag), -1).tolist()
 
 
-def matrix_from_json(data, where: str = "matrix") -> np.ndarray:
+def _numbers(data, where: str) -> np.ndarray:
+    """``data`` as one finite float array, or a ValidationError."""
     try:
-        arr = np.array(
-            [[complex(e[0], e[1]) for e in row] for row in data], dtype=complex
-        )
-    except (TypeError, IndexError, ValueError) as exc:
-        raise ValidationError(f"{where}: malformed [re, im] matrix: {exc}") from exc
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValidationError(f"{where}: matrix is not square")
+        arr = np.asarray(data)
+    except ValueError as exc:
+        raise ValidationError(f"{where}: ragged rows (unequal length or depth)") from exc
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(f"{where}: entries are not all numbers")
+    arr = arr.astype(float)
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{where}: entries are not all finite")
     return arr
 
 
-def write_trajectory(path, samples) -> None:
-    doc = {
-        "dim": int(samples[0].rho.shape[0]),
-        "times": [_sig(s.time) for s in samples],
-        "rho": [matrix_to_json(s.rho) for s in samples],
-    }
+def matrix_from_json(data, where: str = "matrix") -> np.ndarray:
+    """Decode d rows of d [re, im] pairs into a finite complex (d, d) array."""
+    arr = _numbers(data, where)
+    if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValidationError(f"{where}: shape {arr.shape} is not (d, d, 2) [re, im] pairs")
+    return np.ascontiguousarray(arr).view(complex)[..., 0]
+
+
+def read_json_object(path, keys) -> dict:
+    """The JSON object in the file at ``path``, which must hold ``keys``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text") from exc
+        except RecursionError as exc:
+            raise ValidationError(f"{path}: JSON nested too deeply") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: not a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise ValidationError(f"{path}: missing key {key!r}")
+    return doc
+
+
+def _write_json(path, doc) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
 
 
+def write_trajectory(path, samples) -> None:
+    rhos = np.stack([s.rho for s in samples])
+    _write_json(path, {
+        "dim": rhos.shape[1],
+        "times": np.array([s.time for s in samples], dtype=float).tolist(),
+        "rho": matrix_to_json(rhos),
+    })
+
+
 def read_trajectory(path) -> list[TrajectorySample]:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-    for key in ("dim", "times", "rho"):
-        if key not in doc:
-            raise ValidationError(f"{path}: missing key {key!r}")
-    times, rhos = doc["times"], doc["rho"]
-    if len(times) != len(rhos):
-        raise ValidationError(f"{path}: {len(times)} times but {len(rhos)} matrices")
-    if not times:
-        raise ValidationError(f"{path}: empty trajectory")
-    d = int(doc["dim"])
-    samples = []
-    for k, (t, data) in enumerate(zip(times, rhos)):
-        rho = matrix_from_json(data, where=f"{path}: entry {k}")
-        if rho.shape != (d, d):
-            raise ValidationError(f"{path}: entry {k} has shape {rho.shape}, want {d}x{d}")
-        try:
-            validate_density_matrix(rho)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: entry {k}: {exc}") from exc
-        samples.append(TrajectorySample(time=float(t), rho=rho))
-    return samples
+    doc = read_json_object(path, ("dim", "times", "rho"))
+    d, rho = doc["dim"], doc["rho"]
+    if type(d) is not int or d < 1:
+        raise ValidationError(f"{path}: dim {d!r} is not a positive integer")
+    times = _numbers(doc["times"], f"{path}: times")
+    if times.ndim != 1 or times.size == 0:
+        raise ValidationError(f"{path}: times is not a nonempty list of numbers")
+    if not isinstance(rho, list) or len(rho) != times.size:
+        raise ValidationError(
+            f"{path}: {times.size} times but rho is not a list of as many matrices"
+        )
+    rhos = np.empty((times.size, d, d), dtype=complex)
+    for k, data in enumerate(rho):
+        m = matrix_from_json(data, where=f"{path}: entry {k}")
+        if m.shape != (d, d):
+            raise ValidationError(f"{path}: entry {k} has shape {m.shape}, want {d}x{d}")
+        rhos[k] = m
+    try:
+        validate_density_matrix(rhos)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+    return [TrajectorySample(time=t, rho=r) for t, r in zip(times.tolist(), rhos)]
 
 
 def read_matrix_file(path) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-    if "matrix" not in doc:
-        raise ValidationError(f"{path}: missing key 'matrix'")
-    return matrix_from_json(doc["matrix"], where=path)
+    return matrix_from_json(read_json_object(path, ("matrix",))["matrix"], where=path)
 
 
 def write_matrix_file(path, m) -> None:
     m = np.asarray(m, dtype=complex)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"dim": int(m.shape[0]), "matrix": matrix_to_json(m)}, fh)
+    _write_json(path, {"dim": m.shape[0], "matrix": matrix_to_json(m)})
+
+
+def _write_csv(path, header, table, fmt) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        np.savetxt(fh, table, fmt=fmt, delimiter=",", newline="\r\n",
+                   header=",".join(header), comments="")
 
 
 def write_rate_report(path, decomposition: DecompositionSeries) -> None:
     """CSV: time, q_0..q_{d-1}, negative_flag, singular_flag, condition."""
     d = decomposition.dim
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["time"]
-            + [f"q_{i}" for i in range(d)]
-            + ["negative_flag", "singular_flag", "condition_estimate"]
-        )
-        for k, t in enumerate(decomposition.times):
-            writer.writerow(
-                [f"{t:.17g}"]
-                + [f"{x:.17g}" for x in decomposition.rates[k]]
-                + [
-                    int(decomposition.negative_flags[k]),
-                    int(decomposition.singular_flags[k]),
-                    f"{decomposition.condition_estimates[k]:.6g}",
-                ]
-            )
+    table = np.column_stack((
+        decomposition.times, decomposition.rates, decomposition.negative_flags,
+        decomposition.singular_flags, decomposition.condition_estimates,
+    ))
+    _write_csv(
+        path,
+        ["time", *(f"q_{i}" for i in range(d)),
+         "negative_flag", "singular_flag", "condition_estimate"],
+        table,
+        ["%.17g"] * (d + 1) + ["%d", "%d", "%.6g"],
+    )
 
 
 def write_hamiltonians(path, decomposition: DecompositionSeries) -> None:
-    doc = {
-        "times": [_sig(t) for t in decomposition.times],
-        "hamiltonians": [matrix_to_json(h) for h in decomposition.hamiltonians],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    _write_json(path, {
+        "times": decomposition.times.tolist(),
+        "hamiltonians": matrix_to_json(decomposition.hamiltonians),
+    })
 
 
 def write_ensemble_csv(path, result) -> None:
     """CSV: time, mean rho entries (re/im), standard errors, trace distance."""
-    d = result.mean_rho.shape[1]
-    header = ["time"]
-    for i in range(d):
-        for j in range(d):
-            header += [f"mean_{i}{j}_re", f"mean_{i}{j}_im"]
-    for i in range(d):
-        for j in range(d):
-            header.append(f"stderr_{i}{j}")
-    header.append("trace_distance_to_exact")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k, t in enumerate(result.times):
-            row = [f"{t:.17g}"]
-            for i in range(d):
-                for j in range(d):
-                    row += [
-                        f"{result.mean_rho[k, i, j].real:.17g}",
-                        f"{result.mean_rho[k, i, j].imag:.17g}",
-                    ]
-            for i in range(d):
-                for j in range(d):
-                    row.append(f"{result.stderr[k, i, j]:.17g}")
-            if result.trace_distance_to_exact is not None:
-                row.append(f"{result.trace_distance_to_exact[k]:.17g}")
-            else:
-                row.append("")
-            writer.writerow(row)
+    n, d = result.mean_rho.shape[:2]
+    entries = [f"{i}{j}" for i in range(d) for j in range(d)]
+    mean = np.ascontiguousarray(result.mean_rho, dtype=complex).view(float)
+    columns = [result.times, mean.reshape(n, -1), result.stderr.reshape(n, -1)]
+    fmt = ["%.17g"] * (1 + 3 * d * d)
+    if result.trace_distance_to_exact is None:
+        fmt[-1] += ","  # rows leave trace_distance_to_exact blank
+    else:
+        columns.append(result.trace_distance_to_exact)
+        fmt.append("%.17g")
+    _write_csv(
+        path,
+        ["time", *(f"mean_{e}_{part}" for e in entries for part in ("re", "im")),
+         *(f"stderr_{e}" for e in entries), "trace_distance_to_exact"],
+        np.column_stack(columns),
+        fmt,
+    )
 
 
 def write_channel_json(path, decomp, kraus=None) -> None:
     doc = {
-        "probabilities": [_sig(x) for x in decomp.probabilities],
-        "unitaries": [matrix_to_json(u) for u in decomp.unitaries],
+        "probabilities": np.asarray(decomp.probabilities, dtype=float).tolist(),
+        "unitaries": matrix_to_json(decomp.unitaries),
         "classification": decomp.classification,
-        "reconstruction_residual": _sig(decomp.reconstruction_residual),
-        "pairing": [int(i) for i in decomp.pairing],
+        "reconstruction_residual": float(decomp.reconstruction_residual),
+        "pairing": np.asarray(decomp.pairing, dtype=int).tolist(),
     }
     if kraus is not None:
         doc["kraus_like"] = [
-            {
-                "k": matrix_to_json(k),
-                "kbar": matrix_to_json(kbar),
-                "sign": int(s),
-            }
-            for (k, kbar), s in zip(kraus.operators, kraus.signs)
+            {"k": k, "kbar": kbar, "sign": int(s)}
+            for (k, kbar), s in zip(matrix_to_json(kraus.operators), kraus.signs)
         ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    _write_json(path, doc)

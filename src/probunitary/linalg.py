@@ -70,22 +70,36 @@ def _as_complex_matrix(m) -> np.ndarray:
 
 
 def validate_density_matrix(rho, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Check hermiticity, unit trace and positivity of a density matrix.
+    """Check finiteness, hermiticity, unit trace and positivity of a
+    density matrix (d, d) or of every matrix of a stack (n, d, d).
 
-    Returns the validated array; raises ValidationError otherwise.
+    Returns the validated complex array; raises ValidationError otherwise,
+    prefixed "entry k: " with the first index of a stack that fails the
+    first violated check.
     """
-    rho = _as_complex_matrix(rho)
-    herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > tol.hermiticity:
-        raise ValidationError(f"density matrix not Hermitian: deviation {herm:.3e}")
-    tr = rho.trace()
-    if abs(tr - 1.0) > tol.trace:
-        raise ValidationError(f"density matrix trace {tr} differs from 1")
-    evals = np.linalg.eigvalsh(rho)
-    if evals.min() < -tol.psd:
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]:
         raise ValidationError(
-            f"density matrix not positive semidefinite: min eigenvalue {evals.min():.3e}"
+            f"expected a square matrix or a stack of them, got shape {rho.shape}"
         )
+    stack = rho.reshape(-1, *rho.shape[-2:])
+
+    def check(bad, message):
+        if bad.any():
+            k = int(np.argmax(bad))
+            where = f"entry {k}: " if rho.ndim == 3 else ""
+            raise ValidationError(where + message(k))
+
+    check(~np.isfinite(stack).all(axis=(1, 2)), lambda k: "matrix contains NaN or Inf entries")
+    herm = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    check(herm > tol.hermiticity,
+          lambda k: f"density matrix not Hermitian: deviation {herm[k]:.3e}")
+    tr = np.einsum("kii->k", stack)
+    check(np.abs(tr - 1.0) > tol.trace,
+          lambda k: f"density matrix trace {tr[k]} differs from 1")
+    low = np.linalg.eigvalsh(stack).min(axis=1)
+    check(low < -tol.psd,
+          lambda k: f"density matrix not positive semidefinite: min eigenvalue {low[k]:.3e}")
     return rho
 
 

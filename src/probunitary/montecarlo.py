@@ -52,6 +52,8 @@ class SimConfig:
             raise ValidationError("n_traj must be at least 1")
         if self.horizon <= 0:
             raise ValidationError("horizon must be positive")
+        if not 0 <= self.seed < 2**64:
+            raise ValidationError(f"seed {self.seed} outside [0, 2**64)")
 
 
 @dataclass

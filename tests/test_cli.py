@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from probunitary import io
+from probunitary import io, models
 from probunitary.cli import EXIT_OK, EXIT_VALIDATION, main
 
 
@@ -67,3 +67,68 @@ def test_decompose_writes_rates_and_hamiltonians(tmp_path):
     assert written == ["run.hamiltonians.json", "run.rates.csv"]
     doc = json.loads((tmp_path / "run.hamiltonians.json").read_text())
     assert len(doc["times"]) == 6 and len(doc["hamiltonians"]) == 6
+
+
+def write_trajectory_doc(tmp_path, edit):
+    """An amplitude-damping trajectory file with one field edited."""
+    path = tmp_path / "traj.json"
+    io.write_trajectory(path, models.sample_model("amplitude-damping", np.linspace(0, 0.05, 6)))
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_trajectory_input_decomposes(tmp_path):
+    path = write_trajectory_doc(tmp_path, lambda doc: None)
+    assert main(["decompose", "--input", path, "--out", str(tmp_path / "run")]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "edit, expected",
+    [
+        (lambda doc: doc.update(dim="two"), "dim"),
+        (lambda doc: doc["times"].__setitem__(1, "soon"), "times"),
+        (lambda doc: doc["rho"][2][0].__setitem__(1, [0.0, 0.0, 1.0]), "entry 2"),
+    ],
+)
+def test_bad_trajectory_file_exits_2(tmp_path, capsys, edit, expected):
+    path = write_trajectory_doc(tmp_path, edit)
+    assert main(["decompose", "--input", path, "--out", str(tmp_path / "run")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {path}: ") and expected in err
+
+
+def test_nan_hamiltonian_exits_2(tmp_path, capsys):
+    spec = write_spec(tmp_path / "spec.json", [])
+    doc = json.loads((tmp_path / "spec.json").read_text())
+    doc["hamiltonian"][0][0][0] = float("nan")
+    (tmp_path / "spec.json").write_text(json.dumps(doc))
+    assert main(decompose_argv(tmp_path, spec)) == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and f"{spec}: hamiltonian" in err
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_out_of_range_seed_exits_2(tmp_path, capsys, seed):
+    argv = ["simulate", "--model", "amplitude-damping", "--horizon", "0.01",
+            "--trajectories", "3", "--seed", str(seed), "--out", str(tmp_path / "run")]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "seed" in err
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000, None])
+def test_unreadable_input_exits_2(tmp_path, capsys, content):
+    # bytes that are not UTF-8, nesting deeper than the parser's recursion
+    # limit, or a directory in place of a file
+    path = tmp_path / "rho.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    argv = ["channel", "--rho-in", str(path), "--rho-out", str(path), "--out", str(tmp_path / "run")]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and str(path) in err

@@ -18,13 +18,14 @@ from probunitary.decomposition import (
 from probunitary.errors import TrajectoryTooCoarse, ValidationError
 from probunitary.linalg import Spectrum, hermitian_eigendecomposition
 from probunitary.models import (
+    LindbladSpec,
     amplitude_damping_exact,
     amplitude_damping_spec,
     integrate,
     jc_reduced_state,
 )
 
-from conftest import random_density_matrix
+from conftest import random_density_matrix, random_hermitian
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 
@@ -88,6 +89,27 @@ class TestAlignment:
     def test_needs_two_samples(self):
         with pytest.raises(ValidationError):
             align_eigenframes([TrajectorySample(0.0, np.eye(2) / 2)])
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_stationary_degenerate_cluster_is_aligned(self, seed):
+        # I/3 is a fixed point of every unital generator, but the solver's
+        # basis of the degenerate cluster jumps from frame to frame; the
+        # overlap floor applies to the subspace-aligned vectors
+        rng = np.random.default_rng(seed)
+        spec = LindbladSpec(
+            hamiltonian=random_hermitian(rng, 3),
+            jump_ops=((random_hermitian(rng, 3, 0.3), 1.0),),
+        )
+        samples = integrate(spec, np.eye(3) / 3, np.arange(0, 0.0205, 1e-3))
+        v = align_eigenframes(samples).eigenvectors
+        overlaps = np.abs(np.einsum("kij,kij->kj", v[:-1].conj(), v[1:]))
+        assert overlaps.min() > 1 - 1e-12
+
+    def test_nan_sample_rejected(self):
+        samples = rotating_qubit_samples(1.0, [0.0, 0.1, 0.2])
+        samples[1].rho[0, 0] = np.nan
+        with pytest.raises(ValidationError, match="entry 1: .*NaN"):
+            align_eigenframes(samples)
 
 
 class TestHamiltonian:

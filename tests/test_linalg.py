@@ -38,6 +38,21 @@ class TestValidation:
         with pytest.raises(ValidationError, match="NaN"):
             validate_density_matrix(np.array([[np.nan, 0], [0, 1.0]]))
 
+    def test_stack_names_first_failing_index(self):
+        stack = np.stack([np.diag([0.6, 0.4])] * 4).astype(complex)
+        assert validate_density_matrix(stack).shape == (4, 2, 2)
+        stack[3] = np.diag([0.7, 0.7])
+        stack[2, 0, 1] = 0.1
+        with pytest.raises(ValidationError, match="^entry 2: .*Hermitian"):
+            validate_density_matrix(stack)
+        stack[1, 1, 1] = np.inf
+        with pytest.raises(ValidationError, match="^entry 1: .*NaN"):
+            validate_density_matrix(stack)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValidationError, match="square"):
+            validate_density_matrix(np.ones((2, 2, 3)) / 2)
+
 
 class TestEigendecomposition:
     def test_diagonal_input(self):
