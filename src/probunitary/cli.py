@@ -25,8 +25,11 @@ from .errors import (
     NegativeRate,
     RefusesToSimulate,
     SingularChannel,
+    StepTooLarge,
+    TrajectoryTooCoarse,
     ValidationError,
 )
+from .linalg import validate_density_matrix
 from .models import MODEL_CATALOGUE, LindbladSpec, ModelParams
 from .montecarlo import SimConfig, run_ensemble
 
@@ -55,10 +58,19 @@ def _read_lindblad_spec(path):
         if not math.isfinite(gamma):
             raise ValidationError(f"{where}: gamma is not a finite number")
         jumps.append((op, gamma))
+    try:
+        spec = LindbladSpec(hamiltonian=h, jump_ops=tuple(jumps))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     rho0 = None
     if "rho0" in doc:
-        rho0 = io.matrix_from_json(doc["rho0"], where=f"{path}: rho0")
-    return LindbladSpec(hamiltonian=h, jump_ops=tuple(jumps)), rho0
+        where = f"{path}: rho0"
+        rho0 = io.matrix_from_json(doc["rho0"], where=where)
+        try:
+            validate_density_matrix(rho0)
+        except ValidationError as exc:
+            raise ValidationError(f"{where}: {exc}") from exc
+    return spec, rho0
 
 
 def _load_samples(args):
@@ -176,7 +188,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, OSError) as exc:
+    except (ValidationError, OSError, StepTooLarge, TrajectoryTooCoarse) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SingularChannel as exc:

@@ -20,8 +20,8 @@ from .errors import TrajectoryTooCoarse, ValidationError
 from .linalg import (
     RateSolveResult,
     Spectrum,
+    _canonical_spectrum,
     _solve_circulant_batch,
-    hermitian_eigendecomposition,
     solve_circulant_rates,
     validate_density_matrix,
     weyl_family,
@@ -95,7 +95,9 @@ class DecompositionSeries:
         return self.hamiltonians.shape[1]
 
 
-def _spectra_of(samples, tol: Tolerances) -> tuple[np.ndarray, list[Spectrum]]:
+def _spectra_of(samples, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Times, eigenvalues (n, d) and eigenvectors (n, d, d) of the samples,
+    each frame in descending eigenvalue order."""
     if len(samples) < 2:
         raise ValidationError("need at least two trajectory samples")
     times = np.array([s.time for s in samples], dtype=float)
@@ -106,11 +108,7 @@ def _spectra_of(samples, tol: Tolerances) -> tuple[np.ndarray, list[Spectrum]]:
         raise ValidationError("trajectory samples have mismatched dimensions")
     rhos = validate_density_matrix(np.stack([s.rho for s in samples]), tol)
     evals, evecs = np.linalg.eigh(rhos)
-    spectra = [
-        Spectrum(eigenvalues=evals[k][::-1], eigenvectors=evecs[k][:, ::-1])
-        for k in range(len(samples))
-    ]
-    return times, spectra
+    return times, evals[:, ::-1], evecs[:, :, ::-1]
 
 
 def align_spectra(
@@ -118,71 +116,99 @@ def align_spectra(
 ) -> EigenframeSeries:
     """Match eigenvector branches across frames and fix their gauge.
 
-    Matching is an optimal assignment on squared overlaps; the phase of
-    each matched vector is then set by discrete parallel transport.
-    Degenerate clusters are aligned as a subspace via the polar part of
-    the overlap block.  Adjacent frames whose aligned vectors overlap
-    less than ``tol.overlap_floor`` raise TrajectoryTooCoarse.
+    Frame 0 takes hermitian_eigendecomposition's convention.  Each later
+    frame is matched to the one before: when every diagonal overlap with
+    it reaches ``tol.overlap_floor`` the branches keep their order,
+    otherwise an optimal assignment on squared overlaps matches them.
+    Each branch's phase is then set by discrete parallel transport, and a
+    numerically degenerate cluster is aligned as a subspace via the polar
+    part of its overlap block.
+
+    Up to the first frame that needs the assignment solver or polar, the
+    transport is a running product: branch i of frame k is
+    raw_k[:, i] * prod_{j<=k} conj(o_j,i) / |o_j,i| with
+    o_j,i = <raw_{j-1}[:, i], raw_j[:, i]>, computed for all those frames
+    at once.  From that frame on, frames are aligned one at a time.
+    Adjacent frames whose aligned vectors overlap less than
+    ``tol.overlap_floor`` raise TrajectoryTooCoarse.
     """
-    times = np.asarray(times, dtype=float)
-    n = len(spectra)
     d = spectra[0].dim
-    first = hermitian_eigendecomposition(
-        spectra[0].eigenvectors
-        @ np.diag(spectra[0].eigenvalues)
-        @ spectra[0].eigenvectors.conj().T,
-        tol,
-    )
-    evals = np.empty((n, d))
-    evecs = np.empty((n, d, d), dtype=complex)
-    phases = np.zeros((n, d))
+    if any(np.shape(s.eigenvectors) != (d, d) or np.shape(s.eigenvalues) != (d,)
+           for s in spectra):
+        raise ValidationError("frame dimension mismatch")
+    vals = np.array([s.eigenvalues for s in spectra], dtype=float)
+    vecs = np.array([s.eigenvectors for s in spectra], dtype=complex)
+    return _align(np.asarray(times, dtype=float), vals, vecs, tol)
+
+
+def _align(times, vals, vecs, tol: Tolerances) -> EigenframeSeries:
+    """align_spectra on stacked eigenvalues (n, d) and eigenvectors (n, d, d)."""
+    n, d = vals.shape
+    order = np.argsort(-vals[0], kind="stable")
+    first = _canonical_spectrum(vals[0][order], vecs[0][:, order], tol)
+    evals = np.array(vals)
+    evecs = np.array(vecs)
     evals[0], evecs[0] = first.eigenvalues, first.eigenvectors
 
-    for k in range(1, n):
-        vals = np.asarray(spectra[k].eigenvalues, dtype=float)
-        vecs = np.asarray(spectra[k].eigenvectors, dtype=complex)
-        if vecs.shape != (d, d):
-            raise ValidationError("frame dimension mismatch")
-        overlap = evecs[k - 1].conj().T @ vecs
+    # frames up to the first one that needs the assignment solver (a
+    # diagonal overlap below the floor) or polar (a degenerate cluster)
+    # are phase-transported by one running product
+    overlaps = np.einsum("kai,kai->ki", evecs[:-1].conj(), evecs[1:])
+    gaps = np.diff(np.sort(evals[1:], axis=1), axis=1)
+    serial = (np.abs(overlaps).min(axis=1) < tol.overlap_floor) | (
+        gaps.min(axis=1, initial=np.inf) < tol.degeneracy_gap
+    )
+    first_serial = 1 + int(np.argmax(serial)) if serial.any() else n
+    transport = overlaps[: first_serial - 1].conj()
+    transport /= np.abs(transport)
+    evecs[1:first_serial] *= np.cumprod(transport, axis=0)[:, None, :]
+
+    for k in range(first_serial, n):
+        vals_k, vecs_k = evals[k], evecs[k]
+        overlap = evecs[k - 1].conj().T @ vecs_k
         if np.abs(np.diagonal(overlap)).min() < tol.overlap_floor:
             # identity matching is only optimal when every diagonal
             # overlap dominates; otherwise solve the assignment problem
             _, cols = linear_sum_assignment(-np.abs(overlap) ** 2)
-            vals = vals[cols]
-            vecs = vecs[:, cols]
+            vals_k[:], vecs_k[:] = vals_k[cols], vecs_k[:, cols]
         # cluster branches whose eigenvalues are numerically degenerate
-        order = np.argsort(vals)[::-1]
+        order = np.argsort(vals_k)[::-1]
         start = 0
         while start < d:
             stop = start + 1
             while (
                 stop < d
-                and vals[order[stop - 1]] - vals[order[stop]] < tol.degeneracy_gap
+                and vals_k[order[stop - 1]] - vals_k[order[stop]] < tol.degeneracy_gap
             ):
                 stop += 1
             cluster = order[start:stop]
             if cluster.size == 1:
                 i = cluster[0]
-                b = np.vdot(evecs[k - 1][:, i], vecs[:, i])
+                b = np.vdot(evecs[k - 1][:, i], vecs_k[:, i])
                 if b != 0:  # a zero overlap fails the floor below
-                    vecs[:, i] *= b.conj() / abs(b)
+                    vecs_k[:, i] *= b.conj() / abs(b)
             else:
-                block = evecs[k - 1][:, cluster].conj().T @ vecs[:, cluster]
+                block = evecs[k - 1][:, cluster].conj().T @ vecs_k[:, cluster]
                 w, _ = polar(block)
-                vecs[:, cluster] = vecs[:, cluster] @ w.conj().T
+                vecs_k[:, cluster] = vecs_k[:, cluster] @ w.conj().T
             start = stop
-        aligned = np.abs(np.einsum("ij,ij->j", evecs[k - 1].conj(), vecs)).min()
-        if aligned < tol.overlap_floor:
-            raise TrajectoryTooCoarse(
-                f"eigenvector overlap {aligned:.3f} below "
-                f"{tol.overlap_floor} between t={times[k - 1]} and t={times[k]}"
-            )
-        # accumulated transport phase of each branch relative to the
-        # dominant-component-real-positive gauge, unwrapped in time
-        delta = np.angle(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(d)])
-        phases[k] = delta + 2 * np.pi * np.round((phases[k - 1] - delta) / (2 * np.pi))
-        evals[k], evecs[k] = vals, vecs
 
+    aligned = np.abs(np.einsum("kai,kai->ki", evecs[:-1].conj(), evecs[1:])).min(axis=1)
+    if (aligned < tol.overlap_floor).any():
+        k = 1 + int(np.argmax(aligned < tol.overlap_floor))
+        raise TrajectoryTooCoarse(
+            f"eigenvector overlap {aligned[k - 1]:.3f} below "
+            f"{tol.overlap_floor} between t={times[k - 1]} and t={times[k]}"
+        )
+    # accumulated transport phase of each branch relative to the
+    # dominant-component-real-positive gauge, unwrapped in time from 0
+    delta = np.angle(np.take_along_axis(
+        evecs, np.argmax(np.abs(evecs), axis=1)[:, None, :], axis=1
+    )[:, 0, :])
+    delta[0] = 0.0
+    turns = np.cumsum(np.round((delta[:-1] - delta[1:]) / (2 * np.pi)), axis=0)
+    phases = np.zeros((n, d))
+    phases[1:] = delta[1:] + 2 * np.pi * turns
     return EigenframeSeries(
         times=times, eigenvalues=evals, eigenvectors=evecs, phases=phases
     )
@@ -192,8 +218,7 @@ def align_eigenframes(
     samples, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> EigenframeSeries:
     """Diagonalize every sample and align the frames along the grid."""
-    times, spectra = _spectra_of(samples, tol)
-    return align_spectra(times, spectra, tol=tol)
+    return _align(*_spectra_of(samples, tol), tol)
 
 
 def _d_dt(values: np.ndarray, frames: EigenframeSeries) -> np.ndarray:

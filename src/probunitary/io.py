@@ -78,9 +78,27 @@ def read_json_object(path, keys) -> dict:
     return doc
 
 
+_CHUNK = 256
+
+
 def _write_json(path, doc) -> None:
+    """Write the object ``doc`` as json.dump would, with json.dumps' C
+    encoder.  A value that is an array is a matrix or a stack of them,
+    encoded as matrix_to_json in chunks of _CHUNK rows, so neither its whole
+    nested list nor its whole text is held at once."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write("{")
+        for i, (key, value) in enumerate(doc.items()):
+            fh.write((", " if i else "") + json.dumps(key) + ": ")
+            if not isinstance(value, np.ndarray):
+                fh.write(json.dumps(value))
+                continue
+            fh.write("[")
+            for j in range(0, len(value), _CHUNK):
+                chunk = json.dumps(matrix_to_json(value[j:j + _CHUNK]))[1:-1]
+                fh.write((", " if j else "") + chunk)
+            fh.write("]")
+        fh.write("}")
 
 
 def write_trajectory(path, samples) -> None:
@@ -88,7 +106,7 @@ def write_trajectory(path, samples) -> None:
     _write_json(path, {
         "dim": rhos.shape[1],
         "times": np.array([s.time for s in samples], dtype=float).tolist(),
-        "rho": matrix_to_json(rhos),
+        "rho": rhos,
     })
 
 
@@ -123,7 +141,7 @@ def read_matrix_file(path) -> np.ndarray:
 
 def write_matrix_file(path, m) -> None:
     m = np.asarray(m, dtype=complex)
-    _write_json(path, {"dim": m.shape[0], "matrix": matrix_to_json(m)})
+    _write_json(path, {"dim": m.shape[0], "matrix": m})
 
 
 def _write_csv(path, header, table, fmt) -> None:
@@ -151,7 +169,7 @@ def write_rate_report(path, decomposition: DecompositionSeries) -> None:
 def write_hamiltonians(path, decomposition: DecompositionSeries) -> None:
     _write_json(path, {
         "times": decomposition.times.tolist(),
-        "hamiltonians": matrix_to_json(decomposition.hamiltonians),
+        "hamiltonians": decomposition.hamiltonians,
     })
 
 
@@ -179,7 +197,7 @@ def write_ensemble_csv(path, result) -> None:
 def write_channel_json(path, decomp, kraus=None) -> None:
     doc = {
         "probabilities": np.asarray(decomp.probabilities, dtype=float).tolist(),
-        "unitaries": matrix_to_json(decomp.unitaries),
+        "unitaries": np.asarray(decomp.unitaries),
         "classification": decomp.classification,
         "reconstruction_residual": float(decomp.reconstruction_residual),
         "pairing": np.asarray(decomp.pairing, dtype=int).tolist(),

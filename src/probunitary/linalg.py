@@ -132,7 +132,13 @@ def hermitian_eigendecomposition(
     if herm > tol.hermiticity:
         raise ValidationError(f"matrix not Hermitian: deviation {herm:.3e}")
     evals, vecs = np.linalg.eigh(m)
-    evals, vecs = evals[::-1], vecs[:, ::-1]
+    return _canonical_spectrum(evals[::-1], vecs[:, ::-1], tol)
+
+
+def _canonical_spectrum(evals, vecs, tol: Tolerances) -> Spectrum:
+    """hermitian_eigendecomposition's convention applied to eigenpairs
+    already in descending eigenvalue order."""
+    evals = np.array(evals, dtype=float)
     vecs = _phase_fix(vecs)
     # deterministic ordering inside (numerically) degenerate clusters
     d = evals.shape[0]

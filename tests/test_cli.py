@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from probunitary import io, models
-from probunitary.cli import EXIT_OK, EXIT_VALIDATION, main
+from probunitary.cli import EXIT_OK, EXIT_SINGULAR, EXIT_UNPHYSICAL, EXIT_VALIDATION, main
+from probunitary.decomposition import TrajectorySample
 
 
 def write_spec(path, jump_ops):
@@ -132,3 +133,70 @@ def test_unreadable_input_exits_2(tmp_path, capsys, content):
     assert main(argv) == EXIT_VALIDATION
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and str(path) in err
+
+
+def test_step_too_large_exits_2(tmp_path, capsys):
+    # q dt > 1 on the first step of a fast decay
+    argv = ["simulate", "--model", "amplitude-damping", "--gamma", "60", "--dt", "0.01",
+            "--horizon", "0.01", "--trajectories", "5", "--out", str(tmp_path / "run")]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "jump probability" in err
+
+
+def test_trajectory_too_coarse_exits_2(tmp_path, capsys):
+    # the eigenframe turns by far more than a radian between grid points
+    doc = {
+        "hamiltonian": io.matrix_to_json(20 * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])),
+        "rho0": io.matrix_to_json(np.diag([0.6, 0.3, 0.1])),
+    }
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    argv = decompose_argv(tmp_path, str(spec), "--dt", "0.3", "--horizon", "1.5")
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "overlap" in err
+
+
+@pytest.mark.parametrize(
+    "key, value, expected",
+    [
+        ("rho0", np.diag([0.7, 0.7]), "rho0: density matrix trace"),
+        ("hamiltonian", np.array([[0.5, 1.0], [0.0, -0.5]]), "Hermitian"),
+    ],
+)
+def test_bad_spec_matrix_exits_2_naming_file(tmp_path, capsys, key, value, expected):
+    spec = write_spec(tmp_path / "spec.json", [])
+    doc = json.loads((tmp_path / "spec.json").read_text())
+    doc[key] = io.matrix_to_json(value)
+    (tmp_path / "spec.json").write_text(json.dumps(doc))
+    assert main(decompose_argv(tmp_path, spec)) == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {spec}: ") and expected in err
+
+
+def test_flagged_horizon_exits_4(tmp_path, capsys):
+    argv = ["simulate", "--model", "jc", "--horizon", "7", "--trajectories", "5",
+            "--out", str(tmp_path / "run")]
+    assert main(argv) == EXIT_UNPHYSICAL
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def test_constant_maximally_mixed_trajectory_exits_3(tmp_path, capsys):
+    path = tmp_path / "traj.json"
+    io.write_trajectory(path, [TrajectorySample(t, np.eye(2) / 2) for t in (0.0, 0.1, 0.2)])
+    assert main(["decompose", "--input", str(path), "--out", str(tmp_path / "run")]) == EXIT_SINGULAR
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not any(p.name.startswith("run") for p in tmp_path.iterdir())
+
+
+def test_singular_channel_exits_3(tmp_path, capsys):
+    paths = []
+    for name, m in (("in", np.eye(2) / 2), ("out", np.diag([0.7, 0.3]))):
+        paths.append(tmp_path / f"{name}.json")
+        io.write_matrix_file(paths[-1], m)
+    argv = ["channel", "--rho-in", str(paths[0]), "--rho-out", str(paths[1]),
+            "--out", str(tmp_path / "run")]
+    assert main(argv) == EXIT_SINGULAR
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1

@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, polar
+from scipy.optimize import linear_sum_assignment
 
 from probunitary.config import DEFAULT_TOLERANCES
 from probunitary.decomposition import (
@@ -110,6 +111,84 @@ class TestAlignment:
         samples[1].rho[0, 0] = np.nan
         with pytest.raises(ValidationError, match="entry 1: .*NaN"):
             align_eigenframes(samples)
+
+
+def sequential_alignment(samples, tol=DEFAULT_TOLERANCES):
+    """Frame-by-frame reference for align_eigenframes: assignment when a
+    diagonal overlap is below the floor, per-branch phase transport or the
+    polar part of each degenerate cluster's overlap block, then the
+    dominant component's phase unwrapped against the previous frame.
+    Also returns the first frame that needed the assignment solver or
+    polar."""
+    first = hermitian_eigendecomposition(samples[0].rho)
+    vals, vecs = [first.eigenvalues], [first.eigenvectors]
+    phases = [np.zeros(first.dim)]
+    d, serial = first.dim, None
+    for k in range(1, len(samples)):
+        w, v = np.linalg.eigh(samples[k].rho)
+        w, v = w[::-1], v[:, ::-1].copy()
+        prev = vecs[-1]
+        overlap = prev.conj().T @ v
+        if np.abs(np.diagonal(overlap)).min() < tol.overlap_floor:
+            _, cols = linear_sum_assignment(-np.abs(overlap) ** 2)
+            w, v = w[cols], v[:, cols]
+            serial = serial or k
+        order = np.argsort(w)[::-1]
+        start = 0
+        while start < d:
+            stop = start + 1
+            while stop < d and w[order[stop - 1]] - w[order[stop]] < tol.degeneracy_gap:
+                stop += 1
+            cluster = order[start:stop]
+            if cluster.size == 1:
+                b = np.vdot(prev[:, cluster[0]], v[:, cluster[0]])
+                v[:, cluster[0]] *= b.conj() / abs(b)
+            else:
+                u, _ = polar(prev[:, cluster].conj().T @ v[:, cluster])
+                v[:, cluster] = v[:, cluster] @ u.conj().T
+                serial = serial or k
+            start = stop
+        delta = np.angle(v[np.argmax(np.abs(v), axis=0), np.arange(d)])
+        phases.append(delta + 2 * np.pi * np.round((phases[-1] - delta) / (2 * np.pi)))
+        vals.append(w)
+        vecs.append(v)
+    return np.array(vals), np.array(vecs), np.array(phases), serial
+
+
+def rotating_samples(populations, times, seed=4):
+    """U(t) diag(p(t)) U(t)^dag with U(t) = exp(-i t G), G random Hermitian."""
+    rng = np.random.default_rng(seed)
+    g = random_hermitian(rng, 3)
+    return [
+        TrajectorySample(time=t, rho=expm(-1j * t * g) @ np.diag(populations(t)) @ expm(1j * t * g))
+        for t in times
+    ]
+
+
+class TestAlignmentSplice:
+    """Frames from the first one that needs the assignment solver or polar
+    on are aligned one at a time; all frames agree with the sequential
+    reference."""
+
+    times = np.linspace(0.0, 1.0, 101)
+
+    def check(self, samples, first_serial):
+        vals, vecs, phases, serial = sequential_alignment(samples)
+        assert serial == first_serial
+        frames = align_eigenframes(samples)
+        assert np.abs(frames.eigenvalues - vals).max() <= 1e-13
+        assert np.abs(frames.eigenvectors - vecs).max() <= 1e-13
+        assert np.abs(frames.phases - phases).max() <= 1e-13
+
+    def test_branch_crossing_mid_grid(self):
+        # two populations cross between t = 0.50 and t = 0.51
+        a = 0.1 / 1.01
+        self.check(rotating_samples(lambda t: [0.45 - a * t, 0.35 + a * t, 0.2], self.times), 51)
+
+    def test_degenerate_cluster_from_mid_grid(self):
+        # the two lower populations meet at t = 0.505 and stay equal
+        s = lambda t: 0.05 * min(t / 0.505, 1.0)  # noqa: E731
+        self.check(rotating_samples(lambda t: [0.5, 0.3 - s(t), 0.2 + s(t)], self.times), 51)
 
 
 class TestHamiltonian:

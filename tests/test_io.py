@@ -1,6 +1,7 @@
 """The file contract of probunitary.io: the exact bytes every writer
 produces, bit-exact round trips, and rejection of malformed matrices."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -10,10 +11,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from probunitary import io
-from probunitary.channel import ChannelDecomposition, KrausLikeForm
+from probunitary.channel import (
+    ChannelDecomposition,
+    KrausLikeForm,
+    decompose_channel,
+    to_kraus_like,
+)
 from probunitary.decomposition import DecompositionSeries, TrajectorySample
 from probunitary.errors import ValidationError
 from probunitary.montecarlo import EnsembleResult
+
+from conftest import random_density_matrix, random_unitary
 
 # writers ignore the frames
 DECOMPOSITION = DecompositionSeries(
@@ -225,3 +233,59 @@ class TestDecoder:
         assert io.matrix_to_json(m) == [io.matrix_to_json(x) for x in m]
         back = [io.matrix_from_json(json.loads(json.dumps(x))) for x in io.matrix_to_json(m)]
         assert np.array_equal(back, m)
+
+
+def reference_bytes(tmp_path, doc) -> bytes:
+    """``doc`` as the streaming pure-Python ``json.dump`` writes it."""
+    path = tmp_path / "reference"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return path.read_bytes()
+
+
+def awkward_stack(rng, n, d) -> np.ndarray:
+    m = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    m[1, 0, 0], m[n // 2, 0, 1], m[-1, -1, -1] = -0.0, 5e-324 - 0.0j, 1e300 + 1e-300j
+    return m
+
+
+class TestAgainstReferenceEncoder:
+    """Stacks longer than one encoding chunk give json.dump's bytes."""
+
+    def test_hamiltonians_of_600_rows(self, tmp_path):
+        rng = np.random.default_rng(6)
+        dec = dataclasses.replace(
+            DECOMPOSITION, times=np.cumsum(rng.uniform(size=600)),
+            hamiltonians=awkward_stack(rng, 600, 3),
+        )
+        assert written(tmp_path, io.write_hamiltonians, dec) == reference_bytes(tmp_path, {
+            "times": dec.times.tolist(),
+            "hamiltonians": io.matrix_to_json(dec.hamiltonians),
+        })
+
+    def test_trajectory_of_600_rows(self, tmp_path):
+        rng = np.random.default_rng(7)
+        rhos = awkward_stack(rng, 600, 2)
+        times = np.linspace(0.0, 0.6, 600)
+        samples = [TrajectorySample(time=t, rho=r) for t, r in zip(times.tolist(), rhos)]
+        assert written(tmp_path, io.write_trajectory, samples) == reference_bytes(
+            tmp_path, {"dim": 2, "times": times.tolist(), "rho": io.matrix_to_json(rhos)}
+        )
+
+    def test_channel_with_kraus_at_d5(self, tmp_path):
+        rng = np.random.default_rng(8)
+        rho_in = random_density_matrix(rng, 5, min_gap=1e-2)
+        u = random_unitary(rng, 5)
+        decomp = decompose_channel(rho_in, 0.6 * rho_in + 0.4 * u @ rho_in @ u.conj().T)
+        kraus = to_kraus_like(decomp)
+        assert written(tmp_path, io.write_channel_json, decomp, kraus) == reference_bytes(tmp_path, {
+            "probabilities": decomp.probabilities.tolist(),
+            "unitaries": io.matrix_to_json(decomp.unitaries),
+            "classification": decomp.classification,
+            "reconstruction_residual": float(decomp.reconstruction_residual),
+            "pairing": np.asarray(decomp.pairing).tolist(),
+            "kraus_like": [
+                {"k": io.matrix_to_json(k), "kbar": io.matrix_to_json(kbar), "sign": int(s)}
+                for (k, kbar), s in zip(kraus.operators, kraus.signs)
+            ],
+        })
