@@ -25,10 +25,11 @@ from scipy.optimize import linear_sum_assignment
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import SingularChannel, SingularSystem, ValidationError
 from .linalg import (
+    conjugated_permutations,
+    cyclic_shift_rows,
     hermitian_eigendecomposition,
     solve_circulant_rates,
     validate_density_matrix,
-    weyl_family,
 )
 
 __all__ = [
@@ -186,7 +187,7 @@ def _majorization_split(
     # to descending output branch k
     v_in = spec_in.eigenvectors[:, order_in]
     v_out = spec_out.eigenvectors[:, order_out]
-    unitaries = np.einsum("ak,bnk->nab", v_out, v_in[:, perms].conj())
+    unitaries = conjugated_permutations(v_out, v_in, perms)
     residual = _reconstruction_residual(q, unitaries, rho_in, rho_out)
     _check_reconstruction(residual, tol)
     pairing = np.empty(y.shape[0], dtype=int)
@@ -220,7 +221,6 @@ def decompose_channel(
     rho_out = validate_density_matrix(rho_out, tol)
     if rho_in.shape != rho_out.shape:
         raise ValidationError("input and output dimensions differ")
-    d = rho_in.shape[0]
 
     spec_in = hermitian_eigendecomposition(rho_in, tol)
     spec_out = hermitian_eigendecomposition(rho_out, tol)
@@ -253,13 +253,7 @@ def decompose_channel(
         ) from inconsistent
     q = result.q
 
-    # connecting unitary: paired output eigenvectors against input ones
-    connector = v_out @ spec_in.eigenvectors.conj().T
-    shifts = weyl_family(d)
-    frame = spec_in.eigenvectors
-    unitaries = np.einsum(
-        "ae,eb,ibc,dc->iad", connector, frame, shifts, frame.conj()
-    )
+    unitaries = conjugated_permutations(v_out, spec_in.eigenvectors, cyclic_shift_rows(len(p_in)))
 
     residual = _reconstruction_residual(q, unitaries, rho_in, rho_out)
     if not result.singular:

@@ -21,10 +21,12 @@ from .linalg import (
     RateSolveResult,
     Spectrum,
     _canonical_spectrum,
+    _degenerate_clusters,
     _solve_circulant_batch,
+    conjugated_permutations,
+    cyclic_shift_rows,
     solve_circulant_rates,
     validate_density_matrix,
-    weyl_family,
 )
 
 __all__ = [
@@ -116,7 +118,9 @@ def align_spectra(
 ) -> EigenframeSeries:
     """Match eigenvector branches across frames and fix their gauge.
 
-    Frame 0 takes hermitian_eigendecomposition's convention.  Each later
+    Frame 0 takes hermitian_eigendecomposition's convention, except that
+    the basis of each numerically degenerate cluster is rotated onto
+    frame 1's by the polar part of their overlap block.  Each later
     frame is matched to the one before: when every diagonal overlap with
     it reaches ``tol.overlap_floor`` the branches keep their order,
     otherwise an optimal assignment on squared overlaps matches them.
@@ -132,6 +136,8 @@ def align_spectra(
     Adjacent frames whose aligned vectors overlap less than
     ``tol.overlap_floor`` raise TrajectoryTooCoarse.
     """
+    if len(spectra) < 2:
+        raise ValidationError("need at least two frames")
     d = spectra[0].dim
     if any(np.shape(s.eigenvectors) != (d, d) or np.shape(s.eigenvalues) != (d,)
            for s in spectra):
@@ -149,6 +155,13 @@ def _align(times, vals, vecs, tol: Tolerances) -> EigenframeSeries:
     evals = np.array(vals)
     evecs = np.array(vecs)
     evals[0], evecs[0] = first.eigenvalues, first.eigenvectors
+    # frame 0's basis of a degenerate cluster is arbitrary; rotate it onto
+    # frame 1's, so that a cluster the dynamics splits stays aligned
+    nxt = vecs[1][:, np.argsort(-vals[1], kind="stable")]
+    for cluster in _degenerate_clusters(evals[0], tol):
+        if len(cluster) > 1:
+            w, _ = polar(evecs[0][:, cluster].conj().T @ nxt[:, cluster])
+            evecs[0][:, cluster] = evecs[0][:, cluster] @ w
 
     # frames up to the first one that needs the assignment solver (a
     # diagonal overlap below the floor) or polar (a degenerate cluster)
@@ -171,18 +184,8 @@ def _align(times, vals, vecs, tol: Tolerances) -> EigenframeSeries:
             # overlap dominates; otherwise solve the assignment problem
             _, cols = linear_sum_assignment(-np.abs(overlap) ** 2)
             vals_k[:], vecs_k[:] = vals_k[cols], vecs_k[:, cols]
-        # cluster branches whose eigenvalues are numerically degenerate
-        order = np.argsort(vals_k)[::-1]
-        start = 0
-        while start < d:
-            stop = start + 1
-            while (
-                stop < d
-                and vals_k[order[stop - 1]] - vals_k[order[stop]] < tol.degeneracy_gap
-            ):
-                stop += 1
-            cluster = order[start:stop]
-            if cluster.size == 1:
+        for cluster in _degenerate_clusters(vals_k, tol):
+            if len(cluster) == 1:
                 i = cluster[0]
                 b = np.vdot(evecs[k - 1][:, i], vecs_k[:, i])
                 if b != 0:  # a zero overlap fails the floor below
@@ -191,7 +194,6 @@ def _align(times, vals, vecs, tol: Tolerances) -> EigenframeSeries:
                 block = evecs[k - 1][:, cluster].conj().T @ vecs_k[:, cluster]
                 w, _ = polar(block)
                 vecs_k[:, cluster] = vecs_k[:, cluster] @ w.conj().T
-            start = stop
 
     aligned = np.abs(np.einsum("kai,kai->ki", evecs[:-1].conj(), evecs[1:])).min(axis=1)
     if (aligned < tol.overlap_floor).any():
@@ -269,10 +271,8 @@ def build_tilde_unitaries(frame) -> np.ndarray:
     array of shape (d, d, d); index 0 is the identity.
     """
     v = frame.eigenvectors if isinstance(frame, Spectrum) else np.asarray(frame)
-    d = v.shape[0]
-    shifts = weyl_family(d)
-    out = np.einsum("ab,ibc,dc->iad", v, shifts, v.conj())
-    out[0] = np.eye(d)
+    out = conjugated_permutations(v, v, cyclic_shift_rows(len(v)))
+    out[0] = np.eye(len(v))
     return out
 
 

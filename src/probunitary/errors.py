@@ -27,7 +27,7 @@ class NegativeRate(ProbUnitaryError):
 
 
 class StepTooLarge(ProbUnitaryError):
-    """A time step violates a positivity or probability bound."""
+    """A time step makes the total jump probability reach 1."""
 
 
 class RefusesToSimulate(ProbUnitaryError):

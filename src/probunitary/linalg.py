@@ -1,7 +1,8 @@
 """Dense complex linear algebra primitives.
 
 Hermitian eigendecomposition with a deterministic ordering convention,
-cyclic-shift (real Weyl) unitaries, the circulant rate solver with its
+cyclic-shift (real Weyl) unitaries and the conjugated permutations that
+every jump unitary is built from, the circulant rate solver with its
 singularity classifier, and the truncated lower-triangular Toeplitz
 solver for the countably infinite-dimensional case.
 """
@@ -22,6 +23,8 @@ __all__ = [
     "hermitian_eigendecomposition",
     "real_weyl",
     "weyl_family",
+    "cyclic_shift_rows",
+    "conjugated_permutations",
     "rate_system_matrix",
     "solve_circulant_rates",
     "classify_circulant_singularity",
@@ -141,37 +144,51 @@ def _canonical_spectrum(evals, vecs, tol: Tolerances) -> Spectrum:
     evals = np.array(evals, dtype=float)
     vecs = _phase_fix(vecs)
     # deterministic ordering inside (numerically) degenerate clusters
-    d = evals.shape[0]
-    start = 0
-    while start < d:
-        stop = start + 1
-        while stop < d and evals[start] - evals[stop] < tol.degeneracy_gap:
-            stop += 1
-        if stop - start > 1:
-            keys = [
-                tuple(x for ri in vecs[:, j] for x in (ri.real, ri.imag))
-                for j in range(start, stop)
-            ]
-            order = sorted(range(start, stop), key=lambda j: keys[j - start], reverse=True)
-            vecs[:, start:stop] = vecs[:, order]
-            evals[start:stop] = evals[order]
-        start = stop
+    for cluster in _degenerate_clusters(evals, tol):
+        if len(cluster) > 1:
+            order = sorted(cluster, reverse=True, key=lambda j: tuple(
+                x for ri in vecs[:, j] for x in (ri.real, ri.imag)))
+            vecs[:, cluster] = vecs[:, order]
+            evals[cluster] = evals[order]
     return Spectrum(eigenvalues=evals, eigenvectors=vecs)
+
+
+def _degenerate_clusters(evals, tol: Tolerances) -> list[list[int]]:
+    """Indices of evals in descending order (ties in index order), split
+    into the runs whose adjacent gaps are below ``tol.degeneracy_gap``.
+    Plain Python: d is small, and numpy's per-call cost would dominate."""
+    vals = np.asarray(evals).tolist()
+    clusters = []
+    for i in sorted(range(len(vals)), key=vals.__getitem__, reverse=True):
+        if clusters and vals[clusters[-1][-1]] - vals[i] < tol.degeneracy_gap:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    return clusters
 
 
 def real_weyl(d: int, i: int) -> np.ndarray:
     """Cyclic-shift permutation unitary sum_k |k><(k+i) mod d|."""
     if not 0 <= i < d:
         raise ValidationError(f"shift index {i} out of range for dimension {d}")
-    u = np.zeros((d, d), dtype=complex)
-    k = np.arange(d)
-    u[k, (k + i) % d] = 1.0
-    return u
+    return weyl_family(d)[i]
 
 
 def weyl_family(d: int) -> np.ndarray:
     """All d cyclic shifts stacked as an array of shape (d, d, d)."""
-    return np.stack([real_weyl(d, i) for i in range(d)])
+    return np.eye(d, dtype=complex)[cyclic_shift_rows(d)]
+
+
+def cyclic_shift_rows(d: int) -> np.ndarray:
+    """Index rows of the cyclic shifts: row i is (k + i) mod d over k, the
+    permutation of real_weyl(d, i)."""
+    return (np.arange(d)[:, None] + np.arange(d)) % d
+
+
+def conjugated_permutations(v_out, v_in, perms) -> np.ndarray:
+    """U_n = V_out P_n V_in^dag with P_n = sum_k |k><perms[n, k]|, stacked
+    (n, d, d): U_n maps column perms[n, k] of V_in to column k of V_out."""
+    return np.einsum("ak,bnk->nab", v_out, np.asarray(v_in)[:, perms].conj())
 
 
 def rate_system_matrix(p) -> np.ndarray:
@@ -182,9 +199,7 @@ def rate_system_matrix(p) -> np.ndarray:
     the rates solve against.
     """
     p = np.asarray(p, dtype=float)
-    d = p.shape[0]
-    idx = (np.arange(d)[:, None] + np.arange(d)[None, :]) % d
-    return p[idx]
+    return p[cyclic_shift_rows(p.shape[0])]
 
 
 def classify_circulant_singularity(

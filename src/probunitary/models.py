@@ -20,7 +20,8 @@ from scipy.linalg import expm
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .decomposition import TrajectorySample
-from .errors import StepTooLarge, ValidationError
+from .errors import ValidationError
+from .linalg import validate_density_matrix
 
 __all__ = [
     "LindbladSpec",
@@ -154,13 +155,13 @@ def integrate(
     The state after each step is exp(L dt) applied to the state before,
     with one matrix exponential of the Liouvillian L per distinct grid
     spacing.  The propagated states are then rehermitized and their trace
-    renormalized; the first sample is rho0 as given.  A state with an
-    eigenvalue below -1e-8 raises StepTooLarge naming the first such time.
+    renormalized; the first sample is rho0 as given, which must be a
+    density matrix (ValidationError otherwise).
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise ValidationError("grid must be strictly increasing with >= 2 points")
-    rho0 = np.asarray(rho0, dtype=complex)
+    rho0 = validate_density_matrix(rho0, tol)
     if rho0.shape != np.shape(spec.hamiltonian):
         raise ValidationError("state and Hamiltonian dimensions differ")
     d = rho0.shape[0]
@@ -174,10 +175,6 @@ def integrate(
     rhos = vec.reshape(-1, d, d)
     rhos[1:] = (rhos[1:] + rhos[1:].conj().transpose(0, 2, 1)) / 2
     rhos[1:] /= np.einsum("kii->k", rhos[1:]).real[:, None, None]
-    low = np.linalg.eigvalsh(rhos[1:]).min(axis=1)
-    if (low < -1e-8).any():
-        k = 1 + int(np.argmax(low < -1e-8))
-        raise StepTooLarge(f"positivity violated at t={grid[k]}")
     return [TrajectorySample(time=t, rho=r) for t, r in zip(grid.tolist(), rhos)]
 
 

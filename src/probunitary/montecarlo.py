@@ -1,23 +1,24 @@
 """Stochastic simulation of the probabilistic-unitary control scheme.
 
 Per step a single uniform draw either applies one of the conjugated
-shift unitaries (probability q_i dt) or the Hamiltonian propagator
-exp(-i H dt).  Every trajectory owns a counter-based RNG stream keyed by
-(seed, trajectory index), so the ensemble mean is bit-identical under
-any parallel schedule.
+shift unitaries U~_i = V W_i V^dag (probability q_i dt) or lets the
+driving Hamiltonian act.  Every trajectory owns a counter-based RNG
+stream keyed by (seed, trajectory index), so the ensemble mean is
+bit-identical under any parallel schedule.
 
-The ensemble is held as one (d, d, n_traj) array, trajectory axis last.
-Each step conjugates every state by the propagator at once and then
-redoes only the few trajectories that jumped (about q dt of them), the
-wavefunction Monte Carlo pattern of Dalibard, Castin & Molmer (PRL 68,
-580, 1992).  A state's update never depends on the batch it is in, so
-``step`` is exactly one trajectory of ``run_ensemble``.  Compared with
-the earlier per-branch einsum kernel, the means and standard errors are
-reduced along the trajectory axis in numpy's pairwise order: the means
-of the amplitude-damping model are bit-identical (every state there is
-exactly |0><0| or |1><1|, so every partial sum is exact), its standard
-errors move in their last digits, and generic means move at the
-rounding level (up to 4e-14 after 200 steps of a random d = 2 model).
+The ensemble runs as a classical jump process on permutation labels.  A
+trajectory that starts at rho0 = V_0 diag(lam0) V_0^dag stays at
+V_k diag(lam0[labels]) V_k^dag: the Hamiltonian only transports the
+eigenframe, which the decomposition's frames V_k already carry, and a
+jump by the shift W_i permutes the eigenvalues inside the frame.  So
+run_ensemble applies no Hamiltonian: each trajectory holds d indices
+into lam0, a jump cyclically shifts them, and the mean state and its
+standard error follow from the mean and covariance of lam0[labels] over
+the trajectories.
+
+``step`` is the dense scheme for one state: it applies the chosen jump
+unitary or exp(-i H dt).  On the same draws, ``step`` and the label
+process agree to O(dt) at a fixed horizon; the replay test checks this.
 """
 
 from __future__ import annotations
@@ -27,13 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .decomposition import DecompositionSeries, build_tilde_unitaries
+from .decomposition import DecompositionSeries
 from .errors import (
     NegativeRate,
     RefusesToSimulate,
     StepTooLarge,
     ValidationError,
 )
+from .linalg import cyclic_shift_rows
 
 __all__ = ["SimConfig", "EnsembleResult", "step", "run_ensemble", "convergence_sweep"]
 
@@ -86,50 +88,23 @@ def _jump_edges(q, dt: float, tol: Tolerances) -> np.ndarray:
     return np.cumsum(jump_rates * dt, axis=-1)
 
 
-def _conjugate(u, states) -> np.ndarray:
-    """u s u^dag for every state s along the last axis of ``states``
-    (shape (d, d, n)).  Each side is d broadcast multiply-adds summed over
-    the inner index in a fixed order, so the bits of one state's result
-    do not depend on how many states share the batch."""
-    left = u[:, 0, None, None] * states[0]
-    for b in range(1, u.shape[0]):
-        left += u[:, b, None, None] * states[b]
-    uc = u.conj()[None, :, :, None]
-    out = left[:, None, 0] * uc[..., 0, :]
-    for c in range(1, u.shape[0]):
-        out += left[:, None, c] * uc[..., c, :]
-    return out
-
-
-def _apply_branches(states, branch, unitaries, propagator) -> np.ndarray:
-    """One step of the states (d, d, n): every state is conjugated by the
-    propagator, then the jumpers (branch b < d - 1) are redone from their
-    pre-step states with unitaries[b + 1]."""
-    out = _conjugate(propagator, states)
-    jumpers = np.flatnonzero(branch < unitaries.shape[0] - 1)
-    jump_branch = branch[jumpers]
-    for b in range(unitaries.shape[0] - 1):
-        hit = jumpers[jump_branch == b]
-        if hit.size:
-            out[..., hit] = _conjugate(unitaries[b + 1], states[..., hit])
-    return out
-
-
 def step(state, h, unitaries, q, dt, draw, tol: Tolerances = DEFAULT_TOLERANCES):
     """Advance one state by one step of the scheme using a uniform draw.
 
     The draw is partitioned into [0, q_1 dt), [q_1 dt, q_1 dt + q_2 dt),
-    ...; the remainder selects the Hamiltonian branch.  This is one
-    trajectory of run_ensemble's step.
+    ...; a draw in the i-th interval applies unitaries[i], the remainder
+    applies the Hamiltonian propagator exp(-i h dt).
     """
     unitaries = np.asarray(unitaries, dtype=complex)
     if unitaries.shape[0] != np.shape(q)[0]:
         raise ValidationError("step needs one unitary per rate")
-    states = np.array(state, dtype=complex)[..., None]
     edges = _jump_edges(np.asarray(q, dtype=float), dt, tol)
-    branch = np.searchsorted(edges, [draw], side="right")
-    propagator = _hermitian_propagator(np.asarray(h, dtype=complex), dt)
-    return _apply_branches(states, branch, unitaries, propagator)[..., 0]
+    branch = int(np.searchsorted(edges, draw, side="right"))
+    if branch < edges.shape[0]:
+        u = unitaries[branch + 1]
+    else:
+        u = _hermitian_propagator(np.asarray(h, dtype=complex), dt)
+    return u @ np.asarray(state, dtype=complex) @ u.conj().T
 
 
 def _flagged_intervals(decomposition: DecompositionSeries, horizon: float):
@@ -153,8 +128,12 @@ def run_ensemble(
     """Average an ensemble of stochastic trajectories of the scheme.
 
     The decomposition grid defines the step grid; ``config.dt`` must
-    match its spacing.  ``exact`` is an optional list of TrajectorySample
-    on the same grid used for the per-time trace distance.
+    match its spacing.  ``rho0`` must be the decomposition's first state,
+    V_0 diag(lam0) V_0^dag from ``decomposition.frames`` to within
+    ``tol.reconstruction`` (ValidationError otherwise), since the scheme
+    is built for that initial state.  ``exact`` is an optional list of
+    TrajectorySample on the same grid, at least up to the horizon, used
+    for the per-time trace distance.
     """
     times = decomposition.times
     n_steps = int(np.searchsorted(times, config.horizon + 1e-12)) - 1
@@ -163,6 +142,15 @@ def run_ensemble(
     spacing = np.diff(times[: n_steps + 1])
     if np.abs(spacing - config.dt).max() > 1e-9 * config.dt:
         raise ValidationError("config.dt does not match the decomposition grid")
+    if exact is not None and len(exact) < n_steps + 1:
+        raise ValidationError(f"exact has {len(exact)} samples, the horizon needs {n_steps + 1}")
+    frames = decomposition.frames
+    lam0, v0 = frames.eigenvalues[0], frames.eigenvectors[0]
+    rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.shape != v0.shape or (
+        np.abs((v0 * lam0) @ v0.conj().T - rho0).max() > tol.reconstruction
+    ):
+        raise ValidationError("rho0 is not the first state of the decomposition")
     flagged = _flagged_intervals(decomposition, config.horizon)
     if flagged:
         spans = ", ".join(f"[{a:g}, {b:g}]" for a, b in flagged)
@@ -172,14 +160,10 @@ def run_ensemble(
             t_end=flagged[0][1],
         )
 
-    d = decomposition.dim
-    dt = config.dt
-    # per-interval branch operators, shared by all trajectories:
-    # midpoint Hamiltonian and rates, left-endpoint jump unitaries
-    h_mid = 0.5 * (decomposition.hamiltonians[:n_steps] + decomposition.hamiltonians[1 : n_steps + 1])
+    d, n = decomposition.dim, config.n_traj
+    # midpoint rates of every interval, shared by all trajectories
     q_mid = 0.5 * (decomposition.rates[:n_steps] + decomposition.rates[1 : n_steps + 1])
-    edges = _jump_edges(q_mid, dt, tol)                 # (n_steps, d-1)
-    propagators = _hermitian_propagator(h_mid, dt)
+    edges = _jump_edges(q_mid, config.dt, tol)          # (n_steps, d-1)
 
     # one counter-based stream per trajectory keyed by (seed, i), drawn up
     # front step-major; re-keying one Philox gives the same draws as a fresh
@@ -189,38 +173,45 @@ def run_ensemble(
     fresh = bitgen.state                # zero counter, empty buffer
     fresh["state"]["key"] = key
     rng = np.random.Generator(bitgen)
-    draws = np.empty((n_steps, config.n_traj))
-    for i in range(config.n_traj):
+    draws = np.empty((n_steps, n))
+    for i in range(n):
         key[1] = i
         bitgen.state = fresh
         draws[:, i] = rng.random(n_steps)
 
-    states = np.repeat(
-        np.asarray(rho0, dtype=complex)[..., None], config.n_traj, axis=-1
-    )
-    mean = np.empty((n_steps + 1, d, d), dtype=complex)
-    err = np.empty((n_steps + 1, d, d))
+    # labels[b, j]: the index into lam0 of the eigenvalue trajectory j
+    # holds on frame branch b (trajectory axis last, so the per-step
+    # reductions run along contiguous rows); a jump by shift i permutes
+    # trajectory j's column by row i of the cyclic index rows
+    rows = cyclic_shift_rows(d)
+    labels = np.repeat(np.arange(d)[:, None], n, axis=1)
+    # complex, so that sums / n is numpy's complex division: the means of
+    # the amplitude-damping model then equal counts / n bit for bit
+    sums = np.empty((n_steps + 1, d), dtype=complex)
+    scatter = np.empty((n_steps + 1, d, d))
 
-    def record(k, states):
-        mean[k] = states.mean(axis=-1)
-        dev = states - mean[k][..., None]
-        err[k] = np.sqrt(
-            np.mean(np.abs(dev) ** 2, axis=-1) / max(config.n_traj - 1, 1)
-        )
+    for k in range(n_steps + 1):
+        vals = lam0[labels]
+        sums[k] = vals.sum(axis=1)
+        dev = vals - sums[k].real[:, None] / n
+        scatter[k] = dev @ dev.T
+        if k < n_steps:
+            branch = np.searchsorted(edges[k], draws[k], side="right")
+            jumpers = np.flatnonzero(branch < d - 1)
+            labels[:, jumpers] = labels[rows[branch[jumpers] + 1].T, jumpers]
 
-    record(0, states)
-    for k in range(n_steps):
-        branch = np.searchsorted(edges[k], draws[k], side="right")
-        unitaries = build_tilde_unitaries(decomposition.frames.eigenvectors[k])
-        states = _apply_branches(states, branch, unitaries, propagators[k])
-        record(k + 1, states)
+    # entry (a, b) of V diag(x) V^dag is linear in x with coefficients
+    # c_i = V[a, i] conj(V[b, i]), so its variance is c^T cov(x) conj(c)
+    v = frames.eigenvectors[: n_steps + 1]
+    mean = np.einsum("kai,ki,kbi->kab", v, sums / n, v.conj())
+    outer = v[..., :, None] * v.conj()[..., None, :]     # V[a, i] conj(V[a, j])
+    var = np.einsum("kaij,kij,kbij->kab", outer, scatter, outer.conj()).real
+    err = np.sqrt(np.clip(var, 0.0, None) / (n * max(n - 1, 1)))
 
     tdist = None
     if exact is not None:
-        tdist = np.empty(n_steps + 1)
-        for k in range(n_steps + 1):
-            diff = mean[k] - np.asarray(exact[k].rho, dtype=complex)
-            tdist[k] = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum()
+        rhos = np.stack([np.asarray(s.rho, dtype=complex) for s in exact[: n_steps + 1]])
+        tdist = 0.5 * np.abs(np.linalg.eigvalsh(mean - rhos)).sum(axis=1)
 
     return EnsembleResult(
         times=times[: n_steps + 1].copy(),

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from probunitary.models import LindbladSpec
+
 
 def random_density_matrix(rng, d, min_gap=0.0):
     """Random full-rank density matrix; optionally enforce an eigenvalue gap."""
@@ -22,6 +24,14 @@ def random_unitary(rng, d):
 def random_hermitian(rng, d, scale=1.0):
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return scale * (z + z.conj().T) / 2
+
+
+def random_lindblad_spec(rng, d, jump_scale=0.3, gamma=1.0, n_jumps=1):
+    """Random Hamiltonian (scale 1) plus n_jumps random Hermitian jump
+    operators, each with rate gamma, drawn from rng in that order."""
+    hamiltonian = random_hermitian(rng, d)
+    jumps = tuple((random_hermitian(rng, d, jump_scale), gamma) for _ in range(n_jumps))
+    return LindbladSpec(hamiltonian=hamiltonian, jump_ops=jumps)
 
 
 @pytest.fixture

@@ -19,14 +19,18 @@ from probunitary.decomposition import (
 from probunitary.errors import TrajectoryTooCoarse, ValidationError
 from probunitary.linalg import Spectrum, hermitian_eigendecomposition
 from probunitary.models import (
-    LindbladSpec,
     amplitude_damping_exact,
     amplitude_damping_spec,
     integrate,
     jc_reduced_state,
 )
 
-from conftest import random_density_matrix, random_hermitian
+from conftest import (
+    random_density_matrix,
+    random_hermitian,
+    random_lindblad_spec,
+    random_unitary,
+)
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 
@@ -97,14 +101,25 @@ class TestAlignment:
         # basis of the degenerate cluster jumps from frame to frame; the
         # overlap floor applies to the subspace-aligned vectors
         rng = np.random.default_rng(seed)
-        spec = LindbladSpec(
-            hamiltonian=random_hermitian(rng, 3),
-            jump_ops=((random_hermitian(rng, 3, 0.3), 1.0),),
-        )
+        spec = random_lindblad_spec(rng, 3)
         samples = integrate(spec, np.eye(3) / 3, np.arange(0, 0.0205, 1e-3))
         v = align_eigenframes(samples).eigenvectors
         overlaps = np.abs(np.einsum("kij,kij->kj", v[:-1].conj(), v[1:]))
         assert overlaps.min() > 1 - 1e-12
+
+    @pytest.mark.parametrize("seed", [1, 3, 4])
+    def test_degenerate_pair_split_at_start(self, seed):
+        # rho0 has a degenerate pair that the dynamics splits at once;
+        # frame 0's basis of the pair is rotated onto frame 1's
+        rng = np.random.default_rng([seed, 6])
+        spec = random_lindblad_spec(rng, 6)
+        u = random_unitary(rng, 6)
+        p = np.array([2, 1.5, 1.5, 1, 0.5, 0.2])
+        rho0 = u @ np.diag(p / p.sum()) @ u.conj().T
+        dec = decompose_trajectory(integrate(spec, rho0, np.arange(0, 2.5 + 5e-4, 1e-3)))
+        v, lam = dec.frames.eigenvectors, dec.frames.eigenvalues
+        np.testing.assert_allclose((v[0] * lam[0]) @ v[0].conj().T, rho0, atol=1e-12)
+        assert np.abs(np.einsum("ai,ai->i", v[0].conj(), v[1])).min() > 1 - 1e-4
 
     def test_nan_sample_rejected(self):
         samples = rotating_qubit_samples(1.0, [0.0, 0.1, 0.2])
@@ -405,13 +420,7 @@ class TestPipeline:
     def test_per_time_helpers_return_pipeline_rows(self, rng, k):
         # a genuinely non-uniform grid, where a three-point central
         # difference and np.gradient's stencil differ
-        from conftest import random_hermitian
-        from probunitary.models import LindbladSpec
-
-        spec = LindbladSpec(
-            hamiltonian=random_hermitian(rng, 3),
-            jump_ops=((random_hermitian(rng, 3, 0.5), 1.0),),
-        )
+        spec = random_lindblad_spec(rng, 3, jump_scale=0.5)
         times = np.cumsum(np.concatenate([[0.0], rng.uniform(5e-4, 2e-3, 15)]))
         rho0 = random_density_matrix(rng, 3, min_gap=0.1)
         dec = decompose_trajectory(integrate(spec, rho0, times))

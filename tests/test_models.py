@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from probunitary.errors import StepTooLarge, ValidationError
+from probunitary.errors import ValidationError
 from probunitary.models import (
     LindbladSpec,
     ModelParams,
@@ -139,10 +139,10 @@ class TestIntegrator:
             assert np.linalg.eigvalsh(s.rho).min() >= -1e-15
             assert np.abs(s.rho - amplitude_damping_exact(50.0, s.time)).max() <= 1e-12
 
-    def test_positivity_guard_names_first_time(self):
-        # the guard catches a state that was never positive
+    def test_non_positive_rho0_rejected(self):
+        # the propagator preserves positivity, so rho0 is checked once
         spec = LindbladSpec(hamiltonian=np.zeros((2, 2)))
-        with pytest.raises(StepTooLarge, match=r"t=0\.5"):
+        with pytest.raises(ValidationError, match="positive semidefinite"):
             integrate(spec, np.diag([1.2, -0.2]).astype(complex), [0.0, 0.5, 1.0])
 
     def test_non_uniform_grid_is_exact(self, rng):

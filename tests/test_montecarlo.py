@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from probunitary.decomposition import decompose_trajectory
+from probunitary.decomposition import build_tilde_unitaries, decompose_trajectory
 from probunitary.errors import (
     NegativeRate,
     RefusesToSimulate,
@@ -11,7 +11,7 @@ from probunitary.errors import (
 from probunitary.models import ModelParams, amplitude_damping_spec, integrate, sample_model
 from probunitary.montecarlo import SimConfig, convergence_sweep, run_ensemble, step
 
-from conftest import random_density_matrix
+from conftest import random_density_matrix, random_lindblad_spec, random_unitary
 
 
 def damping_problem(dt, horizon=0.5, gamma=1.0):
@@ -78,12 +78,9 @@ class TestStep:
 class TestEnsemble:
     def test_deterministic_limit(self, rng):
         # q = 0: single trajectory equals pure Hamiltonian evolution
-        from probunitary.models import LindbladSpec
-        from conftest import random_hermitian
-
         dt = 1e-3
         grid = np.arange(0, 0.2 + dt / 2, dt)
-        spec = LindbladSpec(hamiltonian=random_hermitian(rng, 2))
+        spec = random_lindblad_spec(rng, 2, n_jumps=0)
         rho0 = random_density_matrix(rng, 2, min_gap=0.2)
         samples = integrate(spec, rho0, grid)
         dec = decompose_trajectory(samples)
@@ -141,42 +138,75 @@ class TestEnsemble:
             run_ensemble(config, dec, samples[0].rho)
         assert exc.value.t_start is not None
 
-    def test_ensemble_is_step_per_trajectory(self, rng):
-        # run_ensemble and step share the branch code: replaying each
-        # trajectory's Philox draws through step with the midpoint H and q
-        # reproduces the recorded means exactly
-        from conftest import random_hermitian
-        from probunitary.decomposition import build_tilde_unitaries
-        from probunitary.models import LindbladSpec
-
-        dt, n_steps, n_traj, seed = 1e-2, 20, 3, 4
-        grid = np.arange(0, n_steps * dt + dt / 2, dt)
-        spec = LindbladSpec(
-            hamiltonian=random_hermitian(rng, 2),
-            jump_ops=((random_hermitian(rng, 2), 3.0),),
-        )
+    def test_step_replay_agrees_with_labels(self, rng):
+        # replaying a trajectory's Philox draws through step (dense state,
+        # midpoint H and q, the jump unitaries of the step's first frame)
+        # tracks the label state V_k diag(lam0[labels]) V_k^dag; a jump
+        # lands one frame early in the replay, so the gap halves with dt
+        spec = random_lindblad_spec(rng, 2, jump_scale=1.0, gamma=3.0)
         rho0 = random_density_matrix(rng, 2, min_gap=0.3)
-        dec = decompose_trajectory(integrate(spec, rho0, grid))
-        config = SimConfig(dt=dt, n_traj=n_traj, seed=seed, horizon=grid[-1])
-        result = run_ensemble(config, dec, rho0)
-        assert result.mean_rho.shape[0] == n_steps + 1
+        horizon, n_seeds = 0.5, 8
 
-        draws = [
-            np.random.Generator(
-                np.random.Philox(key=np.array([seed, i], dtype=np.uint64))
-            ).random(n_steps)
-            for i in range(n_traj)
+        def replay_gap(dt):
+            grid = np.arange(0, horizon + dt / 2, dt)
+            dec = decompose_trajectory(integrate(spec, rho0, grid))
+            n_steps = len(grid) - 1
+            worst, jumps = 0.0, 0
+            for seed in range(n_seeds):
+                # a one-trajectory ensemble's mean is that trajectory's state
+                config = SimConfig(dt=dt, n_traj=1, seed=seed, horizon=grid[-1])
+                labelled = run_ensemble(config, dec, rho0).mean_rho
+                draws = np.random.Generator(
+                    np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+                ).random(n_steps)
+                state = rho0
+                for k in range(n_steps):
+                    h = 0.5 * (dec.hamiltonians[k] + dec.hamiltonians[k + 1])
+                    q = 0.5 * (dec.rates[k] + dec.rates[k + 1])
+                    us = build_tilde_unitaries(dec.frames.eigenvectors[k])
+                    state = step(state, h, us, q, dt, draws[k])
+                    jumps += draws[k] < q[1] * dt
+                    worst = max(worst, np.abs(state - labelled[k + 1]).max())
+            return worst, jumps
+
+        coarse, coarse_jumps = replay_gap(1e-2)
+        fine, fine_jumps = replay_gap(5e-3)
+        assert coarse_jumps > 0 and fine_jumps > 0
+        assert coarse <= 0.5 * 1e-2
+        assert fine <= 0.6 * coarse
+
+    def test_rho0_must_be_first_state(self):
+        dec, rho0, samples = damping_problem(1e-3, horizon=0.2)
+        config = SimConfig(dt=1e-3, n_traj=10, seed=1, horizon=0.2)
+        for wrong in (np.diag([0.5, 0.5]), np.diag([1.0, 0.0, 0.0])):
+            with pytest.raises(ValidationError, match="first state"):
+                run_ensemble(config, dec, wrong.astype(complex))
+
+    def test_short_exact_rejected(self):
+        dec, rho0, samples = damping_problem(1e-3, horizon=0.2)
+        config = SimConfig(dt=1e-3, n_traj=10, seed=1, horizon=0.2)
+        with pytest.raises(ValidationError, match="exact has 200 samples"):
+            run_ensemble(config, dec, rho0, exact=samples[:-1])
+
+    @pytest.mark.parametrize("seed", [0, 1, 9])
+    def test_qutrit_ensemble_matches_integrator(self, seed):
+        dt, horizon = 1e-3, 0.3
+        rng = np.random.default_rng([seed, 3])
+        spec = random_lindblad_spec(rng, 3)
+        u = random_unitary(rng, 3)
+        rho0 = u @ np.diag([0.55, 0.3, 0.15]) @ u.conj().T
+        samples = integrate(spec, rho0, np.arange(0, horizon + dt / 2, dt))
+        dec = decompose_trajectory(samples)
+        assert not (dec.negative_flags | dec.singular_flags).any()
+        config = SimConfig(dt=dt, n_traj=5000, seed=seed, horizon=horizon)
+        result = run_ensemble(config, dec, rho0, exact=samples)
+        sigma = np.linalg.norm(result.stderr.reshape(len(result.times), -1), axis=1)
+        assert result.trace_distance_to_exact.max() <= 4 * sigma.max()
+        per_time = [
+            0.5 * np.abs(np.linalg.eigvalsh(m - s.rho)).sum()
+            for m, s in zip(result.mean_rho, samples)
         ]
-        states = [np.asarray(rho0, dtype=complex)] * n_traj
-        jumps = 0
-        for k in range(n_steps):
-            h = 0.5 * (dec.hamiltonians[k] + dec.hamiltonians[k + 1])
-            q = 0.5 * (dec.rates[k] + dec.rates[k + 1])
-            us = build_tilde_unitaries(dec.frames.eigenvectors[k])
-            states = [step(s, h, us, q, dt, draws[i][k]) for i, s in enumerate(states)]
-            jumps += sum(draws[i][k] < q[1] * dt for i in range(n_traj))
-            assert np.array_equal(result.mean_rho[k + 1], np.mean(states, axis=0))
-        assert 0 < jumps < n_steps * n_traj
+        np.testing.assert_allclose(result.trace_distance_to_exact, per_time, rtol=0, atol=1e-15)
 
     def test_refusal_lists_every_flagged_interval(self):
         # JC up to t = 7 is flagged on two separate windows, (pi/2, pi) and
@@ -249,16 +279,13 @@ class TestConvergenceSweep:
         assert 0.375 <= ratio <= 0.625
 
     def test_zero_rate_error_flat_in_n(self, rng):
-        from probunitary.models import LindbladSpec
-        from conftest import random_hermitian
-
-        h = random_hermitian(rng, 2)
+        spec = random_lindblad_spec(rng, 2, n_jumps=0)
         rho0 = random_density_matrix(rng, 2, min_gap=0.2)
         base = SimConfig(dt=1e-3, n_traj=1, seed=8, horizon=0.1)
 
         def make_problem(dt):
             grid = np.arange(0, 0.1 + dt / 2, dt)
-            samples = integrate(LindbladSpec(hamiltonian=h), rho0, grid)
+            samples = integrate(spec, rho0, grid)
             return decompose_trajectory(samples), rho0, samples
 
         rows = convergence_sweep(make_problem, base, [1e-3], [10, 100])
