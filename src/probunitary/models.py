@@ -188,16 +188,19 @@ def sample_model(
     """Produce trajectory samples for a catalogue model on a time grid."""
     grid = np.asarray(grid, dtype=float)
     params = params or ModelParams()
-    if name == "jc":
-        return [
-            TrajectorySample(time=float(t), rho=jc_reduced_state(params.omega, t))
-            for t in grid
-        ]
-    if name == "amplitude-damping":
-        return [
-            TrajectorySample(time=float(t), rho=amplitude_damping_exact(params.gamma, t))
-            for t in grid
-        ]
+    if name in ("jc", "amplitude-damping"):
+        if np.any(grid < 0):
+            raise ValidationError("time must be nonnegative")
+        # the upper population from the same math scalars as the per-time
+        # closed forms (numpy's exp and cos may differ in the last ulp)
+        if name == "jc":
+            top = np.array([math.cos(params.omega * t / 2) ** 2 for t in grid.tolist()])
+        else:
+            top = np.array([math.exp(-params.gamma * t) for t in grid.tolist()])
+        rhos = np.zeros((grid.size, 2, 2), dtype=complex)
+        rhos[:, 0, 0] = top
+        rhos[:, 1, 1] = 1 - top
+        return [TrajectorySample(time=t, rho=r) for t, r in zip(grid.tolist(), rhos)]
     if name == "lindblad":
         if spec is None or rho0 is None:
             raise ValidationError("lindblad model needs a spec and initial state")

@@ -2,9 +2,7 @@
 
 Per step a single uniform draw either applies one of the conjugated
 shift unitaries U~_i = V W_i V^dag (probability q_i dt) or lets the
-driving Hamiltonian act.  Every trajectory owns a counter-based RNG
-stream keyed by (seed, trajectory index), so the ensemble mean is
-bit-identical under any parallel schedule.
+driving Hamiltonian act; ``step`` is that scheme for one dense state.
 
 The ensemble runs as a classical jump process on permutation labels.  A
 trajectory that starts at rho0 = V_0 diag(lam0) V_0^dag stays at
@@ -16,9 +14,22 @@ into lam0, a jump cyclically shifts them, and the mean state and its
 standard error follow from the mean and covariance of lam0[labels] over
 the trajectories.
 
-``step`` is the dense scheme for one state: it applies the chosen jump
-unitary or exp(-i H dt).  On the same draws, ``step`` and the label
-process agree to O(dt) at a fixed horizon; the replay test checks this.
+The rates q_i(t) do not depend on a trajectory's labels, so its jump
+steps form a Bernoulli process with per-step probability p_k = sum_i
+q_i dt, sampled by the waiting-time method (Dalibard, Castin & Molmer):
+with the cumulative hazard H_k = -sum_{j<k} log(1 - p_j), a trajectory
+alive from step s draws u and jumps at the step k with
+H_k <= H_s - log(1 - u) < H_{k+1} (none if k >= n_steps), then draws v
+and takes the branch whose interval of [0, p_k) holds v p_k.  This is
+the law of ``step``'s per-step scheme: a jump at step k with probability
+p_k, independently of the other steps, through branch i with
+probability q_i dt.  Trajectory i owns the counter-based stream
+Generator(Philox(key=[seed, i])).random; its draw 2r is the waiting
+time of its jump r and draw 2r + 1 that jump's branch, so the ensemble
+mean does not depend on how the trajectories are scheduled.  The
+streams are computed for all trajectories at once by a numpy
+Philox4x64-10.  On the same jumps, ``step`` and the label process agree
+to O(dt) at a fixed horizon; the replay test checks this.
 """
 
 from __future__ import annotations
@@ -86,6 +97,75 @@ def _jump_edges(q, dt: float, tol: Tolerances) -> np.ndarray:
     if total >= 1.0:
         raise StepTooLarge(f"total jump probability {total:.3f} >= 1; reduce dt")
     return np.cumsum(jump_rates * dt, axis=-1)
+
+
+_MASK32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def _mulhilo(x: np.ndarray, m: int):
+    """High and low 64-bit words of the 128-bit products x * m; the high
+    word is assembled from 32-bit halves (Hacker's Delight, mulhu)."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _MASK32, x >> _SHIFT32
+    t = x_hi * m_lo + ((x_lo * m_lo) >> _SHIFT32)
+    w = x_lo * m_hi + (t & _MASK32)
+    return x_hi * m_hi + (t >> _SHIFT32) + (w >> _SHIFT32), x * np.uint64(m)
+
+
+def _philox_uniforms(seed: int, lanes: np.ndarray, block: int) -> np.ndarray:
+    """Draws 4 * block ... 4 * block + 3 of every stream
+    Generator(Philox(key=[seed, lane])).random, as a (4, len(lanes)) array.
+
+    numpy's Philox4x64-10 bumps its counter before each block, so block b
+    is the 10-round Philox of the counter (b + 1, 0, 0, 0); a draw is the
+    top 53 bits of one output word scaled to [0, 1).
+    """
+    lanes = np.asarray(lanes, dtype=np.uint64)
+    # the words start lane-independent, shape (1,), and broadcast up to
+    # the lanes as the lane key mixes in over the first two rounds
+    c0, c1, c2, c3 = (np.array([w], dtype=np.uint64) for w in (block + 1, 0, 0, 0))
+    for r in range(10):
+        # round keys as Python ints: numpy scalars warn when they wrap
+        k0 = np.uint64((seed + r * _PHILOX_W[0]) % 2**64)
+        k1 = lanes + np.uint64(r * _PHILOX_W[1] % 2**64)
+        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
+        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return (np.stack((c0, c1, c2, c3)) >> np.uint64(11)) * 2.0**-53
+
+
+def _waiting_time_jumps(edges: np.ndarray, seed: int, n_traj: int):
+    """Yield the jumps of trajectories 0 .. n_traj - 1 round by round.
+
+    ``edges`` is the (n_steps, d - 1) output of ``_jump_edges``.  Round r
+    takes every trajectory's r-th jump; it yields (lanes, steps, branches):
+    the trajectories that jump again, the step each jumps in, and the
+    branch index into ``edges`` (the jump applies shift branch + 1).  A
+    trajectory appears at most once per round, and rounds are in time
+    order per trajectory.
+    """
+    n_steps, n_branch = edges.shape
+    p = edges[:, -1] if n_branch else np.zeros(n_steps)     # d = 1 never jumps
+    hazard = np.concatenate(([0.0], np.cumsum(-np.log1p(-p))))
+    lanes = np.arange(n_traj)
+    start = np.zeros(n_traj, dtype=np.intp)
+    r = 0
+    # take/compress rather than fancy or boolean indexing: several times
+    # faster on these shapes, and every round pays for them
+    while lanes.size:
+        if r % 2 == 0:
+            block = _philox_uniforms(seed, lanes, r // 2)
+        u, v = block[2 * (r % 2)], block[2 * (r % 2) + 1]
+        k = np.searchsorted(hazard, hazard.take(start) - np.log1p(-u), side="right") - 1
+        jumps = k < n_steps
+        lanes, k, v, block = (a.compress(jumps, axis=-1) for a in (lanes, k, v, block))
+        inside = edges.take(k, axis=0) <= (v * p.take(k))[:, None]
+        branch = np.minimum(inside.sum(axis=1), n_branch - 1)
+        yield lanes, k, branch
+        start = k + 1
+        r += 1
 
 
 def step(state, h, unitaries, q, dt, draw, tol: Tolerances = DEFAULT_TOLERANCES):
@@ -165,40 +245,33 @@ def run_ensemble(
     q_mid = 0.5 * (decomposition.rates[:n_steps] + decomposition.rates[1 : n_steps + 1])
     edges = _jump_edges(q_mid, config.dt, tol)          # (n_steps, d-1)
 
-    # one counter-based stream per trajectory keyed by (seed, i), drawn up
-    # front step-major; re-keying one Philox gives the same draws as a fresh
-    # Generator(Philox(key=[seed, i])) per trajectory
-    key = np.array([config.seed, 0], dtype=np.uint64)
-    bitgen = np.random.Philox(key=key)
-    fresh = bitgen.state                # zero counter, empty buffer
-    fresh["state"]["key"] = key
-    rng = np.random.Generator(bitgen)
-    draws = np.empty((n_steps, n))
-    for i in range(n):
-        key[1] = i
-        bitgen.state = fresh
-        draws[:, i] = rng.random(n_steps)
-
     # labels[b, j]: the index into lam0 of the eigenvalue trajectory j
-    # holds on frame branch b (trajectory axis last, so the per-step
-    # reductions run along contiguous rows); a jump by shift i permutes
-    # trajectory j's column by row i of the cyclic index rows
+    # holds on frame branch b; a jump by shift i permutes trajectory j's
+    # column by row i of the cyclic index rows.  Only jumps change the
+    # values y = lam0[labels] - lam0, so the per-step sum and second moment
+    # of y are cumsums of per-jump deltas, recorded at the step after the
+    # jump; centring at lam0 keeps both exactly 0 until the first jump
     rows = cyclic_shift_rows(d)
     labels = np.repeat(np.arange(d)[:, None], n, axis=1)
+    # per step: the d sums of y, then the d * d entries of sum y y^T
+    width = d + d * d
+    deltas = np.zeros((n_steps + 1) * width)
+    for lanes, k, branch in _waiting_time_jumps(edges, config.seed, n):
+        flat = lanes + n * np.arange(d)[:, None]       # labels[:, lanes]
+        old = labels.take(flat)
+        new = np.take_along_axis(old, rows.take(branch + 1, axis=0).T, axis=0)
+        labels.put(flat, new)
+        y_old, y_new = lam0.take(old) - lam0[:, None], lam0.take(new) - lam0[:, None]
+        square = y_new[:, None] * y_new - y_old[:, None] * y_old
+        delta = np.concatenate((y_new - y_old, square.reshape(d * d, -1)))
+        at = (k + 1) * width + np.arange(width)[:, None]
+        deltas += np.bincount(at.ravel(), delta.ravel(), deltas.size)
+    moments = np.cumsum(deltas.reshape(n_steps + 1, width), axis=0)
+    y_sum = moments[:, :d]
     # complex, so that sums / n is numpy's complex division: the means of
     # the amplitude-damping model then equal counts / n bit for bit
-    sums = np.empty((n_steps + 1, d), dtype=complex)
-    scatter = np.empty((n_steps + 1, d, d))
-
-    for k in range(n_steps + 1):
-        vals = lam0[labels]
-        sums[k] = vals.sum(axis=1)
-        dev = vals - sums[k].real[:, None] / n
-        scatter[k] = dev @ dev.T
-        if k < n_steps:
-            branch = np.searchsorted(edges[k], draws[k], side="right")
-            jumpers = np.flatnonzero(branch < d - 1)
-            labels[:, jumpers] = labels[rows[branch[jumpers] + 1].T, jumpers]
+    sums = (n * lam0 + y_sum).astype(complex)
+    scatter = moments[:, d:].reshape(-1, d, d) - y_sum[:, :, None] * y_sum[:, None, :] / n
 
     # entry (a, b) of V diag(x) V^dag is linear in x with coefficients
     # c_i = V[a, i] conj(V[b, i]), so its variance is c^T cov(x) conj(c)

@@ -174,6 +174,28 @@ class TestCatalogue:
         assert len(samples) == 3
         np.testing.assert_allclose(samples[0].rho, np.diag([1, 0]))
 
+    @pytest.mark.parametrize(
+        "name, closed_form, params",
+        [
+            ("jc", jc_reduced_state, ModelParams(omega=1.3)),
+            ("amplitude-damping", amplitude_damping_exact, ModelParams(gamma=0.7)),
+        ],
+    )
+    def test_grid_samples_equal_per_time_closed_forms(self, name, closed_form, params):
+        grid = np.arange(0, 3.0 + 5e-4, 1e-3)
+        samples = sample_model(name, grid, params)
+        arg = params.omega if name == "jc" else params.gamma
+        assert [s.time for s in samples] == grid.tolist()
+        assert np.array_equal(
+            np.stack([s.rho for s in samples]),
+            np.stack([closed_form(arg, t) for t in grid]),
+        )
+
+    @pytest.mark.parametrize("name", ["jc", "amplitude-damping"])
+    def test_negative_grid_time_rejected(self, name):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            sample_model(name, [-0.1, 0.0])
+
     def test_unknown_model(self):
         with pytest.raises(ValidationError):
             sample_model("nope", [0.0, 0.1])

@@ -1,7 +1,15 @@
+import bisect
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from probunitary.decomposition import build_tilde_unitaries, decompose_trajectory
+from probunitary.config import DEFAULT_TOLERANCES
+from probunitary.decomposition import (
+    TrajectorySample,
+    build_tilde_unitaries,
+    decompose_trajectory,
+)
 from probunitary.errors import (
     NegativeRate,
     RefusesToSimulate,
@@ -9,7 +17,15 @@ from probunitary.errors import (
     ValidationError,
 )
 from probunitary.models import ModelParams, amplitude_damping_spec, integrate, sample_model
-from probunitary.montecarlo import SimConfig, convergence_sweep, run_ensemble, step
+from probunitary.montecarlo import (
+    SimConfig,
+    _jump_edges,
+    _philox_uniforms,
+    _waiting_time_jumps,
+    convergence_sweep,
+    run_ensemble,
+    step,
+)
 
 from conftest import random_density_matrix, random_lindblad_spec, random_unitary
 
@@ -18,6 +34,25 @@ def damping_problem(dt, horizon=0.5, gamma=1.0):
     grid = np.arange(0, horizon + dt / 2, dt)
     samples = sample_model("amplitude-damping", grid, ModelParams(gamma=gamma))
     return decompose_trajectory(samples), samples[0].rho, samples
+
+
+def replay_jumps(edges, seed, lane):
+    """(step, branch draw) of every jump of trajectory ``lane``, replayed
+    from a fresh Generator(Philox(key=[seed, lane])) in a plain loop: draw
+    2r is jump r's waiting time on the cumulative hazard of the per-step
+    jump probabilities p = edges[:, -1], and draw 2r + 1 times p_k picks
+    its branch in edges[k]."""
+    p = edges[:, -1]
+    hazard = np.concatenate(([0.0], np.cumsum(-np.log1p(-p)))).tolist()
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, lane], dtype=np.uint64)))
+    jumps, start = [], 0
+    while True:
+        u, v = rng.random(2)
+        k = bisect.bisect_right(hazard, hazard[start] - np.log1p(-u)) - 1
+        if k >= len(p):
+            return jumps
+        jumps.append((k, v * p[k]))
+        start = k + 1
 
 
 class TestStep:
@@ -52,9 +87,13 @@ class TestStep:
         )
         n = 100_000
         draws = rng.random(n)
+        # step's output depends on the draw only through its branch, so
+        # each branch's draws contribute count * step(one of them)
+        branch = np.searchsorted(np.cumsum(q[1:] * dt), draws, side="right")
         acc = np.zeros((2, 2), dtype=complex)
-        for d in draws:
-            acc += step(rho, h, us, q, dt, d)
+        for b in np.unique(branch):
+            group = draws[branch == b]
+            acc += group.size * step(rho, h, us, q, dt, group[0])
         mean = acc / n
         stderr = np.abs(rho).max() * np.sqrt(q[1] * dt * (1 - q[1] * dt) / n)
         assert np.abs(mean - exact).max() <= 3 * stderr + 1e-12
@@ -139,10 +178,10 @@ class TestEnsemble:
         assert exc.value.t_start is not None
 
     def test_step_replay_agrees_with_labels(self, rng):
-        # replaying a trajectory's Philox draws through step (dense state,
-        # midpoint H and q, the jump unitaries of the step's first frame)
-        # tracks the label state V_k diag(lam0[labels]) V_k^dag; a jump
-        # lands one frame early in the replay, so the gap halves with dt
+        # replaying a trajectory's jumps through step (dense state, midpoint
+        # H and q, the jump unitaries of the step's first frame) tracks the
+        # label state V_k diag(lam0[labels]) V_k^dag; a jump lands one frame
+        # early in the replay, so the gap halves with dt
         spec = random_lindblad_spec(rng, 2, jump_scale=1.0, gamma=3.0)
         rho0 = random_density_matrix(rng, 2, min_gap=0.3)
         horizon, n_seeds = 0.5, 8
@@ -150,22 +189,24 @@ class TestEnsemble:
         def replay_gap(dt):
             grid = np.arange(0, horizon + dt / 2, dt)
             dec = decompose_trajectory(integrate(spec, rho0, grid))
-            n_steps = len(grid) - 1
+            q_mid = 0.5 * (dec.rates[:-1] + dec.rates[1:])
+            edges = _jump_edges(q_mid, dt, DEFAULT_TOLERANCES)
             worst, jumps = 0.0, 0
             for seed in range(n_seeds):
                 # a one-trajectory ensemble's mean is that trajectory's state
                 config = SimConfig(dt=dt, n_traj=1, seed=seed, horizon=grid[-1])
                 labelled = run_ensemble(config, dec, rho0).mean_rho
-                draws = np.random.Generator(
-                    np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-                ).random(n_steps)
+                # per-step draws for step: the sampler's branch draw at a
+                # jump step, and the no-jump edge p_k at every other step
+                draws = edges[:, -1].copy()
+                for k, branch_draw in replay_jumps(edges, seed, 0):
+                    draws[k] = branch_draw
+                    jumps += 1
                 state = rho0
-                for k in range(n_steps):
+                for k in range(len(grid) - 1):
                     h = 0.5 * (dec.hamiltonians[k] + dec.hamiltonians[k + 1])
-                    q = 0.5 * (dec.rates[k] + dec.rates[k + 1])
                     us = build_tilde_unitaries(dec.frames.eigenvectors[k])
-                    state = step(state, h, us, q, dt, draws[k])
-                    jumps += draws[k] < q[1] * dt
+                    state = step(state, h, us, q_mid[k], dt, draws[k])
                     worst = max(worst, np.abs(state - labelled[k + 1]).max())
             return worst, jumps
 
@@ -225,8 +266,9 @@ class TestEnsemble:
         # H = 0, so the propagator is exactly I, and U~_1 = X: every state
         # stays exactly |0><0| or |1><1|, so the sum over trajectories at
         # step k is exactly diag(N - m_k, m_k), with m_k the trajectories that
-        # have jumped an odd number of times, replayed from the Philox draws
-        # and jump edges; the mean is that sum divided by N as a complex array
+        # have jumped an odd number of times, replayed from each trajectory's
+        # own Philox draw pairs; the mean is that sum divided by N as a
+        # complex array
         dt, horizon, n_traj, seed = 1e-3, 0.5, 5000, 5
         dec, rho0, samples = damping_problem(dt, horizon=horizon)
         n_steps = len(samples) - 1
@@ -234,21 +276,41 @@ class TestEnsemble:
         config = SimConfig(dt=dt, n_traj=n_traj, seed=seed, horizon=horizon)
         result = run_ensemble(config, dec, rho0)
 
-        draws = np.stack([
-            np.random.Generator(
-                np.random.Philox(key=np.array([seed, i], dtype=np.uint64))
-            ).random(n_steps)
-            for i in range(n_traj)
-        ])
-        edges = 0.5 * (dec.rates[:-1, 1] + dec.rates[1:, 1]) * dt
-        odd = np.cumsum(draws < edges, axis=1) % 2
-        m = np.concatenate(([0], odd.sum(axis=0)))
+        p = 0.5 * (dec.rates[:-1, 1] + dec.rates[1:, 1]) * dt
+        flips = np.zeros(n_steps + 1, dtype=int)
+        for i in range(n_traj):
+            for r, (k, _) in enumerate(replay_jumps(p[:, None], seed, i)):
+                flips[k + 1] += 1 if r % 2 == 0 else -1
+        m = np.cumsum(flips)
         expected = np.zeros((n_steps + 1, 2, 2), dtype=complex)
         expected[:, 0, 0] = n_traj - m
         expected[:, 1, 1] = m
         expected /= n_traj
         assert 0 < m[-1] < n_traj
         assert np.array_equal(result.mean_rho, expected)
+
+    def test_peak_memory_independent_of_steps(self):
+        # the sampler holds per-trajectory state only: no (n_steps, n_traj)
+        # array of draws
+        dt, horizon, n_traj = 1e-3, 0.5, 20000
+        dec, rho0, samples = damping_problem(dt, horizon=horizon)
+        n_steps = len(samples) - 1
+        config = SimConfig(dt=dt, n_traj=n_traj, seed=3, horizon=horizon)
+        tracemalloc.start()
+        try:
+            run_ensemble(config, dec, rho0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n_steps * n_traj * 8 / 4
+
+    def test_one_level_system_never_jumps(self):
+        grid = np.arange(0, 0.1 + 5e-4, 1e-3)
+        samples = [TrajectorySample(time=t, rho=np.eye(1, dtype=complex)) for t in grid]
+        config = SimConfig(dt=1e-3, n_traj=10, seed=1, horizon=0.1)
+        result = run_ensemble(config, decompose_trajectory(samples), samples[0].rho)
+        assert np.array_equal(result.mean_rho, np.ones((len(grid), 1, 1)))
+        assert not result.stderr.any()
 
     def test_dt_mismatch_rejected(self):
         dec, rho0, samples = damping_problem(1e-3, horizon=0.2)
@@ -261,6 +323,47 @@ class TestEnsemble:
             SimConfig(dt=0.0, n_traj=1, seed=0, horizon=1.0)
         with pytest.raises(ValidationError):
             SimConfig(dt=0.1, n_traj=0, seed=0, horizon=1.0)
+
+
+class TestSampler:
+    @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+    def test_philox_matches_numpy_streams(self, seed):
+        # lanes around 2**32 and 2**63 exercise the carries between the
+        # 32-bit halves of the multiply
+        lanes = np.array([0, 1, 2**32 - 1, 2**32, 2**63], dtype=np.uint64)
+        got = np.concatenate([_philox_uniforms(seed, lanes, block) for block in range(4)])
+        for j, lane in enumerate(lanes):
+            stream = np.random.Generator(
+                np.random.Philox(key=np.array([seed, lane], dtype=np.uint64))
+            )
+            assert np.array_equal(got[:, j], stream.random(16))
+
+    def test_law_matches_per_step_bernoulli(self):
+        # time-varying d = 3 rates: under step's per-step scheme each
+        # trajectory jumps through branch i at step k with probability
+        # q_i dt, independently of every other step
+        dt, n_steps, n = 1e-2, 200, 20000
+        t = (np.arange(n_steps) + 0.5) * dt
+        q = np.stack([np.zeros_like(t), 2 + 1.5 * np.sin(2 * np.pi * t), 1 + t], axis=1)
+        edges = _jump_edges(q, dt, DEFAULT_TOLERANCES)
+        counts = np.zeros((n_steps, 2))
+        jumped = np.zeros((n_steps, n), dtype=bool)
+        for lanes, k, branch in _waiting_time_jumps(edges, 17, n):
+            assert not jumped[k, lanes].any()
+            np.add.at(counts, (k, branch), 1)
+            jumped[k, lanes] = True
+
+        prob = q[:, 1:] * dt
+        z = (counts - n * prob) / np.sqrt(n * prob * (1 - prob))
+        assert np.quantile(np.abs(z), 0.99) <= 4.0
+
+        # memorylessness: the centred indicators of steps k and k + 1 are
+        # uncorrelated; pooled over k, their product sums to 0 within 4 stderr
+        p = prob.sum(axis=1)[:, None]
+        centred = jumped - p
+        cross = (centred[:-1] * centred[1:]).sum()
+        var = n * (p[:-1] * (1 - p[:-1]) * p[1:] * (1 - p[1:])).sum()
+        assert abs(cross) <= 4 * np.sqrt(var)
 
 
 class TestConvergenceSweep:
