@@ -4,7 +4,10 @@ Subcommands write under the ``--out`` prefix: decompose writes
 ``<out>.rates.csv`` (time, q_0..q_{d-1}, negative and singular flags,
 condition estimate) and ``<out>.hamiltonians.json`` (H on every grid
 time); simulate writes ``<out>.ensemble.csv``; channel writes
-``<out>.channel.json``; models prints the model catalogue.  Exit codes:
+``<out>.channel.json``; models prints the model catalogue.  ``--dt``
+only spaces the grid of a ``--model`` trajectory: simulate steps along
+the grid of the trajectory it decomposes, so an ``--input`` file is
+simulated on its own times, uniform or not.  Exit codes:
 0 success, 2 input/validation error, 3 singular system, 4 refusal to
 simulate unphysical (negative/singular) rates.
 """
@@ -51,12 +54,14 @@ def _read_lindblad_spec(path):
         if not isinstance(item, dict) or "operator" not in item:
             raise ValidationError(f"{where}: not an object with key 'operator'")
         op = io.matrix_from_json(item["operator"], where=where)
+        gamma = item.get("gamma", 1.0)
+        # float() would also take a numeric string or a bool
         try:
-            gamma = float(item.get("gamma", 1.0))
-        except (TypeError, ValueError):
+            gamma = float(gamma) if type(gamma) in (int, float) else math.nan
+        except OverflowError:  # an integer beyond the float range
             gamma = math.nan
         if not math.isfinite(gamma):
-            raise ValidationError(f"{where}: gamma is not a finite number")
+            raise ValidationError(f"{where}: gamma is not a finite JSON number")
         jumps.append((op, gamma))
     try:
         spec = LindbladSpec(hamiltonian=h, jump_ops=tuple(jumps))
@@ -66,6 +71,8 @@ def _read_lindblad_spec(path):
     if "rho0" in doc:
         where = f"{path}: rho0"
         rho0 = io.matrix_from_json(doc["rho0"], where=where)
+        if rho0.shape != h.shape:
+            raise ValidationError(f"{where}: shape {rho0.shape} differs from hamiltonian {h.shape}")
         try:
             validate_density_matrix(rho0)
         except ValidationError as exc:
@@ -111,10 +118,8 @@ def cmd_decompose(args) -> int:
 
 def cmd_simulate(args) -> int:
     samples, decomposition = _build_decomposition(args)
-    config = SimConfig(
-        dt=args.dt, n_traj=args.trajectories, seed=args.seed, horizon=args.horizon
-    )
-    result = run_ensemble(config, decomposition, samples[0].rho, exact=samples)
+    config = SimConfig(n_traj=args.trajectories, seed=args.seed, horizon=args.horizon)
+    result = run_ensemble(config, decomposition, exact=samples)
     io.write_ensemble_csv(f"{args.out}.ensemble.csv", result)
     return EXIT_OK
 

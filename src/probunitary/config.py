@@ -13,8 +13,7 @@ class Tolerances:
     hermiticity: float = 1e-10
     trace: float = 1e-10
     psd: float = 1e-10
-    # unitarity / reconstruction checks
-    unitarity: float = 1e-9
+    # channel reconstruction check
     reconstruction: float = 1e-8
     # circulant solver: P deemed singular when the minimum DFT-symbol
     # magnitude is below this fraction of the maximum

@@ -19,7 +19,6 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import TrajectoryTooCoarse, ValidationError
 from .linalg import (
     RateSolveResult,
-    Spectrum,
     _canonical_spectrum,
     _degenerate_clusters,
     _solve_circulant_batch,
@@ -55,14 +54,12 @@ class EigenframeSeries:
 
     ``eigenvalues[k, i]`` follows branch i continuously (it is *not*
     re-sorted per time, so branches may cross).  ``eigenvectors[k]`` has
-    branch i in column i.  ``phases[k, i]`` is the accumulated transport
-    phase applied relative to the raw per-frame eigensolver gauge.
+    branch i in column i.
     """
 
     times: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    phases: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -149,7 +146,7 @@ def align_spectra(
 
 def _align(times, vals, vecs, tol: Tolerances) -> EigenframeSeries:
     """align_spectra on stacked eigenvalues (n, d) and eigenvectors (n, d, d)."""
-    n, d = vals.shape
+    n = len(vals)
     order = np.argsort(-vals[0], kind="stable")
     first = _canonical_spectrum(vals[0][order], vecs[0][:, order], tol)
     evals = np.array(vals)
@@ -202,18 +199,7 @@ def _align(times, vals, vecs, tol: Tolerances) -> EigenframeSeries:
             f"eigenvector overlap {aligned[k - 1]:.3f} below "
             f"{tol.overlap_floor} between t={times[k - 1]} and t={times[k]}"
         )
-    # accumulated transport phase of each branch relative to the
-    # dominant-component-real-positive gauge, unwrapped in time from 0
-    delta = np.angle(np.take_along_axis(
-        evecs, np.argmax(np.abs(evecs), axis=1)[:, None, :], axis=1
-    )[:, 0, :])
-    delta[0] = 0.0
-    turns = np.cumsum(np.round((delta[:-1] - delta[1:]) / (2 * np.pi)), axis=0)
-    phases = np.zeros((n, d))
-    phases[1:] = delta[1:] + 2 * np.pi * turns
-    return EigenframeSeries(
-        times=times, eigenvalues=evals, eigenvectors=evecs, phases=phases
-    )
+    return EigenframeSeries(times=times, eigenvalues=evals, eigenvectors=evecs)
 
 
 def align_eigenframes(
@@ -267,10 +253,10 @@ def compute_rates_at(
 def build_tilde_unitaries(frame) -> np.ndarray:
     """Conjugate the cyclic shifts into the frame: U~_i = V W_i V^dag.
 
-    ``frame`` is a Spectrum or a unitary eigenvector matrix.  Returns an
-    array of shape (d, d, d); index 0 is the identity.
+    ``frame`` is a unitary eigenvector matrix.  Returns an array of shape
+    (d, d, d); index 0 is the identity.
     """
-    v = frame.eigenvectors if isinstance(frame, Spectrum) else np.asarray(frame)
+    v = np.asarray(frame)
     out = conjugated_permutations(v, v, cyclic_shift_rows(len(v)))
     out[0] = np.eye(len(v))
     return out

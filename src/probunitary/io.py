@@ -43,7 +43,9 @@ def _numbers(data, where: str) -> np.ndarray:
         arr = np.asarray(data)
     except ValueError as exc:
         raise ValidationError(f"{where}: ragged rows (unequal length or depth)") from exc
-    if arr.dtype.kind not in "iuf":
+    # numpy casts true and false among numbers to 1 and 0; JSON
+    # booleans are not numbers
+    if arr.dtype.kind not in "iuf" or bool in set(map(type, np.asarray(data, dtype=object).flat)):
         raise ValidationError(f"{where}: entries are not all numbers")
     arr = arr.astype(float)
     if not np.isfinite(arr).all():
@@ -122,12 +124,14 @@ def read_trajectory(path) -> list[TrajectorySample]:
         raise ValidationError(
             f"{path}: {times.size} times but rho is not a list of as many matrices"
         )
-    rhos = np.empty((times.size, d, d), dtype=complex)
+    # entries are checked against dim before they are stacked, so a
+    # wrong dim allocates nothing of its size
+    rhos = []
     for k, data in enumerate(rho):
-        m = matrix_from_json(data, where=f"{path}: entry {k}")
-        if m.shape != (d, d):
-            raise ValidationError(f"{path}: entry {k} has shape {m.shape}, want {d}x{d}")
-        rhos[k] = m
+        rhos.append(matrix_from_json(data, where=f"{path}: entry {k}"))
+        if rhos[k].shape != (d, d):
+            raise ValidationError(f"{path}: entry {k} has shape {rhos[k].shape}, want {d}x{d}")
+    rhos = np.stack(rhos)
     try:
         validate_density_matrix(rhos)
     except ValidationError as exc:

@@ -50,7 +50,7 @@ class LindbladSpec:
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonian, dtype=complex)
-        if np.max(np.abs(h - h.conj().T)) > 1e-10:
+        if np.max(np.abs(h - h.conj().T)) > DEFAULT_TOLERANCES.hermiticity:
             raise ValidationError("Lindblad Hamiltonian must be Hermitian")
         d = h.shape[0]
         for op, gamma in self.jump_ops:
@@ -91,12 +91,31 @@ MODEL_CATALOGUE = {
 }
 
 
+def _diagonal_qubit_states(upper, times) -> np.ndarray:
+    """diag(upper(t), 1 - upper(t)) on every time, shape (n, 2, 2).  The
+    population ``upper`` is evaluated on math scalars, one time at a
+    time: numpy's exp and cos may differ from math's in the last ulp."""
+    times = np.asarray(times, dtype=float)
+    if np.any(times < 0):
+        raise ValidationError("time must be nonnegative")
+    top = np.array([upper(t) for t in times.tolist()], dtype=float)
+    rhos = np.zeros((times.size, 2, 2), dtype=complex)
+    rhos[:, 0, 0] = top
+    rhos[:, 1, 1] = 1 - top
+    return rhos
+
+
+def _jc_states(omega: float, times) -> np.ndarray:
+    return _diagonal_qubit_states(lambda t: math.cos(omega * t / 2) ** 2, times)
+
+
+def _amplitude_damping_states(gamma: float, times) -> np.ndarray:
+    return _diagonal_qubit_states(lambda t: math.exp(-gamma * t), times)
+
+
 def jc_reduced_state(omega: float, t: float) -> np.ndarray:
     """Reduced atom state diag(cos^2(omega t / 2), sin^2(omega t / 2))."""
-    if t < 0:
-        raise ValidationError("time must be nonnegative")
-    c = math.cos(omega * t / 2) ** 2
-    return np.diag([c, 1 - c]).astype(complex)
+    return _jc_states(omega, [t])[0]
 
 def jc_rate(omega: float, t: float) -> float:
     """Closed-form jump rate (omega/2) tan(omega t).
@@ -111,17 +130,12 @@ def jc_rate(omega: float, t: float) -> float:
 
 def amplitude_damping_exact(gamma: float, t: float) -> np.ndarray:
     """Populations diag(e^{-gamma t}, 1 - e^{-gamma t}) of the decaying atom."""
-    if t < 0:
-        raise ValidationError("time must be nonnegative")
-    e = math.exp(-gamma * t)
-    return np.diag([e, 1 - e]).astype(complex)
+    return _amplitude_damping_states(gamma, [t])[0]
 
 
-def amplitude_damping_spec(gamma: float, level_splitting: float = 1.0) -> LindbladSpec:
-    return LindbladSpec(
-        hamiltonian=level_splitting * SIGMA_Z / 2,
-        jump_ops=((SIGMA_MINUS, gamma),),
-    )
+def amplitude_damping_spec(gamma: float) -> LindbladSpec:
+    """The decaying atom with unit level splitting, H = sigma_z / 2."""
+    return LindbladSpec(hamiltonian=SIGMA_Z / 2, jump_ops=((SIGMA_MINUS, gamma),))
 
 
 def lindblad_rhs(spec: LindbladSpec, rho) -> np.ndarray:
@@ -189,17 +203,10 @@ def sample_model(
     grid = np.asarray(grid, dtype=float)
     params = params or ModelParams()
     if name in ("jc", "amplitude-damping"):
-        if np.any(grid < 0):
-            raise ValidationError("time must be nonnegative")
-        # the upper population from the same math scalars as the per-time
-        # closed forms (numpy's exp and cos may differ in the last ulp)
         if name == "jc":
-            top = np.array([math.cos(params.omega * t / 2) ** 2 for t in grid.tolist()])
+            rhos = _jc_states(params.omega, grid)
         else:
-            top = np.array([math.exp(-params.gamma * t) for t in grid.tolist()])
-        rhos = np.zeros((grid.size, 2, 2), dtype=complex)
-        rhos[:, 0, 0] = top
-        rhos[:, 1, 1] = 1 - top
+            rhos = _amplitude_damping_states(params.gamma, grid)
         return [TrajectorySample(time=t, rho=r) for t, r in zip(grid.tolist(), rhos)]
     if name == "lindblad":
         if spec is None or rho0 is None:

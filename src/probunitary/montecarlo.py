@@ -4,8 +4,9 @@ Per step a single uniform draw either applies one of the conjugated
 shift unitaries U~_i = V W_i V^dag (probability q_i dt) or lets the
 driving Hamiltonian act; ``step`` is that scheme for one dense state.
 
-The ensemble runs as a classical jump process on permutation labels.  A
-trajectory that starts at rho0 = V_0 diag(lam0) V_0^dag stays at
+The ensemble runs as a classical jump process on permutation labels.
+The scheme is built for one initial state, so every trajectory starts
+at the decomposition's first state V_0 diag(lam0) V_0^dag and stays at
 V_k diag(lam0[labels]) V_k^dag: the Hamiltonian only transports the
 eigenframe, which the decomposition's frames V_k already carry, and a
 jump by the shift W_i permutes the eigenvalues inside the frame.  So
@@ -16,14 +17,16 @@ the trajectories.
 
 The rates q_i(t) do not depend on a trajectory's labels, so its jump
 steps form a Bernoulli process with per-step probability p_k = sum_i
-q_i dt, sampled by the waiting-time method (Dalibard, Castin & Molmer):
+q_i dt_k, where dt_k = t_{k+1} - t_k is step k's own spacing on the
+decomposition grid, which need not be uniform.  The jumps are sampled
+by the waiting-time method (Dalibard, Castin & Molmer):
 with the cumulative hazard H_k = -sum_{j<k} log(1 - p_j), a trajectory
 alive from step s draws u and jumps at the step k with
 H_k <= H_s - log(1 - u) < H_{k+1} (none if k >= n_steps), then draws v
 and takes the branch whose interval of [0, p_k) holds v p_k.  This is
 the law of ``step``'s per-step scheme: a jump at step k with probability
 p_k, independently of the other steps, through branch i with
-probability q_i dt.  Trajectory i owns the counter-based stream
+probability q_i dt_k.  Trajectory i owns the counter-based stream
 Generator(Philox(key=[seed, i])).random; its draw 2r is the waiting
 time of its jump r and draw 2r + 1 that jump's branch, so the ensemble
 mean does not depend on how the trajectories are scheduled.  The
@@ -53,14 +56,11 @@ __all__ = ["SimConfig", "EnsembleResult", "step", "run_ensemble", "convergence_s
 
 @dataclass(frozen=True)
 class SimConfig:
-    dt: float
     n_traj: int
     seed: int
     horizon: float
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValidationError("dt must be positive")
         if self.n_traj < 1:
             raise ValidationError("n_traj must be at least 1")
         if self.horizon <= 0:
@@ -85,18 +85,19 @@ def _hermitian_propagator(h, dt: float) -> np.ndarray:
     return (vecs * phases) @ vecs.conj().swapaxes(-1, -2)
 
 
-def _jump_edges(q, dt: float, tol: Tolerances) -> np.ndarray:
+def _jump_edges(q, dt, tol: Tolerances) -> np.ndarray:
     """Cumulative jump probabilities q_1 dt, q_1 dt + q_2 dt, ... along the
     last axis of q, refusing negative rates and steps whose total
-    jump probability reaches 1."""
+    jump probability reaches 1.  ``dt`` is a scalar, or a column holding
+    each row's own spacing."""
     jump_rates = q[..., 1:]
     if np.any(jump_rates < -tol.rate_negativity):
         raise NegativeRate("negative rates cannot be realized by the scheme")
-    jump_rates = np.clip(jump_rates, 0.0, None)
-    total = (jump_rates.sum(axis=-1) * dt).max()
+    probabilities = np.clip(jump_rates, 0.0, None) * dt
+    total = probabilities.sum(axis=-1).max()
     if total >= 1.0:
-        raise StepTooLarge(f"total jump probability {total:.3f} >= 1; reduce dt")
-    return np.cumsum(jump_rates * dt, axis=-1)
+        raise StepTooLarge(f"total jump probability {total:.3f} >= 1; refine the time grid")
+    return np.cumsum(probabilities, axis=-1)
 
 
 _MASK32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
@@ -201,36 +202,27 @@ def _flagged_intervals(decomposition: DecompositionSeries, horizon: float):
 def run_ensemble(
     config: SimConfig,
     decomposition: DecompositionSeries,
-    rho0,
     exact=None,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> EnsembleResult:
     """Average an ensemble of stochastic trajectories of the scheme.
 
-    The decomposition grid defines the step grid; ``config.dt`` must
-    match its spacing.  ``rho0`` must be the decomposition's first state,
-    V_0 diag(lam0) V_0^dag from ``decomposition.frames`` to within
-    ``tol.reconstruction`` (ValidationError otherwise), since the scheme
-    is built for that initial state.  ``exact`` is an optional list of
-    TrajectorySample on the same grid, at least up to the horizon, used
-    for the per-time trace distance.
+    The scheme is built for one initial state on one grid, and both come
+    from the decomposition: every trajectory starts at V_0 diag(lam0)
+    V_0^dag from ``decomposition.frames``, and step k runs from times[k]
+    to times[k + 1] with its own spacing, so a non-uniform grid is
+    simulated as given and StepTooLarge is judged step by step.
+    ``exact`` is an optional list of TrajectorySample on the same grid,
+    at least up to the horizon, used for the per-time trace distance.
     """
     times = decomposition.times
     n_steps = int(np.searchsorted(times, config.horizon + 1e-12)) - 1
     if n_steps < 1:
         raise ValidationError("horizon shorter than one decomposition step")
-    spacing = np.diff(times[: n_steps + 1])
-    if np.abs(spacing - config.dt).max() > 1e-9 * config.dt:
-        raise ValidationError("config.dt does not match the decomposition grid")
     if exact is not None and len(exact) < n_steps + 1:
         raise ValidationError(f"exact has {len(exact)} samples, the horizon needs {n_steps + 1}")
     frames = decomposition.frames
-    lam0, v0 = frames.eigenvalues[0], frames.eigenvectors[0]
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != v0.shape or (
-        np.abs((v0 * lam0) @ v0.conj().T - rho0).max() > tol.reconstruction
-    ):
-        raise ValidationError("rho0 is not the first state of the decomposition")
+    lam0 = frames.eigenvalues[0]
     flagged = _flagged_intervals(decomposition, config.horizon)
     if flagged:
         spans = ", ".join(f"[{a:g}, {b:g}]" for a, b in flagged)
@@ -243,7 +235,8 @@ def run_ensemble(
     d, n = decomposition.dim, config.n_traj
     # midpoint rates of every interval, shared by all trajectories
     q_mid = 0.5 * (decomposition.rates[:n_steps] + decomposition.rates[1 : n_steps + 1])
-    edges = _jump_edges(q_mid, config.dt, tol)          # (n_steps, d-1)
+    spacing = np.diff(times[: n_steps + 1])
+    edges = _jump_edges(q_mid, spacing[:, None], tol)   # (n_steps, d-1)
 
     # labels[b, j]: the index into lam0 of the eigenvalue trajectory j
     # holds on frame branch b; a jump by shift i permutes trajectory j's
@@ -294,22 +287,20 @@ def run_ensemble(
     )
 
 
-def convergence_sweep(make_problem, base_config: SimConfig, dts, n_trajs):
+def convergence_sweep(make_problem, seed: int, horizon: float, dts, n_trajs):
     """Empirical bias/noise table over step sizes and ensemble sizes.
 
-    ``make_problem(dt)`` must return (decomposition, rho0, exact) on a
-    grid with spacing dt covering the horizon.  Returns a list of row
-    dicts with the max trace distance and the max aggregate standard
-    error for every (dt, n_traj) pair.
+    ``make_problem(dt)`` must return (decomposition, exact) on a grid
+    with spacing dt covering the horizon.  Returns a list of row dicts
+    with the max trace distance and the max aggregate standard error for
+    every (dt, n_traj) pair.
     """
     rows = []
     for dt in dts:
-        decomposition, rho0, exact = make_problem(dt)
+        decomposition, exact = make_problem(dt)
         for n in n_trajs:
-            config = SimConfig(
-                dt=dt, n_traj=n, seed=base_config.seed, horizon=base_config.horizon
-            )
-            result = run_ensemble(config, decomposition, rho0, exact=exact)
+            config = SimConfig(n_traj=n, seed=seed, horizon=horizon)
+            result = run_ensemble(config, decomposition, exact=exact)
             rows.append(
                 {
                     "dt": dt,

@@ -35,6 +35,8 @@ SIGMA_X = io.matrix_to_json(np.array([[0, 1], [1, 0]]))
         ({"operator": SIGMA_X, "gamma": "fast"}, "gamma"),
         ({"operator": SIGMA_X, "gamma": None}, "gamma"),
         ([SIGMA_X, 1.0], "'operator'"),
+        ({"operator": SIGMA_X, "gamma": "0.5"}, "gamma"),
+        ({"operator": SIGMA_X, "gamma": True}, "gamma"),
     ],
 )
 def test_bad_jump_op_entry_exits_2(tmp_path, capsys, entry, expected):
@@ -91,6 +93,8 @@ def test_trajectory_input_decomposes(tmp_path):
         (lambda doc: doc.update(dim="two"), "dim"),
         (lambda doc: doc["times"].__setitem__(1, "soon"), "times"),
         (lambda doc: doc["rho"][2][0].__setitem__(1, [0.0, 0.0, 1.0]), "entry 2"),
+        # checked against the entries before anything of dim's size exists
+        (lambda doc: doc.update(dim=1_000_000), "entry 0 has shape"),
     ],
 )
 def test_bad_trajectory_file_exits_2(tmp_path, capsys, edit, expected):
@@ -99,6 +103,17 @@ def test_bad_trajectory_file_exits_2(tmp_path, capsys, edit, expected):
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: {path}: ") and expected in err
+
+
+def test_simulate_input_runs_on_the_file_grid(tmp_path):
+    # the file's 0.01 spacing, not the default --dt of 1e-3, sets the steps
+    path = tmp_path / "traj.json"
+    io.write_trajectory(path, models.sample_model("amplitude-damping", np.linspace(0, 0.5, 51)))
+    argv = ["simulate", "--input", str(path), "--horizon", "0.5", "--trajectories", "50",
+            "--out", str(tmp_path / "run")]
+    assert main(argv) == EXIT_OK
+    table = np.loadtxt(tmp_path / "run.ensemble.csv", delimiter=",", skiprows=1)
+    np.testing.assert_allclose(table[:, 0], np.linspace(0, 0.5, 51), rtol=0, atol=1e-15)
 
 
 def test_nan_hamiltonian_exits_2(tmp_path, capsys):
@@ -163,6 +178,7 @@ def test_trajectory_too_coarse_exits_2(tmp_path, capsys):
     [
         ("rho0", np.diag([0.7, 0.7]), "rho0: density matrix trace"),
         ("hamiltonian", np.array([[0.5, 1.0], [0.0, -0.5]]), "Hermitian"),
+        ("rho0", np.diag([0.5, 0.3, 0.2]), "rho0: shape (3, 3) differs from hamiltonian"),
     ],
 )
 def test_bad_spec_matrix_exits_2_naming_file(tmp_path, capsys, key, value, expected):

@@ -33,7 +33,7 @@ from conftest import random_density_matrix, random_lindblad_spec, random_unitary
 def damping_problem(dt, horizon=0.5, gamma=1.0):
     grid = np.arange(0, horizon + dt / 2, dt)
     samples = sample_model("amplitude-damping", grid, ModelParams(gamma=gamma))
-    return decompose_trajectory(samples), samples[0].rho, samples
+    return decompose_trajectory(samples), samples
 
 
 def replay_jumps(edges, seed, lane):
@@ -123,46 +123,46 @@ class TestEnsemble:
         rho0 = random_density_matrix(rng, 2, min_gap=0.2)
         samples = integrate(spec, rho0, grid)
         dec = decompose_trajectory(samples)
-        config = SimConfig(dt=dt, n_traj=1, seed=7, horizon=0.2)
-        result = run_ensemble(config, dec, rho0, exact=samples)
+        config = SimConfig(n_traj=1, seed=7, horizon=0.2)
+        result = run_ensemble(config, dec, exact=samples)
         assert result.trace_distance_to_exact.max() <= dt**2 * len(grid) * 50
 
     def test_damping_accuracy(self):
-        dec, rho0, samples = damping_problem(1e-3)
-        config = SimConfig(dt=1e-3, n_traj=4000, seed=42, horizon=0.5)
-        result = run_ensemble(config, dec, rho0, exact=samples)
+        dec, samples = damping_problem(1e-3)
+        config = SimConfig(n_traj=4000, seed=42, horizon=0.5)
+        result = run_ensemble(config, dec, exact=samples)
         assert result.trace_distance_to_exact.max() <= 0.03
 
     def test_trace_exactly_one(self):
-        dec, rho0, samples = damping_problem(1e-3, horizon=0.3)
-        config = SimConfig(dt=1e-3, n_traj=200, seed=3, horizon=0.3)
-        result = run_ensemble(config, dec, rho0)
+        dec, samples = damping_problem(1e-3, horizon=0.3)
+        config = SimConfig(n_traj=200, seed=3, horizon=0.3)
+        result = run_ensemble(config, dec)
         traces = np.einsum("kii->k", result.mean_rho)
         np.testing.assert_allclose(traces.real, 1.0, atol=1e-10)
         np.testing.assert_allclose(traces.imag, 0.0, atol=1e-12)
 
     def test_ensemble_purity_nonincreasing(self):
-        dec, rho0, samples = damping_problem(1e-3, horizon=0.5)
-        config = SimConfig(dt=1e-3, n_traj=20000, seed=11, horizon=0.5)
-        result = run_ensemble(config, dec, rho0)
+        dec, samples = damping_problem(1e-3, horizon=0.5)
+        config = SimConfig(n_traj=20000, seed=11, horizon=0.5)
+        result = run_ensemble(config, dec)
         purity = np.einsum("kij,kji->k", result.mean_rho, result.mean_rho).real
         # statistical fluctuations allowed at the ensemble noise scale
         assert np.diff(purity).max() <= 5e-3
 
     def test_seed_determinism(self):
-        dec, rho0, samples = damping_problem(1e-3, horizon=0.2)
-        config = SimConfig(dt=1e-3, n_traj=500, seed=99, horizon=0.2)
-        a = run_ensemble(config, dec, rho0)
-        b = run_ensemble(config, dec, rho0)
+        dec, samples = damping_problem(1e-3, horizon=0.2)
+        config = SimConfig(n_traj=500, seed=99, horizon=0.2)
+        a = run_ensemble(config, dec)
+        b = run_ensemble(config, dec)
         assert np.array_equal(a.mean_rho, b.mean_rho)
         assert np.array_equal(a.stderr, b.stderr)
 
     def test_z_scores_standard_normal(self):
         # deviations from the exact two-branch expectation should be
         # statistically consistent
-        dec, rho0, samples = damping_problem(1e-3, horizon=0.4)
-        config = SimConfig(dt=1e-3, n_traj=10000, seed=5, horizon=0.4)
-        result = run_ensemble(config, dec, rho0, exact=samples)
+        dec, samples = damping_problem(1e-3, horizon=0.4)
+        config = SimConfig(n_traj=10000, seed=5, horizon=0.4)
+        result = run_ensemble(config, dec, exact=samples)
         diff = np.abs(result.mean_rho - np.stack([s.rho for s in samples[: len(result.times)]]))
         z = diff / np.maximum(result.stderr, 1e-12)
         # bias is O(dt); on this horizon it is far below one stderr
@@ -172,9 +172,9 @@ class TestEnsemble:
         grid = np.arange(0, 2.0 + 5e-4, 1e-3)
         samples = sample_model("jc", grid)
         dec = decompose_trajectory(samples)
-        config = SimConfig(dt=1e-3, n_traj=10, seed=1, horizon=2.0)
+        config = SimConfig(n_traj=10, seed=1, horizon=2.0)
         with pytest.raises(RefusesToSimulate) as exc:
-            run_ensemble(config, dec, samples[0].rho)
+            run_ensemble(config, dec)
         assert exc.value.t_start is not None
 
     def test_step_replay_agrees_with_labels(self, rng):
@@ -194,8 +194,8 @@ class TestEnsemble:
             worst, jumps = 0.0, 0
             for seed in range(n_seeds):
                 # a one-trajectory ensemble's mean is that trajectory's state
-                config = SimConfig(dt=dt, n_traj=1, seed=seed, horizon=grid[-1])
-                labelled = run_ensemble(config, dec, rho0).mean_rho
+                config = SimConfig(n_traj=1, seed=seed, horizon=grid[-1])
+                labelled = run_ensemble(config, dec).mean_rho
                 # per-step draws for step: the sampler's branch draw at a
                 # jump step, and the no-jump edge p_k at every other step
                 draws = edges[:, -1].copy()
@@ -216,18 +216,11 @@ class TestEnsemble:
         assert coarse <= 0.5 * 1e-2
         assert fine <= 0.6 * coarse
 
-    def test_rho0_must_be_first_state(self):
-        dec, rho0, samples = damping_problem(1e-3, horizon=0.2)
-        config = SimConfig(dt=1e-3, n_traj=10, seed=1, horizon=0.2)
-        for wrong in (np.diag([0.5, 0.5]), np.diag([1.0, 0.0, 0.0])):
-            with pytest.raises(ValidationError, match="first state"):
-                run_ensemble(config, dec, wrong.astype(complex))
-
     def test_short_exact_rejected(self):
-        dec, rho0, samples = damping_problem(1e-3, horizon=0.2)
-        config = SimConfig(dt=1e-3, n_traj=10, seed=1, horizon=0.2)
+        dec, samples = damping_problem(1e-3, horizon=0.2)
+        config = SimConfig(n_traj=10, seed=1, horizon=0.2)
         with pytest.raises(ValidationError, match="exact has 200 samples"):
-            run_ensemble(config, dec, rho0, exact=samples[:-1])
+            run_ensemble(config, dec, exact=samples[:-1])
 
     @pytest.mark.parametrize("seed", [0, 1, 9])
     def test_qutrit_ensemble_matches_integrator(self, seed):
@@ -239,8 +232,8 @@ class TestEnsemble:
         samples = integrate(spec, rho0, np.arange(0, horizon + dt / 2, dt))
         dec = decompose_trajectory(samples)
         assert not (dec.negative_flags | dec.singular_flags).any()
-        config = SimConfig(dt=dt, n_traj=5000, seed=seed, horizon=horizon)
-        result = run_ensemble(config, dec, rho0, exact=samples)
+        config = SimConfig(n_traj=5000, seed=seed, horizon=horizon)
+        result = run_ensemble(config, dec, exact=samples)
         sigma = np.linalg.norm(result.stderr.reshape(len(result.times), -1), axis=1)
         assert result.trace_distance_to_exact.max() <= 4 * sigma.max()
         per_time = [
@@ -255,9 +248,9 @@ class TestEnsemble:
         grid = np.arange(0, 7.0 + 5e-4, 1e-3)
         samples = sample_model("jc", grid)
         dec = decompose_trajectory(samples)
-        config = SimConfig(dt=1e-3, n_traj=10, seed=1, horizon=7.0)
+        config = SimConfig(n_traj=10, seed=1, horizon=7.0)
         with pytest.raises(RefusesToSimulate) as exc:
-            run_ensemble(config, dec, samples[0].rho)
+            run_ensemble(config, dec)
         assert np.pi / 2 - 1e-3 <= exc.value.t_start <= np.pi / 2 + 1e-3
         assert np.pi - 2e-3 <= exc.value.t_end <= np.pi
         assert "[1.57, 3.141], [4.712, 6.283]" in str(exc.value)
@@ -270,11 +263,11 @@ class TestEnsemble:
         # own Philox draw pairs; the mean is that sum divided by N as a
         # complex array
         dt, horizon, n_traj, seed = 1e-3, 0.5, 5000, 5
-        dec, rho0, samples = damping_problem(dt, horizon=horizon)
+        dec, samples = damping_problem(dt, horizon=horizon)
         n_steps = len(samples) - 1
         assert not np.any(dec.hamiltonians)
-        config = SimConfig(dt=dt, n_traj=n_traj, seed=seed, horizon=horizon)
-        result = run_ensemble(config, dec, rho0)
+        config = SimConfig(n_traj=n_traj, seed=seed, horizon=horizon)
+        result = run_ensemble(config, dec)
 
         p = 0.5 * (dec.rates[:-1, 1] + dec.rates[1:, 1]) * dt
         flips = np.zeros(n_steps + 1, dtype=int)
@@ -293,12 +286,12 @@ class TestEnsemble:
         # the sampler holds per-trajectory state only: no (n_steps, n_traj)
         # array of draws
         dt, horizon, n_traj = 1e-3, 0.5, 20000
-        dec, rho0, samples = damping_problem(dt, horizon=horizon)
+        dec, samples = damping_problem(dt, horizon=horizon)
         n_steps = len(samples) - 1
-        config = SimConfig(dt=dt, n_traj=n_traj, seed=3, horizon=horizon)
+        config = SimConfig(n_traj=n_traj, seed=3, horizon=horizon)
         tracemalloc.start()
         try:
-            run_ensemble(config, dec, rho0)
+            run_ensemble(config, dec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -307,22 +300,45 @@ class TestEnsemble:
     def test_one_level_system_never_jumps(self):
         grid = np.arange(0, 0.1 + 5e-4, 1e-3)
         samples = [TrajectorySample(time=t, rho=np.eye(1, dtype=complex)) for t in grid]
-        config = SimConfig(dt=1e-3, n_traj=10, seed=1, horizon=0.1)
-        result = run_ensemble(config, decompose_trajectory(samples), samples[0].rho)
+        config = SimConfig(n_traj=10, seed=1, horizon=0.1)
+        result = run_ensemble(config, decompose_trajectory(samples))
         assert np.array_equal(result.mean_rho, np.ones((len(grid), 1, 1)))
         assert not result.stderr.any()
 
-    def test_dt_mismatch_rejected(self):
-        dec, rho0, samples = damping_problem(1e-3, horizon=0.2)
-        config = SimConfig(dt=2e-3, n_traj=10, seed=1, horizon=0.2)
-        with pytest.raises(ValidationError):
-            run_ensemble(config, dec, rho0)
+    def test_nonuniform_grid(self):
+        # every step runs on its own spacing: amplitude damping sampled on
+        # a grid whose steps grow from 0.5e-3 to 4e-3 stays within the
+        # ensemble noise plus the O(gamma dt) midpoint bias of the exact
+        # state (one mean spacing for all steps leaves that bound)
+        gamma, n_traj = 1.0, 4000
+        grid = np.concatenate(([0.0], np.cumsum(np.geomspace(0.5e-3, 4e-3, 250))))
+        samples = sample_model("amplitude-damping", grid, ModelParams(gamma=gamma))
+        dec = decompose_trajectory(samples)
+        config = SimConfig(n_traj=n_traj, seed=4, horizon=grid[-1])
+        result = run_ensemble(config, dec, exact=samples)
+        assert len(result.times) == len(grid)
+        sigma = np.linalg.norm(result.stderr.reshape(len(grid), -1), axis=1)
+        bound = 4 * sigma + 2 * gamma * np.diff(grid).max()
+        assert np.all(result.trace_distance_to_exact <= bound)
+
+    def test_step_too_large_judged_per_step(self):
+        # at gamma = 60 the rate grows from 60 to about 900 by t = 0.011.
+        # One 4e-3 step at the low rate, then 1e-4 steps at the high one:
+        # every q dt is below 0.3 (max q times max dt would be 3.4)
+        def simulate(grid):
+            samples = sample_model("amplitude-damping", grid, ModelParams(gamma=60.0))
+            config = SimConfig(n_traj=10, seed=1, horizon=0.011)
+            return run_ensemble(config, decompose_trajectory(samples))
+
+        grid = np.concatenate(([0.0], np.arange(0.004, 0.011 - 5e-5, 1e-4), [0.011]))
+        assert len(simulate(grid).times) == len(grid)
+        # 1e-4 steps at the low rate, then one 9.1e-3 step whose q dt is 5.9
+        with pytest.raises(StepTooLarge):
+            simulate(np.concatenate((np.arange(0, 0.002, 1e-4), [0.011])))
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
-            SimConfig(dt=0.0, n_traj=1, seed=0, horizon=1.0)
-        with pytest.raises(ValidationError):
-            SimConfig(dt=0.1, n_traj=0, seed=0, horizon=1.0)
+            SimConfig(n_traj=0, seed=0, horizon=1.0)
 
 
 class TestSampler:
@@ -368,12 +384,10 @@ class TestSampler:
 
 class TestConvergenceSweep:
     def test_bias_and_noise_scaling(self):
-        base = SimConfig(dt=1e-2, n_traj=10, seed=21, horizon=0.4)
-
         def make_problem(dt):
             return damping_problem(dt, horizon=0.4)
 
-        rows = convergence_sweep(make_problem, base, [2e-2, 1e-2], [2500, 10000])
+        rows = convergence_sweep(make_problem, 21, 0.4, [2e-2, 1e-2], [2500, 10000])
         table = {(r["dt"], r["n_traj"]): r for r in rows}
         # quadrupling the ensemble halves the stochastic error (within 25%)
         ratio = (
@@ -384,13 +398,11 @@ class TestConvergenceSweep:
     def test_zero_rate_error_flat_in_n(self, rng):
         spec = random_lindblad_spec(rng, 2, n_jumps=0)
         rho0 = random_density_matrix(rng, 2, min_gap=0.2)
-        base = SimConfig(dt=1e-3, n_traj=1, seed=8, horizon=0.1)
-
         def make_problem(dt):
             grid = np.arange(0, 0.1 + dt / 2, dt)
             samples = integrate(spec, rho0, grid)
-            return decompose_trajectory(samples), rho0, samples
+            return decompose_trajectory(samples), samples
 
-        rows = convergence_sweep(make_problem, base, [1e-3], [10, 100])
+        rows = convergence_sweep(make_problem, 8, 0.1, [1e-3], [10, 100])
         errs = [r["max_trace_distance"] for r in rows]
         assert abs(errs[0] - errs[1]) <= 1e-10
