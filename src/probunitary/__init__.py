@@ -30,7 +30,6 @@ from .errors import (
     ProbUnitaryError,
     RefusesToSimulate,
     SingularChannel,
-    SingularSystem,
     StepTooLarge,
     TrajectoryTooCoarse,
     ValidationError,

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import SingularChannel, SingularSystem, ValidationError
+from .errors import SingularChannel, ValidationError
 from .linalg import (
     conjugated_permutations,
     cyclic_shift_rows,
@@ -52,8 +52,10 @@ class ChannelDecomposition:
     ``classification`` describes the pair itself: ``mixed_unitary`` when
     spec(rho_out) is majorized by spec(rho_in), so that every probability
     lies in [0, 1]; otherwise ``quasi_probability`` (some q_i < 0) or
-    ``singular`` (the cyclic system is singular; q is its minimum-norm
-    solution).
+    ``singular`` (the cyclic system is singular with an eigenvalue change
+    in its range; q is its minimum-norm solution).  A singular system
+    whose eigenvalue change leaves its range has no decomposition;
+    decompose_channel raises SingularChannel for it.
 
     ``unitaries`` are the d conjugated cyclic shifts V_out W_i V_in^dag
     on the cyclic construction, with V_out's columns ordered by
@@ -79,14 +81,8 @@ class KrausLikeForm:
     """Pairs (K_i, Kbar_i) with sum_i K_i Kbar_i = identity and
     Kbar_i = sign_i K_i^dag."""
 
-    operators: list
-    signs: np.ndarray
-
-
-def _is_majorized(x, y, slack: float) -> bool:
-    """x is majorized by y (both descending, equal sums): every leading
-    partial sum of x is at most that of y, up to ``slack``."""
-    return bool(np.all(np.cumsum(x)[:-1] <= np.cumsum(y)[:-1] + slack))
+    operators: np.ndarray           # (d, 2, d, d): [i, 0] = K_i, [i, 1] = Kbar_i
+    signs: np.ndarray               # (d,) of +1.0 / -1.0
 
 
 def _permutation_mixture(y, x) -> tuple[np.ndarray, np.ndarray]:
@@ -155,50 +151,28 @@ def _mix(q, unitaries, rho) -> np.ndarray:
     return np.einsum("i,iab,bc,idc->ad", q, unitaries, rho, unitaries.conj())
 
 
-def _reconstruction_residual(q, unitaries, rho_in, rho_out) -> float:
-    return float(np.max(np.abs(_mix(q, unitaries, rho_in) - rho_out)))
-
-
-def _check_reconstruction(residual: float, tol: Tolerances) -> None:
-    if residual > tol.reconstruction:
-        raise RuntimeError(
-            f"internal error: reconstruction residual {residual:.3e} exceeds "
-            f"{tol.reconstruction:.1e}"
-        )
-
-
-def _majorization_split(
-    spec_in, spec_out, rho_in, rho_out, tol: Tolerances
-) -> ChannelDecomposition | None:
-    """Mixed-unitary split over conjugated permutations, or None when
-    spec(rho_out) is not majorized by spec(rho_in)."""
+def _majorization_split(spec_in, spec_out, tol: Tolerances):
+    """Mixed-unitary split over conjugated permutations as the record
+    (q, V_out, V_in, index rows, pairing) that decompose_channel finishes,
+    or None when spec(rho_out) is not majorized by spec(rho_in)."""
     # eigenvalues inside a degenerate cluster may sit out of order by less
     # than tol.degeneracy_gap; majorization needs them strictly descending
     order_in = np.argsort(-spec_in.eigenvalues, kind="stable")
     order_out = np.argsort(-spec_out.eigenvalues, kind="stable")
     y = spec_in.eigenvalues[order_in]
     x = spec_out.eigenvalues[order_out]
-    if not _is_majorized(x, y, tol.rate_negativity):
+    # x is majorized by y: every leading partial sum of x is at most y's
+    if np.any(np.cumsum(x)[:-1] > np.cumsum(y)[:-1] + tol.rate_negativity):
         return None
     q, perms = _permutation_mixture(y, x)
     q[q < tol.rate_negativity] = 0.0
     q /= q.sum()
-    # U_n = V_out P_n V_in^dag maps descending input branch perms[n, k]
-    # to descending output branch k
-    v_in = spec_in.eigenvectors[:, order_in]
-    v_out = spec_out.eigenvectors[:, order_out]
-    unitaries = conjugated_permutations(v_out, v_in, perms)
-    residual = _reconstruction_residual(q, unitaries, rho_in, rho_out)
-    _check_reconstruction(residual, tol)
     pairing = np.empty(y.shape[0], dtype=int)
     pairing[order_in] = order_out
-    return ChannelDecomposition(
-        probabilities=q,
-        unitaries=unitaries,
-        classification=MIXED_UNITARY,
-        reconstruction_residual=residual,
-        pairing=pairing,
-    )
+    # U_n = V_out P_n V_in^dag maps descending input branch perms[n, k]
+    # to descending output branch k
+    return (q, spec_out.eigenvectors[:, order_out], spec_in.eigenvectors[:, order_in],
+            perms, pairing)
 
 
 def decompose_channel(
@@ -207,15 +181,16 @@ def decompose_channel(
     """Decompose the map rho_in -> rho_out into probabilistic unitaries.
 
     The cyclic construction runs first and is returned as it is when its
-    q lies in [0, 1].  Otherwise, if spec(rho_out) is majorized by
+    system is nonsingular and its q lies in [0, 1] (to within
+    ``tol.rate_negativity``).  Otherwise, if spec(rho_out) is majorized by
     spec(rho_in) (leading partial sums compared with slack
     ``tol.rate_negativity``), the pair is split over at most d conjugated
     permutations with weights in [0, 1]; weights below
     ``tol.rate_negativity`` are set to 0.  Otherwise the cyclic q is
-    returned, labelled ``quasi_probability`` or ``singular``, and a
-    singular system with an inconsistent eigenvalue change raises
-    SingularChannel.  Every nonsingular result is checked against
-    rho_out to ``tol.reconstruction``.
+    returned, labelled ``quasi_probability`` or ``singular``; a singular
+    system that reports an inconsistent eigenvalue change raises
+    SingularChannel.  Every result but a ``singular`` one is checked
+    against rho_out to ``tol.reconstruction``.
     """
     rho_in = validate_density_matrix(rho_in, tol)
     rho_out = validate_density_matrix(rho_out, tol)
@@ -225,67 +200,55 @@ def decompose_channel(
     spec_in = hermitian_eigendecomposition(rho_in, tol)
     spec_out = hermitian_eigendecomposition(rho_out, tol)
     overlap = spec_in.eigenvectors.conj().T @ spec_out.eigenvectors
-    rows, cols = linear_sum_assignment(-np.abs(overlap) ** 2)
+    _, cols = linear_sum_assignment(-np.abs(overlap) ** 2)
     p_in = spec_in.eigenvalues
-    p_out = spec_out.eigenvalues[cols]
-    v_out = spec_out.eigenvectors[:, cols]
-
-    f = p_out - p_in
-    result = inconsistent = None
-    try:
-        result = solve_circulant_rates(p_in, f, mode="channel", tol=tol, strict=True)
-    except SingularSystem as exc:
-        inconsistent = exc
-    cyclic_ok = (
-        result is not None
-        and not result.singular
-        and bool(np.all((result.q >= -1e-9) & (result.q <= 1 + 1e-9)))
-    )
-    if not cyclic_ok:
-        split = _majorization_split(spec_in, spec_out, rho_in, rho_out, tol)
-        if split is not None:
-            return split
-
-    if inconsistent is not None:
-        raise SingularChannel(
-            f"singular input spectrum with inconsistent eigenvalue change: {inconsistent}",
-            block_structure=inconsistent.block_structure,
-        ) from inconsistent
+    result = solve_circulant_rates(p_in, spec_out.eigenvalues[cols] - p_in, mode="channel", tol=tol)
     q = result.q
-
-    unitaries = conjugated_permutations(v_out, spec_in.eigenvectors, cyclic_shift_rows(len(p_in)))
-
-    residual = _reconstruction_residual(q, unitaries, rho_in, rho_out)
-    if not result.singular:
-        _check_reconstruction(residual, tol)
-
     if result.singular:
         classification = SINGULAR
-    elif cyclic_ok:
+    elif np.all((q >= -tol.rate_negativity) & (q <= 1 + tol.rate_negativity)):
         classification = MIXED_UNITARY
     else:
         classification = QUASI_PROBABILITY
+    split = (q, spec_out.eigenvectors[:, cols], spec_in.eigenvectors,
+             cyclic_shift_rows(len(q)), cols)
+    if classification != MIXED_UNITARY:
+        majorized = _majorization_split(spec_in, spec_out, tol)
+        if majorized is not None:
+            split, classification = majorized, MIXED_UNITARY
+        elif result.inconsistent:
+            raise SingularChannel(
+                "singular input spectrum with inconsistent eigenvalue change",
+                block_structure=result.block_structure,
+            )
 
+    q, v_out, v_in, perms, pairing = split
+    unitaries = conjugated_permutations(v_out, v_in, perms)
+    residual = float(np.max(np.abs(_mix(q, unitaries, rho_in) - rho_out)))
+    if classification != SINGULAR and residual > tol.reconstruction:
+        raise RuntimeError(
+            f"internal error: reconstruction residual {residual:.3e} exceeds "
+            f"{tol.reconstruction:.1e}"
+        )
     return ChannelDecomposition(
         probabilities=q,
         unitaries=unitaries,
         classification=classification,
         reconstruction_residual=residual,
-        pairing=cols,
+        pairing=pairing,
     )
 
 
 def to_kraus_like(decomp: ChannelDecomposition) -> KrausLikeForm:
-    """Kraus-like pairs K_i = sqrt(|q_i|) U~_i, Kbar_i = sign(q_i) K_i^dag."""
+    """Kraus-like pairs K_i = sqrt(|q_i|) U~_i, Kbar_i = sign(q_i) K_i^dag;
+    a ``singular`` decomposition, whose q is unchecked, raises ValidationError."""
     if decomp.classification == SINGULAR:
         raise ValidationError("cannot build Kraus-like form of a singular channel")
     q = decomp.probabilities
     signs = np.where(q >= 0, 1.0, -1.0)
-    operators = []
-    for i in range(q.shape[0]):
-        k = np.sqrt(abs(q[i])) * decomp.unitaries[i]
-        operators.append((k, signs[i] * k.conj().T))
-    return KrausLikeForm(operators=operators, signs=signs)
+    k = np.sqrt(np.abs(q))[:, None, None] * decomp.unitaries
+    kbar = signs[:, None, None] * k.conj().swapaxes(1, 2)
+    return KrausLikeForm(operators=np.stack((k, kbar), axis=1), signs=signs)
 
 
 def apply_decomposition(decomp: ChannelDecomposition, rho) -> np.ndarray:

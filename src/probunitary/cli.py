@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import io, models
-from .channel import decompose_channel, to_kraus_like
+from .channel import SINGULAR, decompose_channel, to_kraus_like
 from .decomposition import decompose_trajectory
 from .errors import (
     NegativeRate,
@@ -129,7 +129,7 @@ def cmd_channel(args) -> int:
     rho_out = io.read_matrix_file(args.rho_out)
     decomp = decompose_channel(rho_in, rho_out)
     kraus = None
-    if decomp.classification != "singular":
+    if decomp.classification != SINGULAR:
         kraus = to_kraus_like(decomp)
     io.write_channel_json(f"{args.out}.channel.json", decomp, kraus)
     return EXIT_OK

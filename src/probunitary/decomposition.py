@@ -247,7 +247,7 @@ def compute_rates_at(
     row that decompose_trajectory stores, with the singularity report."""
     k = frames.index_of(t)
     p, f = _rate_system(frames)
-    return solve_circulant_rates(p[k], f[k], mode="continuous", tol=tol, strict=False)
+    return solve_circulant_rates(p[k], f[k], mode="continuous", tol=tol)
 
 
 def build_tilde_unitaries(frame) -> np.ndarray:

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.  The rate solvers
+raise only ValidationError: a singular or inconsistent system is reported
+on their RateSolveResult, for the caller to raise its own error on."""
 
 
 class ProbUnitaryError(Exception):
@@ -7,15 +9,6 @@ class ProbUnitaryError(Exception):
 
 class ValidationError(ProbUnitaryError, ValueError):
     """Input failed a structural check (shape, hermiticity, trace, ...)."""
-
-
-class SingularSystem(ProbUnitaryError):
-    """The circulant/Toeplitz system is singular and the right-hand side
-    lies outside its range."""
-
-    def __init__(self, message, block_structure=None):
-        super().__init__(message)
-        self.block_structure = block_structure
 
 
 class TrajectoryTooCoarse(ProbUnitaryError):
@@ -40,7 +33,9 @@ class RefusesToSimulate(ProbUnitaryError):
 
 
 class SingularChannel(ProbUnitaryError):
-    """Finite-time channel decomposition hit a singular probability system."""
+    """A channel pair has no split: its cyclic system is singular with an
+    eigenvalue change outside the system's range, and spec(rho_out) is not
+    majorized by spec(rho_in)."""
 
     def __init__(self, message, block_structure=None):
         super().__init__(message)

@@ -140,7 +140,13 @@ def read_trajectory(path) -> list[TrajectorySample]:
 
 
 def read_matrix_file(path) -> np.ndarray:
-    return matrix_from_json(read_json_object(path, ("matrix",))["matrix"], where=path)
+    """The matrix of a file that write_matrix_file wrote; its "dim" must
+    be a JSON integer equal to the matrix size."""
+    doc = read_json_object(path, ("dim", "matrix"))
+    m, d = matrix_from_json(doc["matrix"], where=path), doc["dim"]
+    if type(d) is not int or d != m.shape[0]:
+        raise ValidationError(f"{path}: dim {d!r} is not the matrix size {m.shape[0]}")
+    return m
 
 
 def write_matrix_file(path, m) -> None:

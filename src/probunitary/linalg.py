@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import SingularSystem, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "Spectrum",
@@ -54,13 +54,16 @@ class RateSolveResult:
 
     ``q`` follows the convention of the requested mode: q[0] is the total
     rate (continuous) or the stay probability (channel); q[1:] belong to
-    the nontrivial cyclic shifts.
+    the nontrivial cyclic shifts.  On a singular system ``q`` is the
+    minimum-norm solution, and ``inconsistent`` reports (never raises)
+    that f had a component outside the system's range, which q drops.
     """
 
     q: np.ndarray
     singular: bool
     condition_estimate: float
     block_structure: str | None = None
+    inconsistent: bool = False
 
 
 def _as_complex_matrix(m) -> np.ndarray:
@@ -278,11 +281,7 @@ def _solve_circulant_batch(p, f, mode: str, tol: Tolerances):
 
 
 def solve_circulant_rates(
-    p,
-    f,
-    mode: str = "continuous",
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    strict: bool = True,
+    p, f, mode: str = "continuous", tol: Tolerances = DEFAULT_TOLERANCES
 ) -> RateSolveResult:
     """Solve the circulant rate system M v = f for one p, f by DFT
     diagonalization; M[k, i] = p[(k + i) mod d] (see rate_system_matrix).
@@ -290,20 +289,15 @@ def solve_circulant_rates(
     ``mode`` selects the sign convention of the first unknown:
     "continuous" has v = (-q0, q1, ...), "channel" has v = (q0 - 1, q1, ...).
     When M is singular the minimum-norm (pseudoinverse) solution is
-    returned with the singular flag set; if f has a component outside the
-    range of M, a SingularSystem error is raised unless ``strict`` is
-    False, in which case that component is dropped.
+    returned with the singular flag and the block structure set; if f has
+    a component outside the range of M, that component is dropped and the
+    inconsistent flag is set.  Neither case raises.
     """
     q, singular, condition, inconsistent = _solve_circulant_batch([p], [f], mode, tol)
-    block = _block_report(p, tol) if singular[0] else None
-    if strict and inconsistent[0]:
-        raise SingularSystem(
-            "singular circulant system with inconsistent right-hand side",
-            block_structure=block,
-        )
     return RateSolveResult(
         q=q[0], singular=bool(singular[0]), condition_estimate=float(condition[0]),
-        block_structure=block,
+        block_structure=_block_report(p, tol) if singular[0] else None,
+        inconsistent=bool(inconsistent[0]),
     )
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from probunitary.channel import (
     MIXED_UNITARY,
     QUASI_PROBABILITY,
+    SINGULAR,
     apply_decomposition,
     decompose_channel,
     to_kraus_like,
@@ -63,6 +64,18 @@ class TestDecomposeChannel:
                 np.eye(2, dtype=complex) / 2, np.diag([0.8, 0.2]).astype(complex)
             )
         assert "length 2" in exc.value.block_structure
+
+    def test_consistent_singular_pair_is_returned(self):
+        # block-constant input spectrum with an eigenvalue change in the
+        # cyclic system's range; the leading eigenvalue grows, so no
+        # majorization split exists and the minimum-norm q is returned
+        dec = decompose_channel(
+            np.diag([0.3, 0.3, 0.2, 0.2]), np.diag([0.45, 0.45, 0.05, 0.05])
+        )
+        assert dec.classification == SINGULAR
+        np.testing.assert_allclose(dec.probabilities, [2.5, 0, -1.5, 0], atol=1e-12)
+        with pytest.raises(ValidationError):
+            to_kraus_like(dec)
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValidationError):
@@ -183,6 +196,7 @@ class TestKrausLike:
         assert dec.classification == MIXED_UNITARY
         np.testing.assert_allclose(dec.probabilities, [0.6, 0.4, 0, 0], atol=1e-12)
         kraus = to_kraus_like(dec)
+        assert kraus.operators.shape == (4, 2, 4, 4)
         np.testing.assert_array_equal(kraus.signs, [1.0, 1.0, 1.0, 1.0])
         for k, kbar in kraus.operators[2:]:
             assert not k.any() and not kbar.any()

@@ -207,12 +207,32 @@ def test_constant_maximally_mixed_trajectory_exits_3(tmp_path, capsys):
     assert not any(p.name.startswith("run") for p in tmp_path.iterdir())
 
 
+def channel_argv(tmp_path, rho_in, rho_out):
+    """Write rho_in and rho_out as matrix files; argv of the channel command on them."""
+    for name, m in (("in", rho_in), ("out", rho_out)):
+        io.write_matrix_file(tmp_path / f"{name}.json", m)
+    return ["channel", "--rho-in", str(tmp_path / "in.json"), "--rho-out",
+            str(tmp_path / "out.json"), "--out", str(tmp_path / "run")]
+
+
+def test_consistent_singular_channel_writes_no_kraus_like(tmp_path):
+    argv = channel_argv(tmp_path, np.diag([0.3, 0.3, 0.2, 0.2]), np.diag([0.45, 0.45, 0.05, 0.05]))
+    assert main(argv) == EXIT_OK
+    doc = json.loads((tmp_path / "run.channel.json").read_text())
+    assert doc["classification"] == "singular" and "kraus_like" not in doc
+
+
+@pytest.mark.parametrize("dim", [3, "x"])
+def test_matrix_file_dim_must_match_exits_2(tmp_path, capsys, dim):
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps({"dim": dim, "matrix": io.matrix_to_json(np.diag([0.7, 0.3]))}))
+    argv = ["channel", "--rho-in", str(path), "--rho-out", str(path), "--out", str(tmp_path / "run")]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: dim ")
+    assert not (tmp_path / "run.channel.json").exists()
+
+
 def test_singular_channel_exits_3(tmp_path, capsys):
-    paths = []
-    for name, m in (("in", np.eye(2) / 2), ("out", np.diag([0.7, 0.3]))):
-        paths.append(tmp_path / f"{name}.json")
-        io.write_matrix_file(paths[-1], m)
-    argv = ["channel", "--rho-in", str(paths[0]), "--rho-out", str(paths[1]),
-            "--out", str(tmp_path / "run")]
-    assert main(argv) == EXIT_SINGULAR
+    assert main(channel_argv(tmp_path, np.eye(2) / 2, np.diag([0.7, 0.3]))) == EXIT_SINGULAR
     assert len(capsys.readouterr().err.strip().splitlines()) == 1

@@ -4,8 +4,9 @@ Each example starts from a valid trajectory, matrix or Lindblad spec
 file and breaks it in one place: the text is cut short, the document is
 not an object, a required key is missing, a value the reader uses is
 replaced by one of another JSON type or by a non-finite number, a list
-loses an element or gains a level of nesting, or the trajectory's dim
-is wrong.  Every such file must end in exit 2 with one line on stderr.
+loses an element or gains a level of nesting, or a trajectory's or a
+matrix's dim is wrong.  Every such file must end in exit 2 with one
+line on stderr.
 """
 
 import json
@@ -38,8 +39,8 @@ KINDS = {
     ),
     "matrix": (
         {"dim": 2, "matrix": io.matrix_to_json(np.diag([0.7, 0.3]))},
-        ("matrix",),
-        ("matrix",),
+        ("dim", "matrix"),
+        ("dim", "matrix"),
         lambda path, out: ["channel", "--rho-in", path, "--rho-out", path, "--out", out],
     ),
     "spec": (
@@ -105,7 +106,7 @@ def broken_files(draw, kind):
     doc, required, used, _ = KINDS[kind]
     text = json.dumps(doc)
     hows = ["cut", "not-object", "drop-key", "retype", "shorten", "nest"]
-    how = draw(st.sampled_from(hows + (["dim"] if kind == "trajectory" else [])))
+    how = draw(st.sampled_from(hows + (["dim"] if "dim" in doc else [])))
     if how == "cut":
         return text[: draw(st.integers(0, len(text) - 1))]
     if how == "not-object":

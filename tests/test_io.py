@@ -125,10 +125,10 @@ class TestGoldenBytes:
 
     def test_channel_with_kraus(self, tmp_path):
         kraus = KrausLikeForm(
-            operators=[
+            operators=np.array([
                 (np.sqrt(1.25) * np.eye(2), np.sqrt(1.25) * np.eye(2)),
                 (0.5 * SIGMA_X, -0.5 * SIGMA_X),
-            ],
+            ]),
             signs=np.array([1, -1]),
         )
         assert written(tmp_path, io.write_channel_json, CHANNEL, kraus) == CHANNEL_JSON + (

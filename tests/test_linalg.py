@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probunitary.errors import SingularSystem, ValidationError
+from probunitary.errors import ValidationError
 from probunitary.linalg import (
     rate_system_matrix,
     classify_circulant_singularity,
@@ -153,10 +153,12 @@ class TestCirculantSolver:
         res = solve_circulant_rates([0.7, 0.3], [-0.1, 0.1])
         np.testing.assert_allclose(res.q, [0.25, 0.25], atol=1e-12)
 
-    def test_singular_inconsistent_raises(self):
-        with pytest.raises(SingularSystem) as exc:
-            solve_circulant_rates([0.5, 0.5], [-0.1, 0.2])
-        assert "length 2" in exc.value.block_structure
+    def test_singular_inconsistent_is_reported(self):
+        res = solve_circulant_rates([0.5, 0.5], [-0.1, 0.2])
+        assert res.singular and res.inconsistent
+        assert "length 2" in res.block_structure
+        consistent = solve_circulant_rates([0.5, 0.5], [0.1, 0.1])
+        assert consistent.singular and not consistent.inconsistent
 
     def test_jc_channel_instance(self):
         # mixed-unitary channel of the vacuum Rabi qubit
@@ -172,7 +174,7 @@ class TestCirculantSolver:
             d = rng.integers(2, 9)
             p = rng.dirichlet(np.ones(d))
             f = rng.normal(size=d)
-            res = solve_circulant_rates(p, f, strict=False)
+            res = solve_circulant_rates(p, f)
             if res.singular:
                 continue
             v = res.q.copy()
@@ -187,7 +189,7 @@ class TestCirculantSolver:
             d = int(rng.integers(2, 9))
             p = rng.dirichlet(np.ones(d))
             f = rng.normal(size=d)
-            res = solve_circulant_rates(p, f, strict=False)
+            res = solve_circulant_rates(p, f)
             if res.singular:
                 continue
             dense = np.linalg.solve(rate_system_matrix(p), f)
@@ -202,7 +204,7 @@ class TestCirculantSolver:
             p = rng.dirichlet(np.ones(d) * 3)
             f = rng.normal(size=d)
             f -= f.mean()  # trace-conserving
-            res = solve_circulant_rates(p, f, strict=False)
+            res = solve_circulant_rates(p, f)
             if res.singular:
                 continue
             assert abs(-res.q[0] + res.q[1:].sum()) <= 1e-9
