@@ -41,7 +41,6 @@ from .linalg import (
     hermitian_eigendecomposition,
     real_weyl,
     solve_circulant_rates,
-    solve_toeplitz_rates,
     validate_density_matrix,
 )
 from .models import (

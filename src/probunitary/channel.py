@@ -25,11 +25,11 @@ from scipy.optimize import linear_sum_assignment
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import SingularChannel, ValidationError
 from .linalg import (
+    _canonical_spectrum,
+    _validated_eigh,
     conjugated_permutations,
     cyclic_shift_rows,
-    hermitian_eigendecomposition,
     solve_circulant_rates,
-    validate_density_matrix,
 )
 
 __all__ = [
@@ -192,13 +192,13 @@ def decompose_channel(
     SingularChannel.  Every result but a ``singular`` one is checked
     against rho_out to ``tol.reconstruction``.
     """
-    rho_in = validate_density_matrix(rho_in, tol)
-    rho_out = validate_density_matrix(rho_out, tol)
+    rho_in, *eig_in = _validated_eigh(rho_in, tol)
+    rho_out, *eig_out = _validated_eigh(rho_out, tol)
     if rho_in.shape != rho_out.shape:
         raise ValidationError("input and output dimensions differ")
 
-    spec_in = hermitian_eigendecomposition(rho_in, tol)
-    spec_out = hermitian_eigendecomposition(rho_out, tol)
+    spec_in = _canonical_spectrum(*eig_in, tol)
+    spec_out = _canonical_spectrum(*eig_out, tol)
     overlap = spec_in.eigenvectors.conj().T @ spec_out.eigenvectors
     _, cols = linear_sum_assignment(-np.abs(overlap) ** 2)
     p_in = spec_in.eigenvalues

@@ -8,8 +8,9 @@ time); simulate writes ``<out>.ensemble.csv``; channel writes
 only spaces the grid of a ``--model`` trajectory: simulate steps along
 the grid of the trajectory it decomposes, so an ``--input`` file is
 simulated on its own times, uniform or not.  Exit codes:
-0 success, 2 input/validation error, 3 singular system, 4 refusal to
-simulate unphysical (negative/singular) rates.
+0 success, 2 input/validation error (including a MemoryError from inputs
+too large to allocate), 3 singular system, 4 refusal to simulate
+unphysical (negative/singular) rates.
 """
 
 from __future__ import annotations
@@ -112,7 +113,9 @@ def cmd_decompose(args) -> int:
         print("decomposition singular at every grid point", file=sys.stderr)
         return EXIT_SINGULAR
     io.write_rate_report(f"{args.out}.rates.csv", decomposition)
-    io.write_hamiltonians(f"{args.out}.hamiltonians.json", decomposition)
+    io.write_hamiltonians(
+        f"{args.out}.hamiltonians.json", decomposition.times, decomposition.hamiltonians
+    )
     return EXIT_OK
 
 
@@ -193,7 +196,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, OSError, StepTooLarge, TrajectoryTooCoarse) as exc:
+    except (ValidationError, OSError, MemoryError, StepTooLarge, TrajectoryTooCoarse) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SingularChannel as exc:

@@ -1,10 +1,10 @@
 """Probabilistic-unitary decomposition of a density-matrix trajectory.
 
 Given samples of rho(t), this module tracks a continuous eigenframe
-across the grid, builds the driving Hamiltonian from the transported
-eigenvectors and solves for the jump rates at every grid time, each in
-one batched computation over the grid.  The cyclic shifts conjugated
-into the instantaneous frame are rebuilt from the frame when needed.
+across the grid and solves for the jump rates at every grid time, each
+in one batched computation over the grid.  The driving Hamiltonian and
+the cyclic shifts conjugated into the instantaneous frame follow from
+the transported eigenvectors and are rebuilt from the frames when needed.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from .linalg import (
     _canonical_spectrum,
     _degenerate_clusters,
     _solve_circulant_batch,
+    _validated_eigh,
     conjugated_permutations,
     cyclic_shift_rows,
     solve_circulant_rates,
-    validate_density_matrix,
 )
 
 __all__ = [
@@ -74,15 +74,16 @@ class EigenframeSeries:
 
 @dataclass
 class DecompositionSeries:
-    """Per-time Hamiltonians, rates and flags, plus the aligned frames.
+    """Per-time rates and flags, plus the aligned frames they come from.
 
-    The conjugated shift unitaries U~_i(t_k) = V_k W_i V_k^dag are not
-    stored: build_tilde_unitaries(frames.eigenvectors[k]) rebuilds them
-    from the tracked eigenframe.
+    Only the rate solve's outputs and the frames are stored.  Everything
+    else follows from ``frames`` and is rebuilt when asked for: the
+    driving Hamiltonians by the ``hamiltonians`` property, and the
+    conjugated shift unitaries U~_i(t_k) = V_k W_i V_k^dag by
+    build_tilde_unitaries(frames.eigenvectors[k]).
     """
 
     times: np.ndarray
-    hamiltonians: np.ndarray           # (n, d, d)
     rates: np.ndarray                  # (n, d); rates[:, 0] is the total rate
     negative_flags: np.ndarray         # (n,) bool
     singular_flags: np.ndarray         # (n,) bool
@@ -91,7 +92,13 @@ class DecompositionSeries:
 
     @property
     def dim(self) -> int:
-        return self.hamiltonians.shape[1]
+        return self.rates.shape[1]
+
+    @property
+    def hamiltonians(self) -> np.ndarray:
+        """Driving Hamiltonians (n, d, d) on every grid time, rebuilt from
+        ``frames`` on each access."""
+        return _hamiltonians(self.frames)
 
 
 def _spectra_of(samples, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -105,9 +112,8 @@ def _spectra_of(samples, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, np.nd
     dims = {s.rho.shape[0] for s in samples}
     if len(dims) != 1:
         raise ValidationError("trajectory samples have mismatched dimensions")
-    rhos = validate_density_matrix(np.stack([s.rho for s in samples]), tol)
-    evals, evecs = np.linalg.eigh(rhos)
-    return times, evals[:, ::-1], evecs[:, :, ::-1]
+    _, evals, evecs = _validated_eigh(np.stack([s.rho for s in samples]), tol)
+    return times, evals, evecs
 
 
 def align_spectra(
@@ -235,7 +241,7 @@ def _rate_system(frames: EigenframeSeries) -> tuple[np.ndarray, np.ndarray]:
 
 def build_hamiltonian(frames: EigenframeSeries, t: float) -> np.ndarray:
     """Minimal-norm driving Hamiltonian at grid time t: the row of the
-    batched computation that decompose_trajectory stores."""
+    batched computation that DecompositionSeries.hamiltonians returns."""
     k = frames.index_of(t)
     return _hamiltonians(frames)[k]
 
@@ -263,25 +269,33 @@ def build_tilde_unitaries(frame) -> np.ndarray:
 
 
 def reconstruct_rhs(rho, h, unitaries, q) -> np.ndarray:
-    """Evaluate -i[H, rho] + sum_{i>=1} q_i (U~_i rho U~_i^dag - rho)."""
+    """Evaluate -i[H, rho] + sum_{i>=1} q_i (U~_i rho U~_i^dag - rho).
+
+    Broadcasts over leading axes: rho and h (..., d, d), unitaries
+    (..., d, d, d), q (..., d).
+    """
     rho = np.asarray(rho, dtype=complex)
     h = np.asarray(h, dtype=complex)
     unitaries = np.asarray(unitaries, dtype=complex)
     q = np.asarray(q, dtype=float)
-    d = rho.shape[0]
-    if h.shape != (d, d) or unitaries.shape != (d, d, d) or q.shape != (d,):
-        raise ValidationError("dimension mismatch in reconstruction inputs")
-    out = -1j * (h @ rho - rho @ h)
-    for i in range(1, d):
-        u = unitaries[i]
-        out += q[i] * (u @ rho @ u.conj().T - rho)
-    return out
+    d = rho.shape[-1] if rho.ndim else 0
+    cores = (rho.shape[-2:], h.shape[-2:], unitaries.shape[-3:], q.shape[-1:])
+    try:
+        if cores != ((d, d), (d, d), (d, d, d), (d,)):
+            raise ValueError
+        np.broadcast_shapes(rho.shape[:-2], h.shape[:-2], unitaries.shape[:-3], q.shape[:-1])
+    except ValueError:
+        raise ValidationError("dimension mismatch in reconstruction inputs") from None
+    jumps = unitaries[..., 1:, :, :]
+    out = -1j * (h @ rho - rho @ h) - q[..., 1:].sum(axis=-1)[..., None, None] * rho
+    return out + np.einsum("...i,...iab,...bc,...idc->...ad", q[..., 1:], jumps, rho, jumps.conj())
 
 
 def decompose_trajectory(
     samples, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> DecompositionSeries:
-    """Full pipeline: align frames, then build H and q on every grid time."""
+    """Full pipeline: align frames, then solve q on every grid time; H
+    is rebuilt from the frames by DecompositionSeries.hamiltonians."""
     frames = align_eigenframes(samples, tol=tol)
     p, f = _rate_system(frames)
     rates, singular, condition, _ = _solve_circulant_batch(p, f, "continuous", tol)
@@ -291,7 +305,6 @@ def decompose_trajectory(
     singular |= condition * np.append(spacings, spacings[-1]) >= 1.0
     return DecompositionSeries(
         times=frames.times,
-        hamiltonians=_hamiltonians(frames),
         rates=rates,
         negative_flags=np.any(rates[:, 1:] < -tol.rate_negativity, axis=1),
         singular_flags=singular,

@@ -176,10 +176,12 @@ def write_rate_report(path, decomposition: DecompositionSeries) -> None:
     )
 
 
-def write_hamiltonians(path, decomposition: DecompositionSeries) -> None:
+def write_hamiltonians(path, times, hamiltonians) -> None:
+    """JSON: the grid ``times`` and the matrix stack ``hamiltonians``
+    (n, d, d), encoded as given."""
     _write_json(path, {
-        "times": decomposition.times.tolist(),
-        "hamiltonians": decomposition.hamiltonians,
+        "times": np.asarray(times, dtype=float).tolist(),
+        "hamiltonians": np.asarray(hamiltonians, dtype=complex),
     })
 
 

@@ -2,9 +2,8 @@
 
 Hermitian eigendecomposition with a deterministic ordering convention,
 cyclic-shift (real Weyl) unitaries and the conjugated permutations that
-every jump unitary is built from, the circulant rate solver with its
-singularity classifier, and the truncated lower-triangular Toeplitz
-solver for the countably infinite-dimensional case.
+every jump unitary is built from, and the circulant rate solver with its
+singularity classifier.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ __all__ = [
     "rate_system_matrix",
     "solve_circulant_rates",
     "classify_circulant_singularity",
-    "solve_toeplitz_rates",
 ]
 
 
@@ -81,8 +79,16 @@ def validate_density_matrix(rho, tol: Tolerances = DEFAULT_TOLERANCES) -> np.nda
 
     Returns the validated complex array; raises ValidationError otherwise,
     prefixed "entry k: " with the first index of a stack that fails the
-    first violated check.
+    first violated check.  Positivity is judged on one eigh per matrix;
+    _validated_eigh returns that eigendecomposition as well.
     """
+    return _validated_eigh(rho, tol)[0]
+
+
+def _validated_eigh(rho, tol: Tolerances):
+    """validate_density_matrix's checks and its eigendecomposition: the
+    validated complex array, its eigenvalues (..., d) and eigenvectors
+    (..., d, d), both in descending eigenvalue order."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]:
         raise ValidationError(
@@ -103,10 +109,11 @@ def validate_density_matrix(rho, tol: Tolerances = DEFAULT_TOLERANCES) -> np.nda
     tr = np.einsum("kii->k", stack)
     check(np.abs(tr - 1.0) > tol.trace,
           lambda k: f"density matrix trace {tr[k]} differs from 1")
-    low = np.linalg.eigvalsh(stack).min(axis=1)
+    evals, evecs = np.linalg.eigh(rho)
+    low = evals.reshape(-1, rho.shape[-1]).min(axis=1)
     check(low < -tol.psd,
           lambda k: f"density matrix not positive semidefinite: min eigenvalue {low[k]:.3e}")
-    return rho
+    return rho, evals[..., ::-1], evecs[..., ::-1]
 
 
 def _phase_fix(vecs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -299,30 +306,3 @@ def solve_circulant_rates(
         block_structure=_block_report(p, tol) if singular[0] else None,
         inconsistent=bool(inconsistent[0]),
     )
-
-
-def solve_toeplitz_rates(p, f, n: int | None = None) -> RateSolveResult:
-    """Forward substitution on the truncated lower-triangular Toeplitz
-    system P[i, j] = p[i - j] (zero above the diagonal).
-
-    ``p`` and ``f`` are truncated sequences; ``n`` optionally truncates
-    further.  The continuous sign convention v = (-q0, q1, ...) applies.
-    """
-    p = np.asarray(p, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if n is not None:
-        p, f = p[:n], f[:n]
-    if p.shape != f.shape or p.ndim != 1:
-        raise ValidationError(f"inconsistent dimensions: p {p.shape}, f {f.shape}")
-    if abs(p[0]) < 1e-14:
-        raise ValidationError(
-            "leading eigenvalue is zero; rotate the spectrum so p[0] != 0"
-        )
-    m = p.shape[0]
-    v = np.zeros(m)
-    for i in range(m):
-        v[i] = (f[i] - np.dot(p[i:0:-1], v[:i])) / p[0]
-    q = v.copy()
-    q[0] = -v[0]
-    condition = np.abs(p).sum() / abs(p[0])
-    return RateSolveResult(q=q, singular=False, condition_estimate=condition)

@@ -5,7 +5,7 @@ import pytest
 
 from probunitary import io, models
 from probunitary.cli import EXIT_OK, EXIT_SINGULAR, EXIT_UNPHYSICAL, EXIT_VALIDATION, main
-from probunitary.decomposition import TrajectorySample
+from probunitary.decomposition import TrajectorySample, decompose_trajectory
 
 
 def write_spec(path, jump_ops):
@@ -70,6 +70,39 @@ def test_decompose_writes_rates_and_hamiltonians(tmp_path):
     assert written == ["run.hamiltonians.json", "run.rates.csv"]
     doc = json.loads((tmp_path / "run.hamiltonians.json").read_text())
     assert len(doc["times"]) == 6 and len(doc["hamiltonians"]) == 6
+
+    # the written H and q are bit-equal to an in-process decomposition of
+    # the same spec on the same grid: H is rebuilt from the rates' frames
+    spec_doc = json.loads((tmp_path / "spec.json").read_text())
+    lindblad = models.LindbladSpec(
+        hamiltonian=io.matrix_from_json(spec_doc["hamiltonian"]),
+        jump_ops=((io.matrix_from_json(SIGMA_X), 0.5),),
+    )
+    samples = models.integrate(lindblad, io.matrix_from_json(spec_doc["rho0"]),
+                               np.arange(0.0, 0.05 + 1e-2 / 2, 1e-2))
+    dec = decompose_trajectory(samples)
+    hamiltonians = np.stack([io.matrix_from_json(h) for h in doc["hamiltonians"]])
+    assert np.array_equal(doc["times"], dec.times)
+    assert np.array_equal(hamiltonians, dec.hamiltonians)
+    table = np.loadtxt(tmp_path / "run.rates.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(table[:, 1:3], dec.rates)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # below ln 2, where amplitude damping is flagged, so that the
+        # ensemble is allocated rather than refused
+        ["simulate", "--model", "amplitude-damping", "--horizon", "0.5",
+         "--trajectories", "1000000000000000"],
+        ["decompose", "--model", "jc", "--dt", "1e-15"],
+    ],
+)
+def test_petabyte_input_exits_2(tmp_path, capsys, argv):
+    # petabyte arrays fail at allocation at once, before any work
+    assert main([*argv, "--out", str(tmp_path / "run")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def write_trajectory_doc(tmp_path, edit):

@@ -336,6 +336,29 @@ class TestReconstruction:
             reconstruct_rhs(
                 np.eye(2) / 2, np.eye(3), np.zeros((2, 2, 2)), np.zeros(2)
             )
+        # leading axes that do not broadcast
+        with pytest.raises(ValidationError):
+            reconstruct_rhs(
+                np.zeros((4, 2, 2)), np.zeros((3, 2, 2)), np.zeros((2, 2, 2)), np.zeros(2)
+            )
+
+    def test_stack_is_the_per_time_rows(self, rng):
+        spec = random_lindblad_spec(rng, 3, jump_scale=0.5)
+        times = np.arange(0, 0.02, 1e-3)
+        samples = integrate(spec, random_density_matrix(rng, 3, min_gap=0.1), times)
+        dec = decompose_trajectory(samples)
+        rhos = np.stack([s.rho for s in samples])
+        unitaries = np.stack([build_tilde_unitaries(v) for v in dec.frames.eigenvectors])
+        stacked = reconstruct_rhs(rhos, dec.hamiltonians, unitaries, dec.rates)
+        for k in range(len(times)):
+            row = reconstruct_rhs(rhos[k], dec.hamiltonians[k], unitaries[k], dec.rates[k])
+            np.testing.assert_allclose(stacked[k], row, rtol=0, atol=1e-12)
+        # one set of unitaries broadcasts against a stack of states
+        shared = reconstruct_rhs(rhos, dec.hamiltonians, unitaries[0], dec.rates)
+        np.testing.assert_allclose(
+            shared[3], reconstruct_rhs(rhos[3], dec.hamiltonians[3], unitaries[0], dec.rates[3]),
+            rtol=0, atol=1e-12,
+        )
 
 
 class TestPipeline:
@@ -419,6 +442,8 @@ class TestPipeline:
         rho0 = random_density_matrix(rng, 3, min_gap=0.1)
         dec = decompose_trajectory(integrate(spec, rho0, times))
         t = times[k]
+        # H is rebuilt from the frames: no stack of matrices is stored
+        assert not any(isinstance(v, np.ndarray) and v.ndim == 3 for v in vars(dec).values())
         assert np.array_equal(build_hamiltonian(dec.frames, t), dec.hamiltonians[k])
         assert np.array_equal(compute_rates_at(dec.frames, t).q, dec.rates[k])
 
@@ -432,16 +457,10 @@ class TestPipeline:
             dec = decompose_trajectory(samples)
             rhos = np.stack([s.rho for s in samples])
             rho_dot = np.gradient(rhos, times, axis=0)
-            worst = 0.0
-            for k in range(1, len(times) - 1):
-                rhs = reconstruct_rhs(
-                    samples[k].rho,
-                    dec.hamiltonians[k],
-                    build_tilde_unitaries(dec.frames.eigenvectors[k]),
-                    dec.rates[k],
-                )
-                worst = max(worst, np.abs(rhs - rho_dot[k]).max())
-            return worst
+            inner = slice(1, len(times) - 1)
+            unitaries = np.stack([build_tilde_unitaries(v) for v in dec.frames.eigenvectors[inner]])
+            rhs = reconstruct_rhs(rhos[inner], dec.hamiltonians[inner], unitaries, dec.rates[inner])
+            return np.abs(rhs - rho_dot[inner]).max()
 
         r1, r2 = max_residual(2e-3), max_residual(1e-3)
         assert r2 <= 0.6 * r1 + 1e-12

@@ -1,7 +1,6 @@
 """The file contract of probunitary.io: the exact bytes every writer
 produces, bit-exact round trips, and rejection of malformed matrices."""
 
-import dataclasses
 import json
 
 import numpy as np
@@ -26,17 +25,19 @@ from conftest import random_density_matrix, random_unitary
 # writers ignore the frames
 DECOMPOSITION = DecompositionSeries(
     times=np.array([0.0, 0.1, 0.25]),
-    hamiltonians=np.array([
-        [[0.5, 0.1 - 0.2j], [0.1 + 0.2j, -0.5]],
-        [[1 / 3, -0.0], [-0.0j, 5e-324]],
-        [[1e300, 2.5j], [-2.5j, -1e-300]],
-    ]),
     rates=np.array([[0.5, 1 / 3], [np.nan, -0.0], [1e-310, 2.5e17]]),
     negative_flags=np.array([False, True, False]),
     singular_flags=np.array([False, False, True]),
     condition_estimates=np.array([1.0, 12345.678912, np.inf]),
     frames=None,
 )
+
+# Hamiltonians on DECOMPOSITION's grid, as write_hamiltonians receives them
+HAMILTONIANS = np.array([
+    [[0.5, 0.1 - 0.2j], [0.1 + 0.2j, -0.5]],
+    [[1 / 3, -0.0], [-0.0j, 5e-324]],
+    [[1e300, 2.5j], [-2.5j, -1e-300]],
+])
 
 ENSEMBLE_HEADER = (
     b"time,mean_00_re,mean_00_im,mean_01_re,mean_01_im,mean_10_re,mean_10_im,"
@@ -95,7 +96,7 @@ class TestGoldenBytes:
         )
 
     def test_hamiltonians(self, tmp_path):
-        assert written(tmp_path, io.write_hamiltonians, DECOMPOSITION) == (
+        assert written(tmp_path, io.write_hamiltonians, DECOMPOSITION.times, HAMILTONIANS) == (
             b'{"times": [0.0, 0.1, 0.25], "hamiltonians": '
             b"[[[[0.5, 0.0], [0.1, -0.2]], [[0.1, 0.2], [-0.5, 0.0]]], "
             b"[[[0.3333333333333333, 0.0], [-0.0, 0.0]], [[-0.0, -0.0], [5e-324, 0.0]]], "
@@ -254,14 +255,10 @@ class TestAgainstReferenceEncoder:
 
     def test_hamiltonians_of_600_rows(self, tmp_path):
         rng = np.random.default_rng(6)
-        dec = dataclasses.replace(
-            DECOMPOSITION, times=np.cumsum(rng.uniform(size=600)),
-            hamiltonians=awkward_stack(rng, 600, 3),
+        times, hamiltonians = np.cumsum(rng.uniform(size=600)), awkward_stack(rng, 600, 3)
+        assert written(tmp_path, io.write_hamiltonians, times, hamiltonians) == reference_bytes(
+            tmp_path, {"times": times.tolist(), "hamiltonians": io.matrix_to_json(hamiltonians)}
         )
-        assert written(tmp_path, io.write_hamiltonians, dec) == reference_bytes(tmp_path, {
-            "times": dec.times.tolist(),
-            "hamiltonians": io.matrix_to_json(dec.hamiltonians),
-        })
 
     def test_trajectory_of_600_rows(self, tmp_path):
         rng = np.random.default_rng(7)

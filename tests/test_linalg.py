@@ -10,7 +10,6 @@ from probunitary.linalg import (
     hermitian_eigendecomposition,
     real_weyl,
     solve_circulant_rates,
-    solve_toeplitz_rates,
     validate_density_matrix,
     weyl_family,
 )
@@ -248,53 +247,3 @@ class TestSingularityClassifier:
             singular, _, _ = classify_circulant_singularity(p, tol=1e-12)
             rank = np.linalg.matrix_rank(rate_system_matrix(p), tol=1e-10)
             assert singular == (rank < d)
-
-
-class TestToeplitzSolver:
-    def test_identity_case(self):
-        res = solve_toeplitz_rates([1, 0, 0, 0], [-0.2, 0.1, 0.1, 0])
-        np.testing.assert_allclose(res.q, [0.2, 0.1, 0.1, 0.0], atol=1e-14)
-
-    def test_forward_substitution_residual(self):
-        p = np.array([0.5, 0.3, 0.2, 0.0])
-        f = np.array([-0.05, 0.05, 0.0, 0.0])
-        res = solve_toeplitz_rates(p, f)
-        v = res.q.copy()
-        v[0] = -v[0]
-        mat = np.zeros((4, 4))
-        for i in range(4):
-            for j in range(i + 1):
-                mat[i, j] = p[i - j]
-        assert np.abs(mat @ v - f).max() < 1e-12
-
-    def test_stationary(self):
-        res = solve_toeplitz_rates([0.4, 0.3, 0.3], [0, 0, 0])
-        np.testing.assert_allclose(res.q, 0.0, atol=1e-15)
-
-    def test_zero_leading_eigenvalue(self):
-        with pytest.raises(ValidationError, match="rotate"):
-            solve_toeplitz_rates([0.0, 1.0], [0.1, -0.1])
-
-    def test_conservation_identity(self, rng):
-        # truncation-safe construction: spectrum and solution supported on
-        # the first half so every involved column of P sums to 1
-        for _ in range(1000):
-            n = int(rng.integers(4, 65))
-            half = n // 2
-            # geometric decay keeps the triangular solve well conditioned
-            c = rng.uniform(0.1, 0.6)
-            p = np.zeros(n)
-            p[:half] = c ** np.arange(half)
-            p /= p.sum()
-            v = np.zeros(n)
-            v[: n - half + 1] = rng.normal(size=n - half + 1)
-            v[0] -= v.sum()  # signed sum zero
-            mat = np.zeros((n, n))
-            for i in range(n):
-                mat[i, : i + 1] = p[i::-1]
-            f = mat @ v
-            assert abs(f.sum()) < 1e-9
-            res = solve_toeplitz_rates(p, f)
-            signed = res.q.copy()
-            signed[0] = -signed[0]
-            assert abs(signed.sum()) <= 1e-9

@@ -16,7 +16,7 @@ from probunitary.errors import (
     StepTooLarge,
     ValidationError,
 )
-from probunitary.models import ModelParams, amplitude_damping_spec, integrate, sample_model
+from probunitary.models import ModelParams, integrate, sample_model
 from probunitary.montecarlo import (
     SimConfig,
     _jump_edges,
