@@ -2,13 +2,17 @@
 
 Matrices are stored row-major with explicit [re, im] entry pairs.  JSON
 holds each float as its shortest round-trip repr, so a write/read round
-trip is bit-exact; CSV holds ``%.17g`` decimals with CRLF line ends.
-Every matrix stack and table crosses the file boundary as one array.
+trip is bit-exact; a matrix stack is written in chunks of rows, with the
+repr computed once per distinct magnitude in the chunk and the text laid
+out by one printf template.  CSV holds ``%.17g`` decimals with CRLF line
+ends, written as one ``%`` template over the whole table.  Every matrix
+stack and table crosses the file boundary as one array.
 """
 
 from __future__ import annotations
 
 import json
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,22 +87,62 @@ def read_json_object(path, keys) -> dict:
 _CHUNK = 256
 
 
+def _float_texts(x: np.ndarray) -> np.ndarray:
+    """json.dumps' text of each float of ``x``, as an object array of
+    x's shape.  repr runs once per distinct magnitude; a sign bit adds
+    "-", except on NaN, which JSON writes unsigned."""
+    magnitudes, inverse = np.unique(np.abs(x), return_inverse=True)
+    text = np.array(list(map(repr, magnitudes.tolist())), dtype=object)
+    text[np.isinf(magnitudes)] = "Infinity"
+    text[np.isnan(magnitudes)] = "NaN"
+    negative = np.signbit(x) & ~np.isnan(x)
+    pool = np.concatenate((text, "-" + text))
+    return pool[inverse.reshape(x.shape) + negative * len(text)]
+
+
+def _matrix_template(shape) -> str:
+    """printf template of matrix_to_json's text for an array of ``shape``:
+    one %s per float of its [re, im] pairs."""
+    template = "[%s, %s]"
+    for n in reversed(shape):
+        template = "[" + ", ".join([template] * n) + "]"
+    return template
+
+
+class _Items(NamedTuple):
+    """A JSON list with one item per row of the complex ``stack``: the
+    printf ``template`` filled with the floats of the row's [re, im]
+    pairs, in matrix_to_json order, then with the row of ``fields``."""
+
+    stack: np.ndarray
+    template: str
+    fields: np.ndarray
+
+
 def _write_json(path, doc) -> None:
-    """Write the object ``doc`` as json.dump would, with json.dumps' C
-    encoder.  A value that is an array is a matrix or a stack of them,
-    encoded as matrix_to_json in chunks of _CHUNK rows, so neither its whole
-    nested list nor its whole text is held at once."""
+    """Write the object ``doc`` byte for byte as json.dump would.  A value
+    that is an array is a matrix or a stack of them, written as its
+    matrix_to_json list; an _Items value is written as its list.  Such
+    lists are encoded in chunks of _CHUNK rows, so their whole text is
+    never held at once: each float is its shortest round-trip repr,
+    computed once per distinct magnitude in the chunk, and the chunk's
+    text is one printf template repeated per row."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("{")
         for i, (key, value) in enumerate(doc.items()):
             fh.write((", " if i else "") + json.dumps(key) + ": ")
-            if not isinstance(value, np.ndarray):
+            if isinstance(value, np.ndarray):
+                value = _Items(value.astype(complex, copy=False), _matrix_template(value.shape[1:]),
+                               np.empty((len(value), 0), int))
+            if not isinstance(value, _Items):
                 fh.write(json.dumps(value))
                 continue
             fh.write("[")
-            for j in range(0, len(value), _CHUNK):
-                chunk = json.dumps(matrix_to_json(value[j:j + _CHUNK]))[1:-1]
-                fh.write((", " if j else "") + chunk)
+            for j in range(0, len(value.stack), _CHUNK):
+                chunk, fields = value.stack[j:j + _CHUNK], value.fields[j:j + _CHUNK]
+                texts = _float_texts(np.stack((chunk.real, chunk.imag), -1)).reshape(len(chunk), -1)
+                args = np.concatenate((texts, fields.astype(object)), axis=1).ravel().tolist()
+                fh.write((", " if j else "") + ", ".join([value.template] * len(chunk)) % tuple(args))
             fh.write("]")
         fh.write("}")
 
@@ -155,9 +199,11 @@ def write_matrix_file(path, m) -> None:
 
 
 def _write_csv(path, header, table, fmt) -> None:
+    """The header line, then each row of ``table`` through the printf
+    formats ``fmt``, comma-separated, lines ended by CRLF."""
+    rows = (",".join(fmt) + "\r\n") * len(table)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        np.savetxt(fh, table, fmt=fmt, delimiter=",", newline="\r\n",
-                   header=",".join(header), comments="")
+        fh.write(",".join(header) + "\r\n" + rows % tuple(table.ravel().tolist()))
 
 
 def write_rate_report(path, decomposition: DecompositionSeries) -> None:
@@ -215,8 +261,12 @@ def write_channel_json(path, decomp, kraus=None) -> None:
         "pairing": np.asarray(decomp.pairing, dtype=int).tolist(),
     }
     if kraus is not None:
-        doc["kraus_like"] = [
-            {"k": k, "kbar": kbar, "sign": int(s)}
-            for (k, kbar), s in zip(matrix_to_json(kraus.operators), kraus.signs)
-        ]
+        # the (k, kbar) pairs as one stack: kbar = sign k^dagger has k's
+        # magnitudes, so it costs no repr
+        matrix = _matrix_template(kraus.operators.shape[2:])
+        doc["kraus_like"] = _Items(
+            np.asarray(kraus.operators, dtype=complex),
+            f'{{"k": {matrix}, "kbar": {matrix}, "sign": %d}}',
+            np.asarray(kraus.signs, dtype=int)[:, None],
+        )
     _write_json(path, doc)

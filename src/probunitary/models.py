@@ -68,8 +68,8 @@ class ModelParams:
     gamma: float = 1.0           # vacuum decay rate
 
     def __post_init__(self):
-        if self.omega <= 0 or self.gamma <= 0:
-            raise ValidationError("omega and gamma must be positive")
+        if not (0 < self.omega < math.inf and 0 < self.gamma < math.inf):
+            raise ValidationError("omega and gamma must be finite and positive")
 
 
 MODEL_CATALOGUE = {

@@ -159,6 +159,15 @@ def test_nan_hamiltonian_exits_2(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and f"{spec}: hamiltonian" in err
 
 
+@pytest.mark.parametrize("option", ["--omega=inf", "--omega=nan", "--gamma=nan"])
+def test_nonfinite_model_parameter_exits_2(tmp_path, capsys, option):
+    argv = ["decompose", "--model", "jc", option, "--horizon", "0.1",
+            "--out", str(tmp_path / "run")]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "omega and gamma" in err
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_out_of_range_seed_exits_2(tmp_path, capsys, seed):
     argv = ["simulate", "--model", "amplitude-damping", "--horizon", "0.01",

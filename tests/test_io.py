@@ -2,6 +2,7 @@
 produces, bit-exact round trips, and rejection of malformed matrices."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -269,6 +270,13 @@ class TestAgainstReferenceEncoder:
             tmp_path, {"dim": 2, "times": times.tolist(), "rho": io.matrix_to_json(rhos)}
         )
 
+    def test_integer_states_are_written_as_floats(self, tmp_path):
+        rhos = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
+        samples = [TrajectorySample(time=0.0, rho=rhos[0]), TrajectorySample(time=1.0, rho=rhos[1])]
+        assert written(tmp_path, io.write_trajectory, samples) == reference_bytes(
+            tmp_path, {"dim": 2, "times": [0.0, 1.0], "rho": io.matrix_to_json(rhos)}
+        )
+
     def test_channel_with_kraus_at_d5(self, tmp_path):
         rng = np.random.default_rng(8)
         rho_in = random_density_matrix(rng, 5, min_gap=1e-2)
@@ -286,3 +294,97 @@ class TestAgainstReferenceEncoder:
                 for (k, kbar), s in zip(kraus.operators, kraus.signs)
             ],
         })
+
+
+# entries the encoder must write as json.dump does: signed zeros and NaNs,
+# infinities, subnormals, integral floats and floats at repr's switch to
+# exponent notation; every entry is also drawn with its sign flipped
+special_floats = st.sampled_from([
+    0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, 2.2250738585072014e-308 / 3,
+    1e16, 1e-5, 1e-4, 3.0, -7.0, 2.0**53, 0.1,
+])
+
+
+@st.composite
+def awkward_stacks(draw):
+    """Complex (n, d, d) stacks over a few drawn magnitudes, with n either
+    side of the encoding chunk; Hermitian ones mirror their entries exactly."""
+    n = draw(st.sampled_from([1, 2, 255, 256, 257, 513]))
+    d = draw(st.integers(1, 6))
+    pool = np.array(draw(st.lists(special_floats | st.floats(), min_size=1, max_size=8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.choice(pool, size=(n, d, d, 2))
+    m = np.where(rng.random(x.shape) < 0.5, -x, x).view(complex)[..., 0]
+    if draw(st.booleans()):
+        rows, cols = np.triu_indices(d, 1)
+        m[:, cols, rows] = m[:, rows, cols].conj()
+        m.imag[:, np.arange(d), np.arange(d)] = 0.0
+    return m
+
+
+class TestEncoderProperties:
+    """The JSON writers give json.dump's bytes, and the CSV writers those of
+    np.savetxt called with their formats, on any floats, whatever their
+    symmetry."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=awkward_stacks())
+    def test_matrix_stacks_match_json_dump(self, tmp_path_factory, m):
+        tmp_path = tmp_path_factory.mktemp("stack")
+        times = np.arange(len(m)) * 0.1
+        assert written(tmp_path, io.write_hamiltonians, times, m) == reference_bytes(
+            tmp_path, {"times": times.tolist(), "hamiltonians": io.matrix_to_json(m)}
+        )
+        assert written(tmp_path, io.write_matrix_file, m[-1]) == reference_bytes(
+            tmp_path, {"dim": m.shape[1], "matrix": io.matrix_to_json(m[-1])}
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(m=awkward_stacks(), with_exact=st.booleans())
+    def test_tables_match_savetxt(self, tmp_path_factory, m, with_exact):
+        tmp_path = tmp_path_factory.mktemp("table")
+        n, d = m.shape[:2]
+        rng = np.random.default_rng(n * d)
+        flags = rng.random((2, n)) < 0.5
+        condition = np.where(rng.random(n) < 0.3, np.inf, rng.lognormal(size=n))
+        rates = m.real[:, 0, :]
+        decomposition = DecompositionSeries(
+            times=m.imag[:, 0, 0], rates=rates, negative_flags=flags[0], singular_flags=flags[1],
+            condition_estimates=condition, frames=None,
+        )
+        assert written(tmp_path, io.write_rate_report, decomposition) == savetxt_bytes(
+            tmp_path,
+            ["time", *(f"q_{i}" for i in range(d)), "negative_flag", "singular_flag",
+             "condition_estimate"],
+            np.column_stack((decomposition.times, rates, *flags, condition)),
+            ["%.17g"] * (d + 1) + ["%d", "%d", "%.6g"],
+        )
+
+        exact = m.real[:, -1, -1] if with_exact else None
+        result = EnsembleResult(
+            times=m.imag[:, -1, 0], mean_rho=m, stderr=m.imag, trace_distance_to_exact=exact
+        )
+        entries = [f"{i}{j}" for i in range(d) for j in range(d)]
+        fmt = ["%.17g"] * (1 + 3 * d * d)
+        columns = [result.times, m.view(float).reshape(n, -1), m.imag.reshape(n, -1)]
+        if with_exact:
+            columns.append(exact)
+            fmt.append("%.17g")
+        else:
+            fmt[-1] += ","
+        assert written(tmp_path, io.write_ensemble_csv, result) == savetxt_bytes(
+            tmp_path,
+            ["time", *(f"mean_{e}_{part}" for e in entries for part in ("re", "im")),
+             *(f"stderr_{e}" for e in entries), "trace_distance_to_exact"],
+            np.column_stack(columns),
+            fmt,
+        )
+
+
+def savetxt_bytes(tmp_path, header, table, fmt) -> bytes:
+    """``table`` as np.savetxt writes it with CRLF lines under ``header``."""
+    path = tmp_path / "savetxt"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        np.savetxt(fh, table, fmt=fmt, delimiter=",", newline="\r\n",
+                   header=",".join(header), comments="")
+    return path.read_bytes()
