@@ -26,13 +26,14 @@ H_k <= H_s - log(1 - u) < H_{k+1} (none if k >= n_steps), then draws v
 and takes the branch whose interval of [0, p_k) holds v p_k.  This is
 the law of ``step``'s per-step scheme: a jump at step k with probability
 p_k, independently of the other steps, through branch i with
-probability q_i dt_k.  Trajectory i owns the counter-based stream
-Generator(Philox(key=[seed, i])).random; its draw 2r is the waiting
-time of its jump r and draw 2r + 1 that jump's branch, so the ensemble
-mean does not depend on how the trajectories are scheduled.  The
-streams are computed for all trajectories at once by a numpy
-Philox4x64-10.  On the same jumps, ``step`` and the label process agree
-to O(dt) at a fixed horizon; the replay test checks this.
+probability q_i dt_k.  One Generator default_rng(seed) feeds every
+round: round r draws the waiting times and then the branch draws of the
+trajectories still alive, in ascending trajectory order, so a seed fixes
+the ensemble.  Trajectories own no separate streams: nothing replays or
+shards a single trajectory, and counter-based per-trajectory streams
+cost as much as the rest of the sampler.  On the same jumps, ``step``
+and the label process agree to O(dt) at a fixed horizon; the replay
+test checks this.
 """
 
 from __future__ import annotations
@@ -63,8 +64,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_traj < 1:
             raise ValidationError("n_traj must be at least 1")
-        if self.horizon <= 0:
-            raise ValidationError("horizon must be positive")
+        if not 0 < self.horizon < np.inf:
+            raise ValidationError("horizon must be positive and finite")
         if not 0 <= self.seed < 2**64:
             raise ValidationError(f"seed {self.seed} outside [0, 2**64)")
 
@@ -100,43 +101,6 @@ def _jump_edges(q, dt, tol: Tolerances) -> np.ndarray:
     return np.cumsum(probabilities, axis=-1)
 
 
-_MASK32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-
-
-def _mulhilo(x: np.ndarray, m: int):
-    """High and low 64-bit words of the 128-bit products x * m; the high
-    word is assembled from 32-bit halves (Hacker's Delight, mulhu)."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & _MASK32, x >> _SHIFT32
-    t = x_hi * m_lo + ((x_lo * m_lo) >> _SHIFT32)
-    w = x_lo * m_hi + (t & _MASK32)
-    return x_hi * m_hi + (t >> _SHIFT32) + (w >> _SHIFT32), x * np.uint64(m)
-
-
-def _philox_uniforms(seed: int, lanes: np.ndarray, block: int) -> np.ndarray:
-    """Draws 4 * block ... 4 * block + 3 of every stream
-    Generator(Philox(key=[seed, lane])).random, as a (4, len(lanes)) array.
-
-    numpy's Philox4x64-10 bumps its counter before each block, so block b
-    is the 10-round Philox of the counter (b + 1, 0, 0, 0); a draw is the
-    top 53 bits of one output word scaled to [0, 1).
-    """
-    lanes = np.asarray(lanes, dtype=np.uint64)
-    # the words start lane-independent, shape (1,), and broadcast up to
-    # the lanes as the lane key mixes in over the first two rounds
-    c0, c1, c2, c3 = (np.array([w], dtype=np.uint64) for w in (block + 1, 0, 0, 0))
-    for r in range(10):
-        # round keys as Python ints: numpy scalars warn when they wrap
-        k0 = np.uint64((seed + r * _PHILOX_W[0]) % 2**64)
-        k1 = lanes + np.uint64(r * _PHILOX_W[1] % 2**64)
-        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
-        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return (np.stack((c0, c1, c2, c3)) >> np.uint64(11)) * 2.0**-53
-
-
 def _waiting_time_jumps(edges: np.ndarray, seed: int, n_traj: int):
     """Yield the jumps of trajectories 0 .. n_traj - 1 round by round.
 
@@ -145,28 +109,27 @@ def _waiting_time_jumps(edges: np.ndarray, seed: int, n_traj: int):
     the trajectories that jump again, the step each jumps in, and the
     branch index into ``edges`` (the jump applies shift branch + 1).  A
     trajectory appears at most once per round, and rounds are in time
-    order per trajectory.
+    order per trajectory.  All rounds draw from one default_rng(seed):
+    round r draws a (2, m) block for its m live lanes, row 0 the waiting
+    times and row 1 the branch draws, in ascending trajectory order.
     """
     n_steps, n_branch = edges.shape
     p = edges[:, -1] if n_branch else np.zeros(n_steps)     # d = 1 never jumps
     hazard = np.concatenate(([0.0], np.cumsum(-np.log1p(-p))))
+    rng = np.random.default_rng(seed)
     lanes = np.arange(n_traj)
     start = np.zeros(n_traj, dtype=np.intp)
-    r = 0
     # take/compress rather than fancy or boolean indexing: several times
     # faster on these shapes, and every round pays for them
     while lanes.size:
-        if r % 2 == 0:
-            block = _philox_uniforms(seed, lanes, r // 2)
-        u, v = block[2 * (r % 2)], block[2 * (r % 2) + 1]
+        u, v = rng.random((2, lanes.size))
         k = np.searchsorted(hazard, hazard.take(start) - np.log1p(-u), side="right") - 1
         jumps = k < n_steps
-        lanes, k, v, block = (a.compress(jumps, axis=-1) for a in (lanes, k, v, block))
+        lanes, k, v = (a.compress(jumps) for a in (lanes, k, v))
         inside = edges.take(k, axis=0) <= (v * p.take(k))[:, None]
         branch = np.minimum(inside.sum(axis=1), n_branch - 1)
         yield lanes, k, branch
         start = k + 1
-        r += 1
 
 
 def step(state, h, unitaries, q, dt, draw, tol: Tolerances = DEFAULT_TOLERANCES):

@@ -16,11 +16,11 @@ from probunitary.errors import (
     StepTooLarge,
     ValidationError,
 )
+from probunitary.linalg import cyclic_shift_rows
 from probunitary.models import ModelParams, integrate, sample_model
 from probunitary.montecarlo import (
     SimConfig,
     _jump_edges,
-    _philox_uniforms,
     _waiting_time_jumps,
     convergence_sweep,
     run_ensemble,
@@ -36,23 +36,64 @@ def damping_problem(dt, horizon=0.5, gamma=1.0):
     return decompose_trajectory(samples), samples
 
 
-def replay_jumps(edges, seed, lane):
-    """(step, branch draw) of every jump of trajectory ``lane``, replayed
-    from a fresh Generator(Philox(key=[seed, lane])) in a plain loop: draw
-    2r is jump r's waiting time on the cumulative hazard of the per-step
-    jump probabilities p = edges[:, -1], and draw 2r + 1 times p_k picks
-    its branch in edges[k]."""
+def replay_jumps(edges, seed, n_traj):
+    """Every trajectory's jumps, [(step, branch draw), ...] per trajectory,
+    replayed from one fresh default_rng(seed) in plain loops: round r draws
+    a (2, m) block for its m live trajectories in ascending order, row 0
+    the waiting times on the cumulative hazard of the per-step jump
+    probabilities p = edges[:, -1], and row 1 the draws that times p_k
+    pick each jump's branch in edges[k]."""
     p = edges[:, -1]
     hazard = np.concatenate(([0.0], np.cumsum(-np.log1p(-p)))).tolist()
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, lane], dtype=np.uint64)))
-    jumps, start = [], 0
-    while True:
-        u, v = rng.random(2)
-        k = bisect.bisect_right(hazard, hazard[start] - np.log1p(-u)) - 1
-        if k >= len(p):
-            return jumps
-        jumps.append((k, v * p[k]))
-        start = k + 1
+    rng = np.random.default_rng(seed)
+    jumps = [[] for _ in range(n_traj)]
+    live, start = list(range(n_traj)), [0] * n_traj
+    while live:
+        u, v = rng.random((2, len(live)))
+        alive = []
+        for i, wait, draw in zip(live, (-np.log1p(-u)).tolist(), v.tolist()):
+            k = bisect.bisect_right(hazard, hazard[start[i]] + wait) - 1
+            if k < len(p):
+                jumps[i].append((k, draw * p[k]))
+                start[i] = k + 1
+                alive.append(i)
+        live = alive
+    return jumps
+
+
+UNITAL_HORIZON = 0.3
+SPECTRA = {2: [0.7, 0.3], 3: [0.55, 0.3, 0.15]}
+
+
+def unital_problem(d, seed):
+    """A random unital d-level run on a 1e-3 grid to UNITAL_HORIZON from a
+    state with spectrum SPECTRA[d], decomposed without flags:
+    (decomposition, samples)."""
+    dt = 1e-3
+    rng = np.random.default_rng([seed, d])
+    spec = random_lindblad_spec(rng, d)
+    u = random_unitary(rng, d)
+    rho0 = u @ np.diag(SPECTRA[d]) @ u.conj().T
+    samples = integrate(spec, rho0, np.arange(0, UNITAL_HORIZON + dt / 2, dt))
+    dec = decompose_trajectory(samples)
+    assert not (dec.negative_flags | dec.singular_flags).any()
+    return dec, samples
+
+
+def scheme_mean(dec, n_steps):
+    """The exact mean of the scheme's label process on the first n_steps
+    steps: with w_ki = max(q_i, 0) dt_k from the midpoint rates, the mean
+    eigenvalues follow x_{k+1} = (1 - sum_i w_ki) x_k + sum_i w_ki
+    x_k[rows[i]] from x_0 = lam0, and the mean state is V_k diag(x_k) V_k^dag."""
+    rates = dec.rates[: n_steps + 1]
+    w = np.clip(0.5 * (rates[:-1, 1:] + rates[1:, 1:]), 0.0, None)
+    w *= np.diff(dec.times[: n_steps + 1])[:, None]
+    rows = cyclic_shift_rows(dec.dim)[1:]
+    x = [dec.frames.eigenvalues[0]]
+    for wk in w:
+        x.append((1 - wk.sum()) * x[-1] + wk @ x[-1][rows])
+    v = dec.frames.eigenvectors[: n_steps + 1]
+    return np.einsum("kai,ki,kbi->kab", v, np.array(x), v.conj())
 
 
 class TestStep:
@@ -199,7 +240,7 @@ class TestEnsemble:
                 # per-step draws for step: the sampler's branch draw at a
                 # jump step, and the no-jump edge p_k at every other step
                 draws = edges[:, -1].copy()
-                for k, branch_draw in replay_jumps(edges, seed, 0):
+                for k, branch_draw in replay_jumps(edges, seed, 1)[0]:
                     draws[k] = branch_draw
                     jumps += 1
                 state = rho0
@@ -224,15 +265,8 @@ class TestEnsemble:
 
     @pytest.mark.parametrize("seed", [0, 1, 9])
     def test_qutrit_ensemble_matches_integrator(self, seed):
-        dt, horizon = 1e-3, 0.3
-        rng = np.random.default_rng([seed, 3])
-        spec = random_lindblad_spec(rng, 3)
-        u = random_unitary(rng, 3)
-        rho0 = u @ np.diag([0.55, 0.3, 0.15]) @ u.conj().T
-        samples = integrate(spec, rho0, np.arange(0, horizon + dt / 2, dt))
-        dec = decompose_trajectory(samples)
-        assert not (dec.negative_flags | dec.singular_flags).any()
-        config = SimConfig(n_traj=5000, seed=seed, horizon=horizon)
+        dec, samples = unital_problem(3, seed)
+        config = SimConfig(n_traj=5000, seed=seed, horizon=UNITAL_HORIZON)
         result = run_ensemble(config, dec, exact=samples)
         sigma = np.linalg.norm(result.stderr.reshape(len(result.times), -1), axis=1)
         assert result.trace_distance_to_exact.max() <= 4 * sigma.max()
@@ -259,9 +293,9 @@ class TestEnsemble:
         # H = 0, so the propagator is exactly I, and U~_1 = X: every state
         # stays exactly |0><0| or |1><1|, so the sum over trajectories at
         # step k is exactly diag(N - m_k, m_k), with m_k the trajectories that
-        # have jumped an odd number of times, replayed from each trajectory's
-        # own Philox draw pairs; the mean is that sum divided by N as a
-        # complex array
+        # have jumped an odd number of times, replayed from the shared
+        # stream's rounds; the mean is that sum divided by N as a complex
+        # array
         dt, horizon, n_traj, seed = 1e-3, 0.5, 5000, 5
         dec, samples = damping_problem(dt, horizon=horizon)
         n_steps = len(samples) - 1
@@ -271,8 +305,8 @@ class TestEnsemble:
 
         p = 0.5 * (dec.rates[:-1, 1] + dec.rates[1:, 1]) * dt
         flips = np.zeros(n_steps + 1, dtype=int)
-        for i in range(n_traj):
-            for r, (k, _) in enumerate(replay_jumps(p[:, None], seed, i)):
+        for jumps in replay_jumps(p[:, None], seed, n_traj):
+            for r, (k, _) in enumerate(jumps):
                 flips[k + 1] += 1 if r % 2 == 0 else -1
         m = np.cumsum(flips)
         expected = np.zeros((n_steps + 1, 2, 2), dtype=complex)
@@ -336,24 +370,28 @@ class TestEnsemble:
         with pytest.raises(StepTooLarge):
             simulate(np.concatenate((np.arange(0, 0.002, 1e-4), [0.011])))
 
+    @pytest.mark.parametrize("d, seed", [(2, 0), (3, 0), (3, 1), (3, 9)])
+    def test_ensemble_matches_exact_scheme_mean(self, d, seed):
+        # the scheme's own mean has no O(dt) bias against the ensemble, so
+        # the deviations are pure noise: a jump through the wrong shift or
+        # at the wrong step shows at many stderr
+        dec, _ = unital_problem(d, seed)
+        config = SimConfig(n_traj=20000, seed=seed, horizon=UNITAL_HORIZON)
+        result = run_ensemble(config, dec)
+        expected = scheme_mean(dec, len(result.times) - 1)
+        z = np.abs(result.mean_rho - expected) / np.maximum(result.stderr, 1e-12)
+        assert np.quantile(z[result.stderr > 1e-6], 0.99) <= 4.0
+
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             SimConfig(n_traj=0, seed=0, horizon=1.0)
+        # a NaN horizon would pass no grid time to the flagged-interval scan
+        for horizon in (0.0, np.nan, np.inf):
+            with pytest.raises(ValidationError, match="horizon"):
+                SimConfig(n_traj=1, seed=0, horizon=horizon)
 
 
 class TestSampler:
-    @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
-    def test_philox_matches_numpy_streams(self, seed):
-        # lanes around 2**32 and 2**63 exercise the carries between the
-        # 32-bit halves of the multiply
-        lanes = np.array([0, 1, 2**32 - 1, 2**32, 2**63], dtype=np.uint64)
-        got = np.concatenate([_philox_uniforms(seed, lanes, block) for block in range(4)])
-        for j, lane in enumerate(lanes):
-            stream = np.random.Generator(
-                np.random.Philox(key=np.array([seed, lane], dtype=np.uint64))
-            )
-            assert np.array_equal(got[:, j], stream.random(16))
-
     def test_law_matches_per_step_bernoulli(self):
         # time-varying d = 3 rates: under step's per-step scheme each
         # trajectory jumps through branch i at step k with probability
