@@ -11,11 +11,18 @@ simulated on its own times, uniform or not.  Exit codes:
 0 success, 2 input/validation error (including a MemoryError from inputs
 too large to allocate), 3 singular system, 4 refusal to simulate
 unphysical (negative/singular) rates.
+
+``main`` parses with one parser per process, built by ``build_parser`` on
+the first call and reused by every later one: parsing leaves the parser
+as it was and returns a new namespace each time.  ``build_parser()``
+itself returns a fresh parser on every call.  ``python -m probunitary``
+runs ``main``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -191,9 +198,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, which main reuses on every call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValidationError, OSError, MemoryError, StepTooLarge, TrajectoryTooCoarse) as exc:

@@ -117,14 +117,14 @@ def _validated_eigh(rho, tol: Tolerances):
 
 
 def _phase_fix(vecs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Rotate each column so its first significant component is real positive."""
-    vecs = vecs.copy()
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        nz = np.flatnonzero(np.abs(col) > tol)
-        if nz.size:
-            col *= np.exp(-1j * np.angle(col[nz[0]]))
-    return vecs
+    """Rotate each column so its first significant component (|v| > tol)
+    is real positive; a column with no significant component is returned
+    unchanged.  All columns in one masked broadcast, on a C-ordered copy."""
+    significant = np.abs(vecs) > tol
+    lead = vecs[significant.argmax(axis=0), np.arange(vecs.shape[1])]
+    fixed = vecs.copy()
+    np.multiply(fixed, np.exp(-1j * np.angle(lead)), out=fixed, where=significant.any(axis=0))
+    return fixed
 
 
 def hermitian_eigendecomposition(

@@ -62,6 +62,10 @@ class SimConfig:
     horizon: float
 
     def __post_init__(self):
+        for name in ("n_traj", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.n_traj < 1:
             raise ValidationError("n_traj must be at least 1")
         if not 0 < self.horizon < np.inf:

@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from probunitary import io, models
+from probunitary import cli, io, models
 from probunitary.cli import EXIT_OK, EXIT_SINGULAR, EXIT_UNPHYSICAL, EXIT_VALIDATION, main
 from probunitary.decomposition import TrajectorySample, decompose_trajectory
+
+from conftest import random_unitary
 
 
 def write_spec(path, jump_ops):
@@ -278,3 +284,72 @@ def test_matrix_file_dim_must_match_exits_2(tmp_path, capsys, dim):
 def test_singular_channel_exits_3(tmp_path, capsys):
     assert main(channel_argv(tmp_path, np.eye(2) / 2, np.diag([0.7, 0.3]))) == EXIT_SINGULAR
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def run_call_sequence(tmp_path):
+    """In one process: a channel call that fails to parse, then channel,
+    simulate and decompose calls; returns the bytes of every file written."""
+    tmp_path.mkdir()
+    u = random_unitary(np.random.default_rng(3), 3)
+    rho_in = u @ np.diag([0.5, 0.3, 0.2]) @ u.conj().T
+    rho_out = 0.7 * rho_in + 0.3 * np.diag(np.diagonal(rho_in))
+    argv = channel_argv(tmp_path, rho_in, rho_out)
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:-2])  # no --out
+    assert exc.value.code == EXIT_VALIDATION
+    out = str(tmp_path / "run")
+    assert main(argv) == EXIT_OK
+    assert main(["simulate", "--model", "amplitude-damping", "--horizon", "0.05",
+                 "--trajectories", "20", "--seed", "4", "--out", out]) == EXIT_OK
+    assert main(["decompose", "--model", "jc", "--horizon", "0.1", "--out", out]) == EXIT_OK
+    return {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name.startswith("run")}
+
+
+def test_parser_built_once_and_reused(tmp_path, monkeypatch):
+    built, build_parser, cached_parser = [], cli.build_parser, cli._parser
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cached_parser.cache_clear()
+    try:
+        reused = run_call_sequence(tmp_path / "reused")
+        assert len(built) == 1
+        # the same calls, each parsed by a freshly built parser
+        monkeypatch.setattr(cli, "_parser", counting_build_parser)
+        fresh = run_call_sequence(tmp_path / "fresh")
+    finally:
+        cached_parser.cache_clear()  # drop the parser built under the patch
+    assert sorted(reused) == ["run.channel.json", "run.ensemble.csv",
+                              "run.hamiltonians.json", "run.rates.csv"]
+    assert reused == fresh
+
+    # one parse leaves nothing behind for the next one
+    parser = cli.build_parser()
+    assert parser.parse_args(["models", "--json"]).json is True
+    assert parser.parse_args(["models"]).json is False
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def run_module(*args, cwd):
+    """``python -m probunitary args`` in a fresh interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "probunitary", *args], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_m_probunitary(tmp_path):
+    listed = run_module("models", "--json", cwd=tmp_path)
+    assert listed.returncode == EXIT_OK
+    assert json.loads(listed.stdout) == json.loads(json.dumps(models.MODEL_CATALOGUE))
+
+    bad = run_module("decompose", "--model", "amplitude-damping", "--dt", "0",
+                     "--out", str(tmp_path / "run"), cwd=tmp_path)
+    assert bad.returncode == EXIT_VALIDATION
+    lines = bad.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in bad.stderr

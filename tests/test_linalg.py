@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from probunitary.errors import ValidationError
 from probunitary.linalg import (
+    _phase_fix,
     rate_system_matrix,
     classify_circulant_singularity,
     hermitian_eigendecomposition,
@@ -101,6 +102,55 @@ class TestEigendecomposition:
             tuple(x for z in vecs[:, j] for x in (z.real, z.imag)) for j in (2, 3, 4)
         ]
         assert keys == sorted(keys, reverse=True)
+
+
+def phase_fix_loop(vecs, tol=1e-12):
+    """The per-column phase fix that _phase_fix batches, kept as its reference."""
+    vecs = vecs.copy()
+    for j in range(vecs.shape[1]):
+        col = vecs[:, j]
+        nz = np.flatnonzero(np.abs(col) > tol)
+        if nz.size:
+            col *= np.exp(-1j * np.angle(col[nz[0]]))
+    return vecs
+
+
+# what becomes of one entry of a random unitary: kept, scaled below the
+# 1e-12 significance threshold, or replaced by a signed zero
+ENTRY_EDITS = {
+    "keep": lambda z: z,
+    "tiny": lambda z: z * 1e-13,
+    "tinier": lambda z: z * 1e-16,
+    "zero": lambda z: 0j,
+    "negzero": lambda z: complex(-0.0, -0.0),
+    "negzero_re": lambda z: complex(-0.0, z.imag),
+    "negzero_im": lambda z: complex(z.real, -0.0),
+}
+
+
+class TestPhaseFix:
+    @given(
+        d=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**31),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_column_loop(self, d, seed, data):
+        vecs = random_unitary(np.random.default_rng(seed), d)
+        edits = data.draw(st.lists(
+            st.sampled_from(sorted(ENTRY_EDITS)), min_size=d * d, max_size=d * d))
+        for (i, j), edit in zip(np.ndindex(d, d), edits):
+            vecs[i, j] = ENTRY_EDITS[edit](vecs[i, j])
+        zero_cols = data.draw(st.lists(st.booleans(), min_size=d, max_size=d))
+        vecs[:, np.array(zero_cols, dtype=bool)] = data.draw(
+            st.sampled_from([0j, complex(-0.0, -0.0)]))
+        # the callers pass eigh's columns reversed, a negative-stride view
+        if data.draw(st.booleans()):
+            vecs = vecs[:, ::-1]
+
+        fixed = _phase_fix(vecs)
+        assert np.array_equal(fixed.view(float), phase_fix_loop(vecs).view(float))
+        assert not np.shares_memory(fixed, vecs)
 
 
 class TestRealWeyl:

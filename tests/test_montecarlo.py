@@ -389,6 +389,14 @@ class TestEnsemble:
         for horizon in (0.0, np.nan, np.inf):
             with pytest.raises(ValidationError, match="horizon"):
                 SimConfig(n_traj=1, seed=0, horizon=horizon)
+        # both feed numpy as integers; a float or a bool is refused by name
+        for n_traj in (2.5, 2.0, True, "3", None):
+            with pytest.raises(ValidationError, match="n_traj"):
+                SimConfig(n_traj=n_traj, seed=0, horizon=1.0)
+        for seed in (1.5, 1.0, False, "1", np.float64(2.0)):
+            with pytest.raises(ValidationError, match="seed"):
+                SimConfig(n_traj=1, seed=seed, horizon=1.0)
+        SimConfig(n_traj=np.int64(3), seed=np.uint64(2**64 - 1), horizon=1.0)
 
 
 class TestSampler:
