@@ -7,12 +7,12 @@ rho_out = sum_i q_i U~_i rho_in U~_i^dag with sum_i q_i = 1.
 
 A split with every q_i in [0, 1] (a mixed-unitary split) exists exactly
 when spec(rho_out) is majorized by spec(rho_in) (Uhlmann's theorem,
-Nielsen & Chuang section 12.5.1).  The cyclic construction pairs output
-eigenbranches with input ones by overlap and solves q against the d
-conjugated cyclic shifts; when that q leaves [0, 1] but the spectra are
-majorized, a Hardy-Littlewood-Polya chain of T-transforms gives the
-mixed-unitary split over conjugated permutations instead.  Only pairs
-whose spectra are not majorized keep the signed (quasi-probability) q.
+Nielsen & Chuang section 12.5.1).  decompose_channel judges each of its
+constructions by the reconstruction of rho_out alone and labels the result
+by its q: the cyclic construction (q against the d conjugated cyclic
+shifts), a Hardy-Littlewood-Polya chain of T-transforms, and a
+transposition tree, which splits every pair but a maximally mixed rho_in
+with a different rho_out.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
 
 MIXED_UNITARY = "mixed_unitary"
 QUASI_PROBABILITY = "quasi_probability"
-SINGULAR = "singular"
 
 
 @dataclass
@@ -50,23 +49,19 @@ class ChannelDecomposition:
     """Probabilities, unitaries and classification of one channel pair.
 
     ``classification`` describes the pair itself: ``mixed_unitary`` when
-    spec(rho_out) is majorized by spec(rho_in), so that every probability
-    lies in [0, 1]; otherwise ``quasi_probability`` (some q_i < 0) or
-    ``singular`` (the cyclic system is singular with an eigenvalue change
-    in its range; q is its minimum-norm solution).  A singular system
-    whose eigenvalue change leaves its range has no decomposition;
-    decompose_channel raises SingularChannel for it.
+    every probability lies in [0, 1], which a split reaches exactly when
+    spec(rho_out) is majorized by spec(rho_in); otherwise
+    ``quasi_probability`` (some q_i < 0).
 
     ``unitaries`` are the d conjugated cyclic shifts V_out W_i V_in^dag
     on the cyclic construction, with V_out's columns ordered by
-    ``pairing``.  On the majorization construction they are conjugated
-    permutations V_out P_i V_in^dag, eigenvectors in descending order;
-    slots the split does not need carry weight 0 and the identity
+    ``pairing``.  On the majorization and tree constructions they are
+    conjugated permutations V_out P_i V_in^dag, eigenvectors in descending
+    order; slots a split does not need carry weight 0 and the identity
     permutation.  ``pairing[i]`` is the output eigenbranch matched to
     input branch i: the overlap assignment on the cyclic construction
     (the convention is ours, not canonical), the descending-order pairing
-    (equal rank) that the permutations act on in the majorization
-    construction.
+    (equal rank) that the permutations act on otherwise.
     """
 
     probabilities: np.ndarray       # (d,), q[0] = 1 - sum(q[1:])
@@ -146,27 +141,55 @@ def _permutation_mixture(y, x) -> tuple[np.ndarray, np.ndarray]:
     return w, perms
 
 
+def _transposition_tree(y, x, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Weights w and index rows S, d of each, with sum_n w[n] y[S[n]] = x,
+    for descending y and any x of the same sum.
+
+    Row n >= 1 swaps branch n with its parent, branch 0 or d - 1, whichever
+    is farther in eigenvalue (d - 1 hangs from 0), so every edge spans at
+    least half the spread y[0] - y[d-1]; the swap moves w[n] times that
+    gap into n's subtree, which must gain its net change of x - y.  Raises
+    SingularChannel when the spread is below ``tol.degeneracy_gap``.
+    """
+    d = y.shape[0]
+    if y[0] - y[-1] < tol.degeneracy_gap:
+        raise SingularChannel("maximally mixed input cannot be mapped to a different output")
+    n = np.arange(1, d)
+    parent = np.where(y[0] - y[n] >= y[n] - y[-1], 0, d - 1)
+    net = x[n] - y[n]
+    net[-1] += net[:-1][parent[:-1] > 0].sum()
+    w = np.empty(d)
+    w[1:] = net / (y[parent] - y[n])
+    w[0] = 1.0 - w[1:].sum()
+    perms = np.tile(np.arange(d), (d, 1))
+    perms[n, n] = parent
+    perms[n, parent] = n
+    return w, perms
+
+
 def _mix(q, unitaries, rho) -> np.ndarray:
     """sum_i q_i U_i rho U_i^dag."""
     return np.einsum("i,iab,bc,idc->ad", q, unitaries, rho, unitaries.conj())
 
 
-def _majorization_split(spec_in, spec_out, tol: Tolerances):
-    """Mixed-unitary split over conjugated permutations as the record
-    (q, V_out, V_in, index rows, pairing) that decompose_channel finishes,
-    or None when spec(rho_out) is not majorized by spec(rho_in)."""
+def _sorted_split(spec_in, spec_out, tol: Tolerances):
+    """Split over conjugated permutations of the descending spectra as the
+    record (q, V_out, V_in, index rows, pairing) that decompose_channel
+    finishes: the Hardy-Littlewood-Polya chain when spec(rho_out) is
+    majorized by spec(rho_in), else the transposition tree."""
     # eigenvalues inside a degenerate cluster may sit out of order by less
-    # than tol.degeneracy_gap; majorization needs them strictly descending
+    # than tol.degeneracy_gap; both splits need them strictly descending
     order_in = np.argsort(-spec_in.eigenvalues, kind="stable")
     order_out = np.argsort(-spec_out.eigenvalues, kind="stable")
     y = spec_in.eigenvalues[order_in]
     x = spec_out.eigenvalues[order_out]
     # x is majorized by y: every leading partial sum of x is at most y's
-    if np.any(np.cumsum(x)[:-1] > np.cumsum(y)[:-1] + tol.rate_negativity):
-        return None
-    q, perms = _permutation_mixture(y, x)
-    q[q < tol.rate_negativity] = 0.0
-    q /= q.sum()
+    if np.all(np.cumsum(x)[:-1] <= np.cumsum(y)[:-1] + tol.rate_negativity):
+        q, perms = _permutation_mixture(y, x)
+        q[q < tol.rate_negativity] = 0.0
+        q /= q.sum()
+    else:
+        q, perms = _transposition_tree(y, x, tol)
     pairing = np.empty(y.shape[0], dtype=int)
     pairing[order_in] = order_out
     # U_n = V_out P_n V_in^dag maps descending input branch perms[n, k]
@@ -175,22 +198,34 @@ def _majorization_split(spec_in, spec_out, tol: Tolerances):
             perms, pairing)
 
 
+def _reconstruct(split, rho_in, rho_out):
+    """The split record's q, unitaries, pairing and reconstruction residual."""
+    q, v_out, v_in, perms, pairing = split
+    unitaries = conjugated_permutations(v_out, v_in, perms)
+    residual = float(np.max(np.abs(_mix(q, unitaries, rho_in) - rho_out)))
+    return q, unitaries, pairing, residual
+
+
+def _is_probability(q, tol: Tolerances) -> bool:
+    return bool(np.all((q >= -tol.rate_negativity) & (q <= 1 + tol.rate_negativity)))
+
+
 def decompose_channel(
     rho_in, rho_out, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> ChannelDecomposition:
     """Decompose the map rho_in -> rho_out into probabilistic unitaries.
 
-    The cyclic construction runs first and is returned as it is when its
-    system is nonsingular and its q lies in [0, 1] (to within
-    ``tol.rate_negativity``).  Otherwise, if spec(rho_out) is majorized by
-    spec(rho_in) (leading partial sums compared with slack
-    ``tol.rate_negativity``), the pair is split over at most d conjugated
-    permutations with weights in [0, 1]; weights below
-    ``tol.rate_negativity`` are set to 0.  Otherwise the cyclic q is
-    returned, labelled ``quasi_probability`` or ``singular``; a singular
-    system that reports an inconsistent eigenvalue change raises
-    SingularChannel.  Every result but a ``singular`` one is checked
-    against rho_out to ``tol.reconstruction``.
+    A construction is valid when it reconstructs rho_out to
+    ``tol.reconstruction``.  The cyclic one is returned when it is valid
+    and its q lies in [0, 1] (to within ``tol.rate_negativity``).
+    Otherwise the descending spectra are split over at most d conjugated
+    permutations, by the Hardy-Littlewood-Polya chain when spec(rho_out)
+    is majorized by spec(rho_in) (leading partial sums compared with slack
+    ``tol.rate_negativity``; weights below it set to 0), else by the
+    transposition tree; the cyclic split stays if it is valid with no
+    larger sum_i |q_i|, a signed split's sampling overhead (1 when
+    mixed-unitary).  Raises SingularChannel only for a maximally mixed
+    rho_in with a different rho_out, which no mixture of unitaries reaches.
     """
     rho_in, *eig_in = _validated_eigh(rho_in, tol)
     rho_out, *eig_out = _validated_eigh(rho_out, tol)
@@ -202,30 +237,16 @@ def decompose_channel(
     overlap = spec_in.eigenvectors.conj().T @ spec_out.eigenvectors
     _, cols = linear_sum_assignment(-np.abs(overlap) ** 2)
     p_in = spec_in.eigenvalues
-    result = solve_circulant_rates(p_in, spec_out.eigenvalues[cols] - p_in, mode="channel", tol=tol)
-    q = result.q
-    if result.singular:
-        classification = SINGULAR
-    elif np.all((q >= -tol.rate_negativity) & (q <= 1 + tol.rate_negativity)):
-        classification = MIXED_UNITARY
-    else:
-        classification = QUASI_PROBABILITY
-    split = (q, spec_out.eigenvectors[:, cols], spec_in.eigenvectors,
-             cyclic_shift_rows(len(q)), cols)
-    if classification != MIXED_UNITARY:
-        majorized = _majorization_split(spec_in, spec_out, tol)
-        if majorized is not None:
-            split, classification = majorized, MIXED_UNITARY
-        elif result.inconsistent:
-            raise SingularChannel(
-                "singular input spectrum with inconsistent eigenvalue change",
-                block_structure=result.block_structure,
-            )
-
-    q, v_out, v_in, perms, pairing = split
-    unitaries = conjugated_permutations(v_out, v_in, perms)
-    residual = float(np.max(np.abs(_mix(q, unitaries, rho_in) - rho_out)))
-    if classification != SINGULAR and residual > tol.reconstruction:
+    q = solve_circulant_rates(p_in, spec_out.eigenvalues[cols] - p_in, mode="channel", tol=tol).q
+    split = _reconstruct((q, spec_out.eigenvectors[:, cols], spec_in.eigenvectors,
+                          cyclic_shift_rows(len(q)), cols), rho_in, rho_out)
+    fits = split[3] <= tol.reconstruction
+    if not (fits and _is_probability(q, tol)):
+        alt = _reconstruct(_sorted_split(spec_in, spec_out, tol), rho_in, rho_out)
+        if not fits or np.abs(alt[0]).sum() < np.abs(q).sum():
+            split = alt
+    q, unitaries, pairing, residual = split
+    if residual > tol.reconstruction:
         raise RuntimeError(
             f"internal error: reconstruction residual {residual:.3e} exceeds "
             f"{tol.reconstruction:.1e}"
@@ -233,17 +254,15 @@ def decompose_channel(
     return ChannelDecomposition(
         probabilities=q,
         unitaries=unitaries,
-        classification=classification,
+        classification=MIXED_UNITARY if _is_probability(q, tol) else QUASI_PROBABILITY,
         reconstruction_residual=residual,
         pairing=pairing,
     )
 
 
 def to_kraus_like(decomp: ChannelDecomposition) -> KrausLikeForm:
-    """Kraus-like pairs K_i = sqrt(|q_i|) U~_i, Kbar_i = sign(q_i) K_i^dag;
-    a ``singular`` decomposition, whose q is unchecked, raises ValidationError."""
-    if decomp.classification == SINGULAR:
-        raise ValidationError("cannot build Kraus-like form of a singular channel")
+    """Kraus-like pairs K_i = sqrt(|q_i|) U~_i, Kbar_i = sign(q_i) K_i^dag,
+    so that sum_i K_i Kbar_i = sum_i q_i U~_i U~_i^dag = identity."""
     q = decomp.probabilities
     signs = np.where(q >= 0, 1.0, -1.0)
     k = np.sqrt(np.abs(q))[:, None, None] * decomp.unitaries

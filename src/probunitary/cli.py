@@ -8,9 +8,11 @@ time); simulate writes ``<out>.ensemble.csv``; channel writes
 only spaces the grid of a ``--model`` trajectory: simulate steps along
 the grid of the trajectory it decomposes, so an ``--input`` file is
 simulated on its own times, uniform or not.  Exit codes:
-0 success, 2 input/validation error (including a MemoryError from inputs
-too large to allocate), 3 singular system, 4 refusal to simulate
-unphysical (negative/singular) rates.
+0 success, 1 standard output closed early (nothing on stderr), 2 input or
+validation error (including a MemoryError from inputs too large to
+allocate), 3 all grid points singular (decompose) or a maximally mixed
+channel input with a different output, 4 refusal to simulate unphysical
+(negative/singular) rates.
 
 ``main`` parses with one parser per process, built by ``build_parser`` on
 the first call and reused by every later one: parsing leaves the parser
@@ -25,12 +27,13 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
 
 from . import io, models
-from .channel import SINGULAR, decompose_channel, to_kraus_like
+from .channel import decompose_channel, to_kraus_like
 from .decomposition import decompose_trajectory
 from .errors import (
     NegativeRate,
@@ -45,6 +48,7 @@ from .models import MODEL_CATALOGUE, LindbladSpec, ModelParams
 from .montecarlo import SimConfig, run_ensemble
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_VALIDATION = 2
 EXIT_SINGULAR = 3
 EXIT_UNPHYSICAL = 4
@@ -138,10 +142,7 @@ def cmd_channel(args) -> int:
     rho_in = io.read_matrix_file(args.rho_in)
     rho_out = io.read_matrix_file(args.rho_out)
     decomp = decompose_channel(rho_in, rho_out)
-    kraus = None
-    if decomp.classification != SINGULAR:
-        kraus = to_kraus_like(decomp)
-    io.write_channel_json(f"{args.out}.channel.json", decomp, kraus)
+    io.write_channel_json(f"{args.out}.channel.json", decomp, to_kraus_like(decomp))
     return EXIT_OK
 
 
@@ -207,12 +208,19 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # Python's recipe: later writes and the flush at exit go to devnull
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ValidationError, OSError, MemoryError, StepTooLarge, TrajectoryTooCoarse) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SingularChannel as exc:
-        print(f"singular channel: {exc} ({exc.block_structure})", file=sys.stderr)
+        print(f"singular channel: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
     except (RefusesToSimulate, NegativeRate) as exc:
         print(f"refusing to simulate: {exc}", file=sys.stderr)

@@ -298,7 +298,7 @@ def decompose_trajectory(
     is rebuilt from the frames by DecompositionSeries.hamiltonians."""
     frames = align_eigenframes(samples, tol=tol)
     p, f = _rate_system(frames)
-    rates, singular, condition, _ = _solve_circulant_batch(p, f, "continuous", tol)
+    rates, singular, condition = _solve_circulant_batch(p, f, "continuous", tol)
     # grid-aware flag: rates of order 1/dt are indistinguishable from
     # a singular crossing at this resolution and break the scheme
     spacings = np.diff(frames.times)

@@ -1,6 +1,6 @@
 """Exception hierarchy shared across the package.  The rate solvers
-raise only ValidationError: a singular or inconsistent system is reported
-on their RateSolveResult, for the caller to raise its own error on."""
+raise only ValidationError: a singular system is reported on their
+RateSolveResult, for the caller to raise its own error on."""
 
 
 class ProbUnitaryError(Exception):
@@ -33,10 +33,5 @@ class RefusesToSimulate(ProbUnitaryError):
 
 
 class SingularChannel(ProbUnitaryError):
-    """A channel pair has no split: its cyclic system is singular with an
-    eigenvalue change outside the system's range, and spec(rho_out) is not
-    majorized by spec(rho_in)."""
-
-    def __init__(self, message, block_structure=None):
-        super().__init__(message)
-        self.block_structure = block_structure
+    """A channel pair has no split: rho_in is maximally mixed and rho_out
+    is not, and every combination of unitaries fixes I/d."""

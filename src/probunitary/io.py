@@ -252,21 +252,19 @@ def write_ensemble_csv(path, result) -> None:
     )
 
 
-def write_channel_json(path, decomp, kraus=None) -> None:
-    doc = {
+def write_channel_json(path, decomp, kraus) -> None:
+    # the (k, kbar) pairs as one stack: kbar = sign k^dagger has k's
+    # magnitudes, so it costs no repr
+    matrix = _matrix_template(kraus.operators.shape[2:])
+    _write_json(path, {
         "probabilities": np.asarray(decomp.probabilities, dtype=float).tolist(),
         "unitaries": np.asarray(decomp.unitaries),
         "classification": decomp.classification,
         "reconstruction_residual": float(decomp.reconstruction_residual),
         "pairing": np.asarray(decomp.pairing, dtype=int).tolist(),
-    }
-    if kraus is not None:
-        # the (k, kbar) pairs as one stack: kbar = sign k^dagger has k's
-        # magnitudes, so it costs no repr
-        matrix = _matrix_template(kraus.operators.shape[2:])
-        doc["kraus_like"] = _Items(
+        "kraus_like": _Items(
             np.asarray(kraus.operators, dtype=complex),
             f'{{"k": {matrix}, "kbar": {matrix}, "sign": %d}}',
             np.asarray(kraus.signs, dtype=int)[:, None],
-        )
-    _write_json(path, doc)
+        ),
+    })

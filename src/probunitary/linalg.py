@@ -53,15 +53,14 @@ class RateSolveResult:
     ``q`` follows the convention of the requested mode: q[0] is the total
     rate (continuous) or the stay probability (channel); q[1:] belong to
     the nontrivial cyclic shifts.  On a singular system ``q`` is the
-    minimum-norm solution, and ``inconsistent`` reports (never raises)
-    that f had a component outside the system's range, which q drops.
+    minimum-norm solution, which drops any component of f outside the
+    system's range; the caller checks what q reconstructs.
     """
 
     q: np.ndarray
     singular: bool
     condition_estimate: float
     block_structure: str | None = None
-    inconsistent: bool = False
 
 
 def _as_complex_matrix(m) -> np.ndarray:
@@ -248,10 +247,9 @@ def _solve_circulant_batch(p, f, mode: str, tol: Tolerances):
 
     M (see rate_system_matrix) is the convolution circulant of p up to an
     index reversal, so the DFT still diagonalizes the solve.  Returns
-    per-row arrays (q, singular, condition, inconsistent): q in the
-    convention of ``mode`` (see solve_circulant_rates), minimum-norm on
-    singular rows; condition inf on singular rows; inconsistent where f
-    has a component outside the range of a singular M.
+    per-row arrays (q, singular, condition): q in the convention of
+    ``mode`` (see solve_circulant_rates), minimum-norm on singular rows;
+    condition inf on singular rows.
     """
     p = np.asarray(p, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -270,9 +268,6 @@ def _solve_circulant_batch(p, f, mode: str, tol: Tolerances):
     top = mags.max(axis=1)
     alive = mags > tol.singular_symbol * top[:, None]
     singular = ~alive.all(axis=1)
-    # components of f outside the range of M
-    dead_mass = np.where(alive, 0.0, np.abs(fhat)).max(axis=1)
-    inconsistent = singular & (dead_mass > 1e-10 * np.maximum(1.0, np.abs(f).max(axis=1)))
     vhat = np.where(alive, fhat / np.where(alive, symbol, 1.0), 0.0)
     condition = np.full(p.shape[0], np.inf)
     np.divide(top, mags.min(axis=1), out=condition, where=~singular)
@@ -284,7 +279,7 @@ def _solve_circulant_batch(p, f, mode: str, tol: Tolerances):
         q[:, 0] = -q[:, 0]
     else:
         q[:, 0] += 1.0
-    return q, singular, condition, inconsistent
+    return q, singular, condition
 
 
 def solve_circulant_rates(
@@ -295,14 +290,12 @@ def solve_circulant_rates(
 
     ``mode`` selects the sign convention of the first unknown:
     "continuous" has v = (-q0, q1, ...), "channel" has v = (q0 - 1, q1, ...).
-    When M is singular the minimum-norm (pseudoinverse) solution is
-    returned with the singular flag and the block structure set; if f has
-    a component outside the range of M, that component is dropped and the
-    inconsistent flag is set.  Neither case raises.
+    When M is singular the minimum-norm (pseudoinverse) solution, which
+    drops any component of f outside the range of M, is returned with the
+    singular flag and the block structure set; it does not raise.
     """
-    q, singular, condition, inconsistent = _solve_circulant_batch([p], [f], mode, tol)
+    q, singular, condition = _solve_circulant_batch([p], [f], mode, tol)
     return RateSolveResult(
         q=q[0], singular=bool(singular[0]), condition_estimate=float(condition[0]),
         block_structure=_block_report(p, tol) if singular[0] else None,
-        inconsistent=bool(inconsistent[0]),
     )

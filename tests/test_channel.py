@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from probunitary.channel import (
     MIXED_UNITARY,
     QUASI_PROBABILITY,
-    SINGULAR,
     apply_decomposition,
     decompose_channel,
     to_kraus_like,
 )
+from probunitary.config import DEFAULT_TOLERANCES
 from probunitary.errors import SingularChannel, ValidationError
 
 from conftest import random_density_matrix, random_unitary
@@ -25,6 +25,20 @@ def mixed_unitary_pair(rng, d):
         u = random_unitary(rng, d)
         rho_out += wi * u @ rho_in @ u.conj().T
     return rho_in, (rho_out + rho_out.conj().T) / 2
+
+
+def is_majorized(x, y):
+    """spec x majorized by spec y, leading partial sums with 1e-9 slack."""
+    x, y = np.sort(x)[::-1], np.sort(y)[::-1]
+    return bool(np.all(np.cumsum(x)[:-1] <= np.cumsum(y)[:-1] + 1e-9))
+
+
+def kraus_sum(dec):
+    return sum(k @ kbar for k, kbar in to_kraus_like(dec).operators)
+
+
+def rotated(u, spectrum):
+    return u @ np.diag(spectrum) @ u.conj().T
 
 
 class TestDecomposeChannel:
@@ -59,23 +73,85 @@ class TestDecomposeChannel:
         assert dec.reconstruction_residual <= 1e-10
 
     def test_maximally_mixed_escape(self):
-        with pytest.raises(SingularChannel) as exc:
+        with pytest.raises(SingularChannel, match="maximally mixed input"):
             decompose_channel(
                 np.eye(2, dtype=complex) / 2, np.diag([0.8, 0.2]).astype(complex)
             )
-        assert "length 2" in exc.value.block_structure
+
+    def test_maximally_mixed_to_itself(self):
+        dec = decompose_channel(np.eye(3) / 3, np.eye(3) / 3)
+        assert dec.classification == MIXED_UNITARY
+        np.testing.assert_allclose(dec.probabilities, [1, 0, 0], atol=1e-12)
 
     def test_consistent_singular_pair_is_returned(self):
         # block-constant input spectrum with an eigenvalue change in the
         # cyclic system's range; the leading eigenvalue grows, so no
-        # majorization split exists and the minimum-norm q is returned
+        # majorization split exists and the minimum-norm q, whose sum |q_i|
+        # (4) is below the transposition tree's (7), is returned
         dec = decompose_channel(
             np.diag([0.3, 0.3, 0.2, 0.2]), np.diag([0.45, 0.45, 0.05, 0.05])
         )
-        assert dec.classification == SINGULAR
+        assert dec.classification == QUASI_PROBABILITY
         np.testing.assert_allclose(dec.probabilities, [2.5, 0, -1.5, 0], atol=1e-12)
-        with pytest.raises(ValidationError):
-            to_kraus_like(dec)
+        assert dec.reconstruction_residual <= DEFAULT_TOLERANCES.reconstruction
+        assert np.abs(kraus_sum(dec) - np.eye(4)).max() <= 1e-12
+
+    def test_nearly_singular_cyclic_system(self):
+        # the cyclic system is nonsingular (a 2e-10 gap) but reconstructs
+        # rho_out only to about 1e-8; the transposition tree splits the pair
+        rho_in = np.diag([0.3 + 1e-10, 0.3 - 1e-10, 0.2, 0.2])
+        rho_out = np.diag([0.6, 0.2, 0.15, 0.05])
+        dec = decompose_channel(rho_in, rho_out)
+        assert dec.classification == QUASI_PROBABILITY
+        assert dec.reconstruction_residual <= DEFAULT_TOLERANCES.reconstruction
+        assert np.abs(apply_decomposition(dec, rho_in) - rho_out).max() <= 1e-12
+
+    @pytest.mark.parametrize("delta", [1e-9, 1e-8, 1e-7])
+    def test_ill_conditioned_cyclic_split_gives_way(self, delta):
+        # the overlap pairing puts the output's two halves on input branches
+        # 0 and 2 of the cyclic order, so the cyclic q reconstructs rho_out
+        # with sum |q_i| near 0.5 / delta; the tree's edges span at least half
+        # the spread, so its sum |q_i| is 9
+        dec = decompose_channel(np.diag([0.3 + delta, 0.2, 0.3 - delta, 0.2]),
+                                np.diag([0.5, 0.5, 0, 0]))
+        assert dec.classification == QUASI_PROBABILITY
+        assert np.abs(dec.probabilities).sum() <= 9 + 1e-5
+        assert np.abs(kraus_sum(dec) - np.eye(4)).max() <= 1e-12
+
+    def test_degenerate_input_label_is_one_per_pair(self):
+        # the input cluster's basis is arbitrary, so the overlap pairing
+        # inside it is too; the label must not depend on it
+        rng = np.random.default_rng(1)
+        labels = set()
+        for _ in range(200):
+            u, w = random_unitary(rng, 4), random_unitary(rng, 4)
+            dec = decompose_channel(rotated(u, [0.3, 0.3, 0.2, 0.2]), rotated(w, [0.5, 0.5, 0, 0]))
+            assert dec.reconstruction_residual <= DEFAULT_TOLERANCES.reconstruction
+            labels.add(dec.classification)
+        assert labels == {QUASI_PROBABILITY}
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        pattern=st.sampled_from([
+            [0.3, 0.3, 0.2, 0.2], [0.4, 0.2, 0.2, 0.2], [0.25, 0.25, 0.25, 0.125, 0.125],
+            [0.5, 0.5, 0, 0], [0.3, 0.3, 0.3, 0.1, 0, 0], [0.5, 0.25, 0.25],
+        ]),
+        delta=st.sampled_from([0.0, 1e-12, 1e-10, 1e-8]),
+        dirichlet=st.booleans(),
+    )
+    def test_label_is_majorization_on_degenerate_inputs(self, seed, pattern, delta, dirichlet):
+        # the leading cluster split by delta; outputs Dirichlet or [.5, .5, 0, ...]
+        rng = np.random.default_rng(seed)
+        d = len(pattern)
+        y = np.array(pattern)
+        y[:2] += [delta, -delta]
+        x = rng.dirichlet(np.ones(d)) if dirichlet else np.array([0.5, 0.5] + [0.0] * (d - 2))
+        rho_in = rotated(random_unitary(rng, d), y)
+        dec = decompose_channel(rho_in, rotated(random_unitary(rng, d), x))
+        assert (dec.classification == MIXED_UNITARY) == is_majorized(x, y)
+        assert dec.reconstruction_residual <= DEFAULT_TOLERANCES.reconstruction
+        assert np.abs(kraus_sum(dec) - np.eye(d)).max() <= 1e-9
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValidationError):
@@ -86,10 +162,7 @@ class TestDecomposeChannel:
             d = int(rng.integers(2, 7))
             rho_in = random_density_matrix(rng, d, min_gap=1e-3)
             rho_out = random_density_matrix(rng, d)
-            try:
-                dec = decompose_channel(rho_in, rho_out)
-            except SingularChannel:
-                continue
+            dec = decompose_channel(rho_in, rho_out)
             out = apply_decomposition(dec, rho_in)
             assert np.abs(out - rho_out).max() <= 1e-8
 
@@ -208,11 +281,7 @@ class TestKrausLike:
             d = int(rng.integers(2, 6))
             rho_in = random_density_matrix(rng, d, min_gap=1e-3)
             rho_out = random_density_matrix(rng, d)
-            try:
-                kraus = to_kraus_like(decompose_channel(rho_in, rho_out))
-            except SingularChannel:
-                continue
-            total = sum(k @ kbar for k, kbar in kraus.operators)
+            total = kraus_sum(decompose_channel(rho_in, rho_out))
             assert np.abs(total - np.eye(d)).max() <= 1e-9
 
 

@@ -263,11 +263,16 @@ def channel_argv(tmp_path, rho_in, rho_out):
             str(tmp_path / "out.json"), "--out", str(tmp_path / "run")]
 
 
-def test_consistent_singular_channel_writes_no_kraus_like(tmp_path):
-    argv = channel_argv(tmp_path, np.diag([0.3, 0.3, 0.2, 0.2]), np.diag([0.45, 0.45, 0.05, 0.05]))
-    assert main(argv) == EXIT_OK
+@pytest.mark.parametrize("rho_in, rho_out", [
+    (np.diag([0.3, 0.3, 0.2, 0.2]), np.diag([0.45, 0.45, 0.05, 0.05])),
+    # the cyclic q reconstructs rho_out only to about 1e-8; before the
+    # transposition tree this ended in a RuntimeError traceback
+    (np.diag([0.3 + 1e-10, 0.3 - 1e-10, 0.2, 0.2]), np.diag([0.6, 0.2, 0.15, 0.05])),
+], ids=["singular", "nearly-singular"])
+def test_singular_cyclic_system_writes_kraus_like(tmp_path, rho_in, rho_out):
+    assert main(channel_argv(tmp_path, rho_in, rho_out)) == EXIT_OK
     doc = json.loads((tmp_path / "run.channel.json").read_text())
-    assert doc["classification"] == "singular" and "kraus_like" not in doc
+    assert doc["classification"] == "quasi_probability" and len(doc["kraus_like"]) == 4
 
 
 @pytest.mark.parametrize("dim", [3, "x"])
@@ -333,13 +338,14 @@ def test_parser_built_once_and_reused(tmp_path, monkeypatch):
     assert cli.build_parser() is not cli.build_parser()
 
 
-def run_module(*args, cwd):
-    """``python -m probunitary args`` in a fresh interpreter."""
+def run_module(*args, cwd, stdout=subprocess.PIPE, env=None):
+    """``python -m probunitary args`` in a fresh interpreter, with ``env``
+    added to the environment."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "probunitary", *args], cwd=cwd,
-                          env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=120)
+                          env={**os.environ, "PYTHONPATH": path, **(env or {})},
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
 
 
 def test_python_m_probunitary(tmp_path):
@@ -353,3 +359,17 @@ def test_python_m_probunitary(tmp_path):
     lines = bad.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in bad.stderr
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_1_silently(tmp_path, unbuffered):
+    # stdout is a pipe with no reader; buffered or not, the write fails in main
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_module("models", "--json", cwd=tmp_path, stdout=write_end,
+                          env={"PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 1
+    assert proc.stderr == ""

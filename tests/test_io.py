@@ -122,9 +122,6 @@ class TestGoldenBytes:
             b"0.01,0.66666666666666663,0.66666666666666663,0.01,\r\n"
         )
 
-    def test_channel_without_kraus(self, tmp_path):
-        assert written(tmp_path, io.write_channel_json, CHANNEL) == CHANNEL_JSON + b"}"
-
     def test_channel_with_kraus(self, tmp_path):
         kraus = KrausLikeForm(
             operators=np.array([
