@@ -39,7 +39,6 @@ from .linalg import (
     Spectrum,
     classify_circulant_singularity,
     hermitian_eigendecomposition,
-    real_weyl,
     solve_circulant_rates,
     validate_density_matrix,
 )

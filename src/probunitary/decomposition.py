@@ -19,13 +19,13 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import TrajectoryTooCoarse, ValidationError
 from .linalg import (
     RateSolveResult,
+    _block_report,
     _canonical_spectrum,
     _degenerate_clusters,
     _solve_circulant_batch,
     _validated_eigh,
     conjugated_permutations,
     cyclic_shift_rows,
-    solve_circulant_rates,
 )
 
 __all__ = [
@@ -231,12 +231,26 @@ def _hamiltonians(frames: EigenframeSeries) -> np.ndarray:
     return (h + h.conj().transpose(0, 2, 1)) / 2
 
 
-def _rate_system(frames: EigenframeSeries) -> tuple[np.ndarray, np.ndarray]:
-    """Populations p (clipped, normalized) and eigenvalue derivatives f
-    of the rate system on every grid time, each of shape (n, d)."""
-    p = np.clip(frames.eigenvalues, 0.0, None)
+def _populations(eigenvalues) -> np.ndarray:
+    """Eigenvalues clipped at 0 and normalized along the last axis: the p
+    of the rate system."""
+    p = np.clip(eigenvalues, 0.0, None)
+    return p / p.sum(axis=-1, keepdims=True)
+
+
+def _rate_rows(frames: EigenframeSeries, tol: Tolerances):
+    """Rates (n, d), negative and singular flags (n,) and condition
+    estimates (n,) on every grid time, as decompose_trajectory stores them:
+    the rate system on the populations p and the eigenvalue derivatives f."""
     f = _d_dt(frames.eigenvalues, frames)
-    return p / p.sum(axis=1, keepdims=True), f
+    rates, singular, condition = _solve_circulant_batch(
+        _populations(frames.eigenvalues), f, "continuous", tol)
+    # grid-aware flag: rates of order 1/dt are indistinguishable from
+    # a singular crossing at this resolution and break the scheme
+    spacings = np.diff(frames.times)
+    singular |= condition * np.append(spacings, spacings[-1]) >= 1.0
+    negative = np.any(rates[:, 1:] < -tol.rate_negativity, axis=1)
+    return rates, negative, singular, condition
 
 
 def build_hamiltonian(frames: EigenframeSeries, t: float) -> np.ndarray:
@@ -250,10 +264,16 @@ def compute_rates_at(
     frames: EigenframeSeries, t: float, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> RateSolveResult:
     """Jump rates at grid time t from the tracked eigenvalue branches: the
-    row that decompose_trajectory stores, with the singularity report."""
+    row that decompose_trajectory stores, with its singular flag and
+    condition estimate, and the block structure of p when the circulant
+    itself is singular (infinite condition estimate)."""
     k = frames.index_of(t)
-    p, f = _rate_system(frames)
-    return solve_circulant_rates(p[k], f[k], mode="continuous", tol=tol)
+    rates, _, singular, condition = _rate_rows(frames, tol)
+    return RateSolveResult(
+        q=rates[k], singular=bool(singular[k]), condition_estimate=float(condition[k]),
+        block_structure=(_block_report(_populations(frames.eigenvalues[k]), tol)
+                         if np.isinf(condition[k]) else None),
+    )
 
 
 def build_tilde_unitaries(frame) -> np.ndarray:
@@ -297,16 +317,11 @@ def decompose_trajectory(
     """Full pipeline: align frames, then solve q on every grid time; H
     is rebuilt from the frames by DecompositionSeries.hamiltonians."""
     frames = align_eigenframes(samples, tol=tol)
-    p, f = _rate_system(frames)
-    rates, singular, condition = _solve_circulant_batch(p, f, "continuous", tol)
-    # grid-aware flag: rates of order 1/dt are indistinguishable from
-    # a singular crossing at this resolution and break the scheme
-    spacings = np.diff(frames.times)
-    singular |= condition * np.append(spacings, spacings[-1]) >= 1.0
+    rates, negative, singular, condition = _rate_rows(frames, tol)
     return DecompositionSeries(
         times=frames.times,
         rates=rates,
-        negative_flags=np.any(rates[:, 1:] < -tol.rate_negativity, axis=1),
+        negative_flags=negative,
         singular_flags=singular,
         condition_estimates=condition,
         frames=frames,

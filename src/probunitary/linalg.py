@@ -1,7 +1,7 @@
 """Dense complex linear algebra primitives.
 
 Hermitian eigendecomposition with a deterministic ordering convention,
-cyclic-shift (real Weyl) unitaries and the conjugated permutations that
+the index rows of the cyclic shifts and the conjugated permutations that
 every jump unitary is built from, and the circulant rate solver with its
 singularity classifier.
 """
@@ -20,8 +20,6 @@ __all__ = [
     "RateSolveResult",
     "validate_density_matrix",
     "hermitian_eigendecomposition",
-    "real_weyl",
-    "weyl_family",
     "cyclic_shift_rows",
     "conjugated_permutations",
     "rate_system_matrix",
@@ -176,21 +174,9 @@ def _degenerate_clusters(evals, tol: Tolerances) -> list[list[int]]:
     return clusters
 
 
-def real_weyl(d: int, i: int) -> np.ndarray:
-    """Cyclic-shift permutation unitary sum_k |k><(k+i) mod d|."""
-    if not 0 <= i < d:
-        raise ValidationError(f"shift index {i} out of range for dimension {d}")
-    return weyl_family(d)[i]
-
-
-def weyl_family(d: int) -> np.ndarray:
-    """All d cyclic shifts stacked as an array of shape (d, d, d)."""
-    return np.eye(d, dtype=complex)[cyclic_shift_rows(d)]
-
-
 def cyclic_shift_rows(d: int) -> np.ndarray:
     """Index rows of the cyclic shifts: row i is (k + i) mod d over k, the
-    permutation of real_weyl(d, i)."""
+    permutation of the shift sum_k |k><(k+i) mod d|."""
     return (np.arange(d)[:, None] + np.arange(d)) % d
 
 

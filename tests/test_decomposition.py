@@ -23,6 +23,7 @@ from probunitary.models import (
     amplitude_damping_spec,
     integrate,
     jc_reduced_state,
+    sample_model,
 )
 
 from conftest import (
@@ -33,6 +34,17 @@ from conftest import (
 )
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]])
+
+
+def assert_rates_row(dec, k):
+    """compute_rates_at returns row k of the stored rates and flags."""
+    res = compute_rates_at(dec.frames, dec.times[k])
+    assert np.array_equal(res.q, dec.rates[k])
+    assert res.singular == dec.singular_flags[k]
+    assert res.condition_estimate == dec.condition_estimates[k]
+    # the block report belongs to a singular circulant, not to a row the
+    # grid-aware flag alone marks
+    assert (res.block_structure is None) == np.isfinite(dec.condition_estimates[k])
 
 
 def rotating_qubit_samples(omega, times, p=(0.8, 0.2)):
@@ -445,7 +457,26 @@ class TestPipeline:
         # H is rebuilt from the frames: no stack of matrices is stored
         assert not any(isinstance(v, np.ndarray) and v.ndim == 3 for v in vars(dec).values())
         assert np.array_equal(build_hamiltonian(dec.frames, t), dec.hamiltonians[k])
-        assert np.array_equal(compute_rates_at(dec.frames, t).q, dec.rates[k])
+        assert_rates_row(dec, k)
+
+    @pytest.mark.parametrize("dt", [0.05, 0.01])
+    def test_rates_at_match_pipeline_rows_across_jc_singularity(self, dt):
+        # the JC rate (omega/2) tan(omega t) crosses its pole at omega t = pi/2;
+        # next to it the rows are flagged by the grid-aware condition * dt >= 1
+        times = np.round(np.arange(0.0, 3.0 + dt / 2, dt), 10)
+        dec = decompose_trajectory(sample_model("jc", times))
+        near = np.flatnonzero(np.abs(times - math.pi / 2) < 2 * dt)
+        assert dec.singular_flags[near].any()
+        for k in near:
+            assert_rates_row(dec, k)
+
+    def test_rates_at_reports_block_structure_of_singular_row(self):
+        # a maximally mixed qubit: circ(1/2, 1/2) is singular on every row
+        times = np.linspace(0.0, 1.0, 11)
+        dec = decompose_trajectory(rotating_qubit_samples(1.0, times, p=(0.5, 0.5)))
+        assert dec.singular_flags.all()
+        assert_rates_row(dec, 3)
+        assert "length 2" in compute_rates_at(dec.frames, times[3]).block_structure
 
     def test_first_order_convergence(self, rng):
         spec = amplitude_damping_spec(0.9)

@@ -3,16 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from probunitary.decomposition import build_tilde_unitaries
 from probunitary.errors import ValidationError
 from probunitary.linalg import (
     _phase_fix,
     rate_system_matrix,
     classify_circulant_singularity,
     hermitian_eigendecomposition,
-    real_weyl,
     solve_circulant_rates,
     validate_density_matrix,
-    weyl_family,
 )
 
 from conftest import random_hermitian, random_unitary
@@ -153,25 +152,27 @@ class TestPhaseFix:
         assert not np.shares_memory(fixed, vecs)
 
 
+def real_weyl_family(d):
+    """The cyclic shifts W_i = sum_k |k><(k+i) mod d|, i = 0..d-1: the
+    shift unitaries conjugated into the identity frame."""
+    return build_tilde_unitaries(np.eye(d, dtype=complex))
+
+
 class TestRealWeyl:
     def test_identity_shift(self):
-        np.testing.assert_array_equal(real_weyl(2, 0), np.eye(2))
+        np.testing.assert_array_equal(real_weyl_family(2)[0], np.eye(2))
 
     def test_d2_shift_is_sigma_x(self):
-        np.testing.assert_array_equal(real_weyl(2, 1).real, [[0, 1], [1, 0]])
+        np.testing.assert_array_equal(real_weyl_family(2)[1], [[0, 1], [1, 0]])
 
     def test_d3_shift_one(self):
         # direct evaluation of sum_k |k><(k+1) mod 3|
         expected = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-        np.testing.assert_array_equal(real_weyl(3, 1).real, expected)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValidationError):
-            real_weyl(3, 3)
+        np.testing.assert_array_equal(real_weyl_family(3)[1], expected)
 
     @pytest.mark.parametrize("d", range(2, 17))
     def test_orthogonality(self, d):
-        fam = weyl_family(d)
+        fam = real_weyl_family(d)
         for i in range(d):
             for j in range(d):
                 tr = np.trace(fam[i].conj().T @ fam[j]).real
@@ -186,7 +187,7 @@ class TestRealWeyl:
     def test_cyclic_action(self, d, i, seed):
         shift = i.draw(st.integers(min_value=0, max_value=d - 1))
         p = np.random.default_rng(seed).dirichlet(np.ones(d))
-        u = real_weyl(d, shift)
+        u = real_weyl_family(d)[shift]
         rotated = np.diagonal(u @ np.diag(p) @ u.conj().T).real
         np.testing.assert_allclose(rotated, np.roll(p, -shift), atol=1e-14)
 
