@@ -36,9 +36,7 @@ from .errors import (
 )
 from .linalg import (
     RateSolveResult,
-    Spectrum,
     classify_circulant_singularity,
-    hermitian_eigendecomposition,
     solve_circulant_rates,
     validate_density_matrix,
 )

@@ -25,7 +25,7 @@ from scipy.optimize import linear_sum_assignment
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import SingularChannel, ValidationError
 from .linalg import (
-    _canonical_spectrum,
+    _phase_fix,
     _validated_eigh,
     conjugated_permutations,
     cyclic_shift_rows,
@@ -59,9 +59,9 @@ class ChannelDecomposition:
     conjugated permutations V_out P_i V_in^dag, eigenvectors in descending
     order; slots a split does not need carry weight 0 and the identity
     permutation.  ``pairing[i]`` is the output eigenbranch matched to
-    input branch i: the overlap assignment on the cyclic construction
-    (the convention is ours, not canonical), the descending-order pairing
-    (equal rank) that the permutations act on otherwise.
+    input branch i, both in descending eigenvalue order: the overlap
+    assignment on the cyclic construction, the identity (equal rank)
+    otherwise.
     """
 
     probabilities: np.ndarray       # (d,), q[0] = 1 - sum(q[1:])
@@ -172,17 +172,11 @@ def _mix(q, unitaries, rho) -> np.ndarray:
     return np.einsum("i,iab,bc,idc->ad", q, unitaries, rho, unitaries.conj())
 
 
-def _sorted_split(spec_in, spec_out, tol: Tolerances):
-    """Split over conjugated permutations of the descending spectra as the
-    record (q, V_out, V_in, index rows, pairing) that decompose_channel
-    finishes: the Hardy-Littlewood-Polya chain when spec(rho_out) is
-    majorized by spec(rho_in), else the transposition tree."""
-    # eigenvalues inside a degenerate cluster may sit out of order by less
-    # than tol.degeneracy_gap; both splits need them strictly descending
-    order_in = np.argsort(-spec_in.eigenvalues, kind="stable")
-    order_out = np.argsort(-spec_out.eigenvalues, kind="stable")
-    y = spec_in.eigenvalues[order_in]
-    x = spec_out.eigenvalues[order_out]
+def _sorted_split(y, v_in, x, v_out, tol: Tolerances):
+    """Split over conjugated permutations of the descending spectra y of
+    rho_in and x of rho_out as the record (q, V_out, V_in, index rows,
+    pairing) that decompose_channel finishes: the Hardy-Littlewood-Polya
+    chain when x is majorized by y, else the transposition tree."""
     # x is majorized by y: every leading partial sum of x is at most y's
     if np.all(np.cumsum(x)[:-1] <= np.cumsum(y)[:-1] + tol.rate_negativity):
         q, perms = _permutation_mixture(y, x)
@@ -190,12 +184,9 @@ def _sorted_split(spec_in, spec_out, tol: Tolerances):
         q /= q.sum()
     else:
         q, perms = _transposition_tree(y, x, tol)
-    pairing = np.empty(y.shape[0], dtype=int)
-    pairing[order_in] = order_out
     # U_n = V_out P_n V_in^dag maps descending input branch perms[n, k]
     # to descending output branch k
-    return (q, spec_out.eigenvectors[:, order_out], spec_in.eigenvectors[:, order_in],
-            perms, pairing)
+    return q, v_out, v_in, perms, np.arange(y.shape[0])
 
 
 def _reconstruct(split, rho_in, rho_out):
@@ -227,22 +218,21 @@ def decompose_channel(
     mixed-unitary).  Raises SingularChannel only for a maximally mixed
     rho_in with a different rho_out, which no mixture of unitaries reaches.
     """
-    rho_in, *eig_in = _validated_eigh(rho_in, tol)
-    rho_out, *eig_out = _validated_eigh(rho_out, tol)
+    rho_in, p_in, v_in = _validated_eigh(rho_in, tol)
+    rho_out, p_out, v_out = _validated_eigh(rho_out, tol)
     if rho_in.shape != rho_out.shape:
         raise ValidationError("input and output dimensions differ")
 
-    spec_in = _canonical_spectrum(*eig_in, tol)
-    spec_out = _canonical_spectrum(*eig_out, tol)
-    overlap = spec_in.eigenvectors.conj().T @ spec_out.eigenvectors
-    _, cols = linear_sum_assignment(-np.abs(overlap) ** 2)
-    p_in = spec_in.eigenvalues
-    q = solve_circulant_rates(p_in, spec_out.eigenvalues[cols] - p_in, mode="channel", tol=tol).q
-    split = _reconstruct((q, spec_out.eigenvectors[:, cols], spec_in.eigenvectors,
-                          cyclic_shift_rows(len(q)), cols), rho_in, rho_out)
+    v_in, v_out = _phase_fix(v_in), _phase_fix(v_out)
+    _, cols = linear_sum_assignment(-np.abs(v_in.conj().T @ v_out) ** 2)
+    q = solve_circulant_rates(p_in, p_out[cols] - p_in, tol=tol).q
+    # the solve returns q0 = -v0, and v0 is the stay probability less 1
+    q[0] = 1.0 - q[0]
+    split = _reconstruct((q, v_out[:, cols], v_in, cyclic_shift_rows(len(q)), cols),
+                         rho_in, rho_out)
     fits = split[3] <= tol.reconstruction
     if not (fits and _is_probability(q, tol)):
-        alt = _reconstruct(_sorted_split(spec_in, spec_out, tol), rho_in, rho_out)
+        alt = _reconstruct(_sorted_split(p_in, v_in, p_out, v_out, tol), rho_in, rho_out)
         if not fits or np.abs(alt[0]).sum() < np.abs(q).sum():
             split = alt
     q, unitaries, pairing, residual = split

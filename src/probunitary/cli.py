@@ -101,6 +101,13 @@ def _load_samples(args):
         return io.read_trajectory(args.input)
     if args.model is None:
         raise ValidationError("either --model or --input is required")
+    # np.arange raises a bare ValueError on a grid no array can hold
+    points = (args.horizon + args.dt / 2) / args.dt
+    if not points * np.dtype(float).itemsize < np.iinfo(np.intp).max:
+        raise ValidationError(
+            f"--horizon {args.horizon} / --dt {args.dt} is {points:.3g} grid points, "
+            "more than an array can hold"
+        )
     grid = np.arange(0.0, args.horizon + args.dt / 2, args.dt)
     params = ModelParams(omega=args.omega, gamma=args.gamma)
     if args.model == "lindblad":

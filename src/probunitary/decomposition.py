@@ -20,8 +20,8 @@ from .errors import TrajectoryTooCoarse, ValidationError
 from .linalg import (
     RateSolveResult,
     _block_report,
-    _canonical_spectrum,
     _degenerate_clusters,
+    _phase_fix,
     _solve_circulant_batch,
     _validated_eigh,
     conjugated_permutations,
@@ -33,7 +33,6 @@ __all__ = [
     "EigenframeSeries",
     "DecompositionSeries",
     "align_eigenframes",
-    "align_spectra",
     "build_hamiltonian",
     "compute_rates_at",
     "build_tilde_unitaries",
@@ -116,20 +115,20 @@ def _spectra_of(samples, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, np.nd
     return times, evals, evecs
 
 
-def align_spectra(
-    times, spectra, tol: Tolerances = DEFAULT_TOLERANCES
-) -> EigenframeSeries:
+def _align(times, vals, vecs, tol: Tolerances) -> EigenframeSeries:
     """Match eigenvector branches across frames and fix their gauge.
 
-    Frame 0 takes hermitian_eigendecomposition's convention, except that
-    the basis of each numerically degenerate cluster is rotated onto
-    frame 1's by the polar part of their overlap block.  Each later
-    frame is matched to the one before: when every diagonal overlap with
-    it reaches ``tol.overlap_floor`` the branches keep their order,
-    otherwise an optimal assignment on squared overlaps matches them.
-    Each branch's phase is then set by discrete parallel transport, and a
-    numerically degenerate cluster is aligned as a subspace via the polar
-    part of its overlap block.
+    Takes _validated_eigh's output: eigenvalues (n, d) and eigenvectors
+    (n, d, d), every frame in descending eigenvalue order.  Frame 0 keeps
+    that order with _phase_fix's gauge, except that the basis of each
+    numerically degenerate cluster is rotated onto frame 1's by the polar
+    part of their overlap block.  Each later frame is matched to the one
+    before: when every diagonal overlap with it reaches
+    ``tol.overlap_floor`` the branches keep their order, otherwise an
+    optimal assignment on squared overlaps matches them.  Each branch's
+    phase is then set by discrete parallel transport, and a numerically
+    degenerate cluster is aligned as a subspace via the polar part of its
+    overlap block.
 
     Up to the first frame that needs the assignment solver or polar, the
     transport is a running product: branch i of frame k is
@@ -139,31 +138,15 @@ def align_spectra(
     Adjacent frames whose aligned vectors overlap less than
     ``tol.overlap_floor`` raise TrajectoryTooCoarse.
     """
-    if len(spectra) < 2:
-        raise ValidationError("need at least two frames")
-    d = spectra[0].dim
-    if any(np.shape(s.eigenvectors) != (d, d) or np.shape(s.eigenvalues) != (d,)
-           for s in spectra):
-        raise ValidationError("frame dimension mismatch")
-    vals = np.array([s.eigenvalues for s in spectra], dtype=float)
-    vecs = np.array([s.eigenvectors for s in spectra], dtype=complex)
-    return _align(np.asarray(times, dtype=float), vals, vecs, tol)
-
-
-def _align(times, vals, vecs, tol: Tolerances) -> EigenframeSeries:
-    """align_spectra on stacked eigenvalues (n, d) and eigenvectors (n, d, d)."""
     n = len(vals)
-    order = np.argsort(-vals[0], kind="stable")
-    first = _canonical_spectrum(vals[0][order], vecs[0][:, order], tol)
     evals = np.array(vals)
     evecs = np.array(vecs)
-    evals[0], evecs[0] = first.eigenvalues, first.eigenvectors
+    evecs[0] = _phase_fix(vecs[0])
     # frame 0's basis of a degenerate cluster is arbitrary; rotate it onto
     # frame 1's, so that a cluster the dynamics splits stays aligned
-    nxt = vecs[1][:, np.argsort(-vals[1], kind="stable")]
     for cluster in _degenerate_clusters(evals[0], tol):
         if len(cluster) > 1:
-            w, _ = polar(evecs[0][:, cluster].conj().T @ nxt[:, cluster])
+            w, _ = polar(evecs[0][:, cluster].conj().T @ vecs[1][:, cluster])
             evecs[0][:, cluster] = evecs[0][:, cluster] @ w
 
     # frames up to the first one that needs the assignment solver (a
@@ -243,8 +226,7 @@ def _rate_rows(frames: EigenframeSeries, tol: Tolerances):
     estimates (n,) on every grid time, as decompose_trajectory stores them:
     the rate system on the populations p and the eigenvalue derivatives f."""
     f = _d_dt(frames.eigenvalues, frames)
-    rates, singular, condition = _solve_circulant_batch(
-        _populations(frames.eigenvalues), f, "continuous", tol)
+    rates, singular, condition = _solve_circulant_batch(_populations(frames.eigenvalues), f, tol)
     # grid-aware flag: rates of order 1/dt are indistinguishable from
     # a singular crossing at this resolution and break the scheme
     spacings = np.diff(frames.times)

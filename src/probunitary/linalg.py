@@ -1,9 +1,10 @@
 """Dense complex linear algebra primitives.
 
-Hermitian eigendecomposition with a deterministic ordering convention,
-the index rows of the cyclic shifts and the conjugated permutations that
-every jump unitary is built from, and the circulant rate solver with its
-singularity classifier.
+Density-matrix validation with the package's one eigendecomposition
+convention (descending eigenvalues, phase-fixed eigenvectors), the index
+rows of the cyclic shifts and the conjugated permutations that every jump
+unitary is built from, and the circulant rate solver with its singularity
+classifier.
 """
 
 from __future__ import annotations
@@ -16,10 +17,8 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import ValidationError
 
 __all__ = [
-    "Spectrum",
     "RateSolveResult",
     "validate_density_matrix",
-    "hermitian_eigendecomposition",
     "cyclic_shift_rows",
     "conjugated_permutations",
     "rate_system_matrix",
@@ -28,46 +27,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues and a phase-fixed eigenvector matrix.
-
-    Columns of ``eigenvectors`` are the eigenvectors in the same order as
-    ``eigenvalues``; see hermitian_eigendecomposition for that order.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
-
 @dataclass
 class RateSolveResult:
     """Solution of the rate system.
 
-    ``q`` follows the convention of the requested mode: q[0] is the total
-    rate (continuous) or the stay probability (channel); q[1:] belong to
-    the nontrivial cyclic shifts.  On a singular system ``q`` is the
-    minimum-norm solution, which drops any component of f outside the
-    system's range; the caller checks what q reconstructs.
+    q[0] is the total rate and q[1:] belong to the nontrivial cyclic
+    shifts.  On a singular system ``q`` is the minimum-norm solution,
+    which drops any component of f outside the system's range; the caller
+    checks what q reconstructs.
     """
 
     q: np.ndarray
     singular: bool
     condition_estimate: float
     block_structure: str | None = None
-
-
-def _as_complex_matrix(m) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValidationError("matrix contains NaN or Inf entries")
-    return m
 
 
 def validate_density_matrix(rho, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -85,7 +58,11 @@ def validate_density_matrix(rho, tol: Tolerances = DEFAULT_TOLERANCES) -> np.nda
 def _validated_eigh(rho, tol: Tolerances):
     """validate_density_matrix's checks and its eigendecomposition: the
     validated complex array, its eigenvalues (..., d) and eigenvectors
-    (..., d, d), both in descending eigenvalue order."""
+    (..., d, d), both in descending eigenvalue order.
+
+    This is the package's one eigen convention: equal eigenvalues keep
+    eigh's order reversed, and consumers that emit eigenvectors apply
+    _phase_fix to them."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]:
         raise ValidationError(
@@ -122,42 +99,6 @@ def _phase_fix(vecs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     fixed = vecs.copy()
     np.multiply(fixed, np.exp(-1j * np.angle(lead)), out=fixed, where=significant.any(axis=0))
     return fixed
-
-
-def hermitian_eigendecomposition(
-    m, tol: Tolerances = DEFAULT_TOLERANCES
-) -> Spectrum:
-    """Eigendecompose a Hermitian matrix with a deterministic convention.
-
-    Each eigenvector is phase-fixed (first significant component real
-    positive).  Eigenpairs are in descending eigenvalue order, except
-    inside a numerically degenerate cluster (a run of eigenvalues whose
-    gaps are below ``tol.degeneracy_gap``): there the pairs are ordered by
-    descending lexicographic key on the eigenvector's (real, imag)
-    entries, so the output is reproducible but the cluster's eigenvalues
-    need not be sorted.  Consumers that need sorted values re-sort them.
-    """
-    m = _as_complex_matrix(m)
-    herm = np.max(np.abs(m - m.conj().T))
-    if herm > tol.hermiticity:
-        raise ValidationError(f"matrix not Hermitian: deviation {herm:.3e}")
-    evals, vecs = np.linalg.eigh(m)
-    return _canonical_spectrum(evals[::-1], vecs[:, ::-1], tol)
-
-
-def _canonical_spectrum(evals, vecs, tol: Tolerances) -> Spectrum:
-    """hermitian_eigendecomposition's convention applied to eigenpairs
-    already in descending eigenvalue order."""
-    evals = np.array(evals, dtype=float)
-    vecs = _phase_fix(vecs)
-    # deterministic ordering inside (numerically) degenerate clusters
-    for cluster in _degenerate_clusters(evals, tol):
-        if len(cluster) > 1:
-            order = sorted(cluster, reverse=True, key=lambda j: tuple(
-                x for ri in vecs[:, j] for x in (ri.real, ri.imag)))
-            vecs[:, cluster] = vecs[:, order]
-            evals[cluster] = evals[order]
-    return Spectrum(eigenvalues=evals, eigenvectors=vecs)
 
 
 def _degenerate_clusters(evals, tol: Tolerances) -> list[list[int]]:
@@ -227,22 +168,20 @@ def _block_report(p, tol: Tolerances) -> str:
     return desc if singular else "spectrum nearly block-constant"
 
 
-def _solve_circulant_batch(p, f, mode: str, tol: Tolerances):
+def _solve_circulant_batch(p, f, tol: Tolerances):
     """Solve M v = f with M[k, i] = p[(k + i) mod d] for every row of the
     (n, d) arrays p and f by DFT diagonalization.
 
     M (see rate_system_matrix) is the convolution circulant of p up to an
     index reversal, so the DFT still diagonalizes the solve.  Returns
-    per-row arrays (q, singular, condition): q in the convention of
-    ``mode`` (see solve_circulant_rates), minimum-norm on singular rows;
-    condition inf on singular rows.
+    per-row arrays (q, singular, condition): q with v = (-q0, q1, ...) (see
+    solve_circulant_rates), minimum-norm on singular rows; condition inf on
+    singular rows.
     """
     p = np.asarray(p, dtype=float)
     f = np.asarray(f, dtype=float)
     if p.ndim != 2 or f.shape != p.shape:
         raise ValidationError(f"inconsistent dimensions: p {p.shape}, f {f.shape}")
-    if mode not in ("continuous", "channel"):
-        raise ValidationError(f"unknown mode {mode!r}")
     if not np.all(np.isfinite(f)):
         raise ValidationError("f contains NaN or Inf entries")
     if p.min() < -1e-8 or p.max() > 1 + 1e-8 or np.abs(p.sum(axis=1) - 1).max() > 1e-8:
@@ -261,26 +200,20 @@ def _solve_circulant_batch(p, f, mode: str, tol: Tolerances):
     w = np.fft.ifft(vhat, axis=1).real
     # undo the index reversal (fixes index 0, swaps i and d-i)
     q = w[:, (-np.arange(p.shape[1])) % p.shape[1]]
-    if mode == "continuous":
-        q[:, 0] = -q[:, 0]
-    else:
-        q[:, 0] += 1.0
+    q[:, 0] = -q[:, 0]
     return q, singular, condition
 
 
-def solve_circulant_rates(
-    p, f, mode: str = "continuous", tol: Tolerances = DEFAULT_TOLERANCES
-) -> RateSolveResult:
+def solve_circulant_rates(p, f, tol: Tolerances = DEFAULT_TOLERANCES) -> RateSolveResult:
     """Solve the circulant rate system M v = f for one p, f by DFT
     diagonalization; M[k, i] = p[(k + i) mod d] (see rate_system_matrix).
 
-    ``mode`` selects the sign convention of the first unknown:
-    "continuous" has v = (-q0, q1, ...), "channel" has v = (q0 - 1, q1, ...).
-    When M is singular the minimum-norm (pseudoinverse) solution, which
-    drops any component of f outside the range of M, is returned with the
-    singular flag and the block structure set; it does not raise.
+    The unknowns are v = (-q0, q1, ...), so q0 is the total rate.  When M
+    is singular the minimum-norm (pseudoinverse) solution, which drops any
+    component of f outside the range of M, is returned with the singular
+    flag and the block structure set; it does not raise.
     """
-    q, singular, condition = _solve_circulant_batch([p], [f], mode, tol)
+    q, singular, condition = _solve_circulant_batch([p], [f], tol)
     return RateSolveResult(
         q=q[0], singular=bool(singular[0]), condition_estimate=float(condition[0]),
         block_structure=_block_report(p, tol) if singular[0] else None,

@@ -102,6 +102,9 @@ def test_decompose_writes_rates_and_hamiltonians(tmp_path):
         ["simulate", "--model", "amplitude-damping", "--horizon", "0.5",
          "--trajectories", "1000000000000000"],
         ["decompose", "--model", "jc", "--dt", "1e-15"],
+        # grids past the address space, refused before numpy sees them
+        ["decompose", "--model", "jc", "--dt", "1e-300"],
+        ["decompose", "--model", "jc", "--horizon", "1e300"],
     ],
 )
 def test_petabyte_input_exits_2(tmp_path, capsys, argv):

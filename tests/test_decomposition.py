@@ -8,8 +8,8 @@ from scipy.optimize import linear_sum_assignment
 from probunitary.config import DEFAULT_TOLERANCES
 from probunitary.decomposition import (
     TrajectorySample,
+    _align,
     align_eigenframes,
-    align_spectra,
     build_hamiltonian,
     build_tilde_unitaries,
     compute_rates_at,
@@ -17,7 +17,7 @@ from probunitary.decomposition import (
     reconstruct_rhs,
 )
 from probunitary.errors import TrajectoryTooCoarse, ValidationError
-from probunitary.linalg import Spectrum, hermitian_eigendecomposition
+from probunitary.linalg import _phase_fix, _validated_eigh
 from probunitary.models import (
     amplitude_damping_exact,
     amplitude_damping_spec,
@@ -68,11 +68,9 @@ class TestAlignment:
 
     def test_sign_flip_is_absorbed(self):
         rho = np.diag([0.6, 0.4]).astype(complex)
-        spec = hermitian_eigendecomposition(rho)
-        flipped = Spectrum(
-            eigenvalues=spec.eigenvalues, eigenvectors=-spec.eigenvectors
-        )
-        frames = align_spectra([0.0, 0.1], [spec, flipped])
+        _, vals, vecs = _validated_eigh(np.stack([rho, rho]), DEFAULT_TOLERANCES)
+        flipped = vecs * np.array([1, -1])[:, None, None]
+        frames = _align(np.array([0.0, 0.1]), vals, flipped, DEFAULT_TOLERANCES)
         overlap = np.vdot(frames.eigenvectors[0][:, 0], frames.eigenvectors[1][:, 0])
         assert overlap.real > 0.999 and abs(overlap.imag) < 1e-12
 
@@ -145,9 +143,9 @@ def sequential_alignment(samples, tol=DEFAULT_TOLERANCES):
     diagonal overlap is below the floor, per-branch phase transport or the
     polar part of each degenerate cluster's overlap block.  Also returns
     the first frame that needed the assignment solver or polar."""
-    first = hermitian_eigendecomposition(samples[0].rho)
-    vals, vecs = [first.eigenvalues], [first.eigenvectors]
-    d, serial = first.dim, None
+    _, first, v = _validated_eigh(samples[0].rho, tol)
+    vals, vecs = [first], [_phase_fix(v)]
+    d, serial = len(first), None
     for k in range(1, len(samples)):
         w, v = np.linalg.eigh(samples[k].rho)
         w, v = w[::-1], v[:, ::-1].copy()
@@ -416,17 +414,9 @@ class TestPipeline:
         times = np.arange(0, 0.05, 1e-3)
         samples = rotating_qubit_samples(0.9, times)
         frames_ref = align_eigenframes(samples)
-        spectra = []
-        for s in samples:
-            spec = hermitian_eigendecomposition(s.rho)
-            phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=2))
-            spectra.append(
-                Spectrum(
-                    eigenvalues=spec.eigenvalues,
-                    eigenvectors=spec.eigenvectors * phases,
-                )
-            )
-        frames_alt = align_spectra(times, spectra)
+        _, vals, vecs = _validated_eigh(np.stack([s.rho for s in samples]), DEFAULT_TOLERANCES)
+        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=(len(samples), 1, 2)))
+        frames_alt = _align(times, vals, vecs * phases, DEFAULT_TOLERANCES)
         k = 5
         h_ref = build_hamiltonian(frames_ref, times[k])
         h_alt = build_hamiltonian(frames_alt, times[k])

@@ -3,18 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probunitary.decomposition import build_tilde_unitaries
+from probunitary.config import DEFAULT_TOLERANCES
+from probunitary.decomposition import TrajectorySample, align_eigenframes, build_tilde_unitaries
 from probunitary.errors import ValidationError
 from probunitary.linalg import (
     _phase_fix,
+    _validated_eigh,
     rate_system_matrix,
     classify_circulant_singularity,
-    hermitian_eigendecomposition,
     solve_circulant_rates,
     validate_density_matrix,
 )
 
-from conftest import random_hermitian, random_unitary
+from conftest import random_density_matrix, random_unitary
 
 
 class TestValidation:
@@ -53,54 +54,61 @@ class TestValidation:
             validate_density_matrix(np.ones((2, 2, 3)) / 2)
 
 
+def eigen(m):
+    """The package's one eigen convention: _validated_eigh's descending
+    order with _phase_fix's gauge."""
+    _, vals, vecs = _validated_eigh(m, DEFAULT_TOLERANCES)
+    return vals, _phase_fix(vecs)
+
+
 class TestEigendecomposition:
     def test_diagonal_input(self):
-        spec = hermitian_eigendecomposition(np.diag([0.7, 0.3]))
-        np.testing.assert_allclose(spec.eigenvalues, [0.7, 0.3])
-        np.testing.assert_allclose(spec.eigenvectors, np.eye(2), atol=1e-14)
+        vals, vecs = eigen(np.diag([0.7, 0.3]))
+        np.testing.assert_allclose(vals, [0.7, 0.3])
+        np.testing.assert_allclose(vecs, np.eye(2), atol=1e-14)
 
     def test_sigma_x_mixture(self):
         # oracle: direct 2x2 diagonalization of (1 + sigma_x)/2 gives
         # eigenpairs (1, (1,1)/sqrt(2)) and (0, (1,-1)/sqrt(2))
         m = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
-        spec = hermitian_eigendecomposition(m)
-        np.testing.assert_allclose(spec.eigenvalues, [1.0, 0.0], atol=1e-14)
+        vals, vecs = eigen(m)
+        np.testing.assert_allclose(vals, [1.0, 0.0], atol=1e-14)
         s = 1 / np.sqrt(2)
-        np.testing.assert_allclose(spec.eigenvectors[:, 0], [s, s], atol=1e-12)
-        np.testing.assert_allclose(np.abs(spec.eigenvectors[:, 1]), [s, s], atol=1e-12)
+        np.testing.assert_allclose(vecs[:, 0], [s, s], atol=1e-12)
+        np.testing.assert_allclose(vecs[:, 1], [s, -s], atol=1e-12)
 
     def test_maximally_mixed_tie_break(self):
-        spec = hermitian_eigendecomposition(np.eye(2) / 2)
-        np.testing.assert_allclose(spec.eigenvalues, [0.5, 0.5])
-        np.testing.assert_allclose(spec.eigenvectors, np.eye(2), atol=1e-14)
+        # no tie-break of its own: equal eigenvalues keep eigh's order
+        # reversed, and align_eigenframes' frame 0 keeps that basis
+        vals, vecs = eigen(np.eye(2) / 2)
+        np.testing.assert_allclose(vals, [0.5, 0.5])
+        np.testing.assert_allclose(vecs, np.eye(2)[:, ::-1], atol=1e-14)
+        samples = [TrajectorySample(time=t, rho=np.eye(2) / 2) for t in (0.0, 0.1)]
+        frames = align_eigenframes(samples)
+        np.testing.assert_allclose(frames.eigenvalues[0], vals)
+        np.testing.assert_allclose(frames.eigenvectors[0], vecs, atol=1e-14)
 
     def test_reconstruction_and_unitarity(self, rng):
         for d in (2, 3, 5):
-            m = random_hermitian(rng, d)
-            spec = hermitian_eigendecomposition(m)
-            u = spec.eigenvectors
+            m = random_density_matrix(rng, d)
+            vals, u = eigen(m)
             assert np.max(np.abs(u.conj().T @ u - np.eye(d))) <= 1e-9
-            rec = u @ np.diag(spec.eigenvalues) @ u.conj().T
+            rec = u @ np.diag(vals) @ u.conj().T
             assert np.max(np.abs(rec - m)) <= 1e-9
-            assert np.all(np.diff(spec.eigenvalues) <= 1e-12)
+            assert np.all(np.diff(vals) <= 0)
+            lead = u[np.argmax(np.abs(u) > 1e-12, axis=0), np.arange(d)]
+            assert np.all(lead.real > 0) and np.abs(lead.imag).max() <= 1e-15
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValidationError):
-            hermitian_eigendecomposition(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    def test_degenerate_cluster_ordered_by_key(self, rng):
-        # rank-2 d=5 state: the three zero eigenvalues form one cluster, which
-        # is ordered by eigenvector key, not by (rounding-level) eigenvalue
-        u = random_unitary(rng, 5)
-        m = u @ np.diag([0.63, 0.37, 0.0, 0.0, 0.0]) @ u.conj().T
-        spec = hermitian_eigendecomposition(m)
-        vals, vecs = spec.eigenvalues, spec.eigenvectors
-        np.testing.assert_allclose(vals, [0.63, 0.37, 0, 0, 0], atol=1e-12)
-        assert np.max(np.abs(m @ vecs - vecs * vals)) <= 1e-12
-        keys = [
-            tuple(x for z in vecs[:, j] for x in (z.real, z.imag)) for j in (2, 3, 4)
-        ]
-        assert keys == sorted(keys, reverse=True)
+    def test_frame0_values_descend_on_degenerate_cluster(self):
+        # rank-2 d=5 states: the three zero eigenvalues form one cluster,
+        # whose rounding-level values frame 0 must keep in descending order
+        for seed in range(50):
+            u = random_unitary(np.random.default_rng(seed), 5)
+            rho = u @ np.diag([0.63, 0.37, 0.0, 0.0, 0.0]) @ u.conj().T
+            frames = align_eigenframes([TrajectorySample(time=t, rho=rho) for t in (0.0, 0.1)])
+            vals = frames.eigenvalues[0]
+            np.testing.assert_allclose(vals, [0.63, 0.37, 0, 0, 0], atol=1e-12)
+            assert np.all(np.diff(vals) <= 0), (seed, vals)
 
 
 def phase_fix_loop(vecs, tol=1e-12):
@@ -212,10 +220,9 @@ class TestCirculantSolver:
         # mixed-unitary channel of the vacuum Rabi qubit
         for s in (0.3, 0.9, 1.4):
             c, sn = np.cos(s / 2) ** 2, np.sin(s / 2) ** 2
-            res = solve_circulant_rates(
-                [1.0, 0.0], [c - 1.0, sn], mode="channel"
-            )
-            np.testing.assert_allclose(res.q, [c, sn], atol=1e-12)
+            # stay probability 1 + v0 = 1 - q0
+            res = solve_circulant_rates([1.0, 0.0], [c - 1.0, sn])
+            np.testing.assert_allclose([1.0 - res.q[0], res.q[1]], [c, sn], atol=1e-12)
 
     def test_residual_invariant(self, rng):
         for _ in range(200):
