@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import SingularChannel, ValidationError
@@ -195,6 +194,14 @@ def _reconstruct(split, rho_in, rho_out):
     unitaries = conjugated_permutations(v_out, v_in, perms)
     residual = float(np.max(np.abs(_mix(q, unitaries, rho_in) - rho_out)))
     return q, unitaries, pairing, residual
+
+
+def linear_sum_assignment(cost):
+    """scipy.optimize.linear_sum_assignment, imported on the first call, so
+    that a process which never solves an assignment never loads scipy."""
+    import scipy.optimize
+
+    return scipy.optimize.linear_sum_assignment(cost)
 
 
 def _is_probability(q, tol: Tolerances) -> bool:

@@ -19,6 +19,13 @@ the first call and reused by every later one: parsing leaves the parser
 as it was and returns a new namespace each time.  ``build_parser()``
 itself returns a fresh parser on every call.  ``python -m probunitary``
 runs ``main``.
+
+Importing this module loads no scipy, because only two computations need
+it and each imports it when first called: ``--model lindblad`` loads
+``scipy.linalg`` for the matrix exponential of ``models.integrate``, and
+``channel``, or an alignment whose eigenframes swap order, loads
+``scipy.optimize`` for ``linear_sum_assignment``; every other
+``simulate``, ``decompose`` and ``models`` call runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -109,6 +116,11 @@ def _load_samples(args):
             "more than an array can hold"
         )
     grid = np.arange(0.0, args.horizon + args.dt / 2, args.dt)
+    if grid.size < 2:
+        raise ValidationError(
+            f"--horizon {args.horizon} / --dt {args.dt} gives {grid.size} grid "
+            "point(s); need at least two"
+        )
     params = ModelParams(omega=args.omega, gamma=args.gamma)
     if args.model == "lindblad":
         if args.lindblad_spec is None:

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import polar
-from scipy.optimize import linear_sum_assignment
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import TrajectoryTooCoarse, ValidationError
@@ -115,6 +113,21 @@ def _spectra_of(samples, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, np.nd
     return times, evals, evecs
 
 
+def linear_sum_assignment(cost):
+    """scipy.optimize.linear_sum_assignment, imported on the first call, so
+    that a process which never solves an assignment never loads scipy."""
+    import scipy.optimize
+
+    return scipy.optimize.linear_sum_assignment(cost)
+
+
+def _polar(block) -> np.ndarray:
+    """Unitary polar factor u @ vh of the SVD block = u diag(s) vh, the
+    factor scipy.linalg.polar returns."""
+    u, _, vh = np.linalg.svd(block)
+    return u @ vh
+
+
 def _align(times, vals, vecs, tol: Tolerances) -> EigenframeSeries:
     """Match eigenvector branches across frames and fix their gauge.
 
@@ -128,7 +141,8 @@ def _align(times, vals, vecs, tol: Tolerances) -> EigenframeSeries:
     optimal assignment on squared overlaps matches them.  Each branch's
     phase is then set by discrete parallel transport, and a numerically
     degenerate cluster is aligned as a subspace via the polar part of its
-    overlap block.
+    overlap block.  The polar part of a block u diag(s) vh is u @ vh,
+    taken from numpy's SVD of the block (_polar).
 
     Up to the first frame that needs the assignment solver or polar, the
     transport is a running product: branch i of frame k is
@@ -146,7 +160,7 @@ def _align(times, vals, vecs, tol: Tolerances) -> EigenframeSeries:
     # frame 1's, so that a cluster the dynamics splits stays aligned
     for cluster in _degenerate_clusters(evals[0], tol):
         if len(cluster) > 1:
-            w, _ = polar(evecs[0][:, cluster].conj().T @ vecs[1][:, cluster])
+            w = _polar(evecs[0][:, cluster].conj().T @ vecs[1][:, cluster])
             evecs[0][:, cluster] = evecs[0][:, cluster] @ w
 
     # frames up to the first one that needs the assignment solver (a
@@ -178,8 +192,7 @@ def _align(times, vals, vecs, tol: Tolerances) -> EigenframeSeries:
                     vecs_k[:, i] *= b.conj() / abs(b)
             else:
                 block = evecs[k - 1][:, cluster].conj().T @ vecs_k[:, cluster]
-                w, _ = polar(block)
-                vecs_k[:, cluster] = vecs_k[:, cluster] @ w.conj().T
+                vecs_k[:, cluster] = vecs_k[:, cluster] @ _polar(block).conj().T
 
     aligned = np.abs(np.einsum("kai,kai->ki", evecs[:-1].conj(), evecs[1:])).min(axis=1)
     if (aligned < tol.overlap_floor).any():

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .decomposition import TrajectorySample
@@ -180,6 +179,9 @@ def integrate(
         raise ValidationError("state and Hamiltonian dimensions differ")
     d = rho0.shape[0]
     spacings, step_of = np.unique(np.diff(grid), return_inverse=True)
+    # imported here, so that only Lindblad runs load scipy
+    from scipy.linalg import expm
+
     gen = _liouvillian(spec)
     propagators = [expm(gen * dt) for dt in spacings]
     vec = np.empty((grid.size, d * d), dtype=complex)

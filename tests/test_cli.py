@@ -61,6 +61,14 @@ def test_nonpositive_dt_exits_2(tmp_path, capsys, dt):
     assert len(err.splitlines()) == 1 and "--dt" in err
 
 
+@pytest.mark.parametrize("option", [["--dt", "2"], ["--horizon", "0"], ["--horizon", "-5"]])
+def test_grid_of_fewer_than_two_points_exits_2(tmp_path, capsys, option):
+    argv = ["decompose", "--model", "jc", *option, "--out", str(tmp_path / "run")]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "--dt" in err and "--horizon" in err
+
+
 def test_level_splitting_option_removed(tmp_path):
     # the closed-form models never used it
     with pytest.raises(SystemExit) as exc:

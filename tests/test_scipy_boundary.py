@@ -1,0 +1,149 @@
+"""Where the package meets scipy.
+
+The CLI imports scipy only in the calls that use it: the matrix
+exponential of a Lindblad run and the assignment solver.  Each calling
+module reaches the solver through its own module-level
+``linear_sum_assignment``, one call per assignment, and the polar factor
+of a degenerate cluster comes from numpy's SVD.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.linalg import polar
+
+import probunitary
+from probunitary import channel, decomposition, io
+from probunitary.decomposition import TrajectorySample, _polar, align_eigenframes
+
+from conftest import random_density_matrix, random_unitary
+
+
+def scipy_modules_after(tmp_path, *argvs):
+    """Sorted scipy modules loaded by a fresh interpreter that imports
+    probunitary.cli and runs ``main`` on each argv, each of which must
+    exit 0."""
+    code = (
+        "import json, sys\n"
+        "import probunitary.cli as cli\n"
+        f"codes = [cli.main(argv) for argv in {list(argvs)!r}]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    src = str(Path(probunitary.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, check=True,
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    codes, loaded = json.loads(done.stdout)
+    assert codes == [0] * len(argvs), done.stderr
+    return loaded
+
+
+def test_closed_form_models_load_no_scipy(tmp_path):
+    out = str(tmp_path / "run")
+    assert scipy_modules_after(
+        tmp_path,
+        ["simulate", "--model", "amplitude-damping", "--horizon", "0.05",
+         "--trajectories", "5", "--out", out],
+        ["decompose", "--model", "jc", "--horizon", "0.1", "--out", out],
+    ) == []
+
+
+def test_lindblad_loads_scipy_linalg_only(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "hamiltonian": io.matrix_to_json(np.diag([0.5, -0.5])),
+        "jump_ops": [{"operator": io.matrix_to_json(np.array([[0, 1], [1, 0]])),
+                      "gamma": 0.5}],
+        "rho0": io.matrix_to_json(np.diag([0.7, 0.3])),
+    }))
+    loaded = scipy_modules_after(
+        tmp_path,
+        ["decompose", "--model", "lindblad", "--lindblad-spec", str(spec),
+         "--horizon", "0.05", "--out", str(tmp_path / "run")],
+    )
+    assert "scipy.linalg" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.optimize")]
+
+
+@pytest.fixture
+def assignment_calls(monkeypatch):
+    """Counts of the calls to each module's linear_sum_assignment; each
+    counting stand-in calls through to the module's own function."""
+    calls = {}
+    for module in (channel, decomposition):
+        name = module.__name__
+        calls[name] = 0
+
+        def counted(cost, name=name, solve=module.linear_sum_assignment):
+            calls[name] += 1
+            return solve(cost)
+
+        monkeypatch.setattr(module, "linear_sum_assignment", counted)
+    return calls
+
+
+def test_channel_solves_one_assignment_per_pair(assignment_calls, rng):
+    pairs = 0
+    for d in range(2, 7):
+        for _ in range(4):  # both orders of a pair: majorized or not
+            a = random_density_matrix(rng, d, min_gap=1e-2)
+            b = random_density_matrix(rng, d, min_gap=1e-2)
+            for rho_in, rho_out in ((a, b), (b, a)):
+                channel.decompose_channel(rho_in, rho_out)
+                pairs += 1
+                assert assignment_calls["probunitary.channel"] == pairs
+    assert assignment_calls["probunitary.decomposition"] == 0
+
+
+def crossing_samples(slope, rng):
+    """u diag(0.45 - slope t, 0.35 + slope t, 0.2) u^dag on 101 points of
+    [0, 1]; slope 0.1 / 1.01 crosses the first two populations between
+    t = 0.50 and t = 0.51."""
+    u = random_unitary(rng, 3)
+    return [
+        TrajectorySample(time=t, rho=(u * [0.45 - slope * t, 0.35 + slope * t, 0.2])
+                         @ u.conj().T)
+        for t in np.linspace(0.0, 1.0, 101)
+    ]
+
+
+def test_branch_crossing_calls_the_alignment_assignment(assignment_calls, rng):
+    frames = align_eigenframes(crossing_samples(0.1 / 1.01, rng))
+    assert assignment_calls["probunitary.decomposition"] > 0
+    assert assignment_calls["probunitary.channel"] == 0
+    # the branches follow the populations through the crossing
+    a = 0.1 / 1.01
+    np.testing.assert_allclose(frames.eigenvalues[-1], [0.45 - a, 0.35 + a, 0.2], atol=1e-12)
+
+
+def test_no_crossing_needs_no_assignment(assignment_calls, rng):
+    align_eigenframes(crossing_samples(0.02, rng))
+    assert assignment_calls == {"probunitary.channel": 0, "probunitary.decomposition": 0}
+
+
+def polar_blocks(rng):
+    """Random, rank-deficient and exactly degenerate complex blocks of
+    sizes 1 to 5."""
+    for d in range(1, 6):
+        yield np.zeros((d, d), dtype=complex)                      # rank 0
+        for _ in range(5):
+            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            yield a
+            low = a.copy()
+            low[:, -1] = 0
+            yield low @ random_unitary(rng, d)                     # rank d - 1
+            yield 0.5 * random_unitary(rng, d)                     # s all equal
+            yield random_unitary(rng, d) * np.r_[2.0, np.ones(d - 1)]  # s repeated
+
+
+def test_polar_factor_matches_scipy(rng):
+    for a in polar_blocks(rng):
+        w = _polar(a)
+        assert np.abs(w - polar(a)[0]).max() <= 1e-12
+        assert np.abs(w.conj().T @ w - np.eye(len(a))).max() <= 1e-12
