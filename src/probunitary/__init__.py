@@ -36,7 +36,6 @@ from .errors import (
 )
 from .linalg import (
     RateSolveResult,
-    classify_circulant_singularity,
     solve_circulant_rates,
     validate_density_matrix,
 )

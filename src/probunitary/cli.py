@@ -62,7 +62,7 @@ EXIT_UNPHYSICAL = 4
 
 
 def _read_lindblad_spec(path):
-    doc = io.read_json_object(path, ("hamiltonian",))
+    doc = io.read_json_object(path, ("hamiltonian", "rho0"))
     h = io.matrix_from_json(doc["hamiltonian"], where=f"{path}: hamiltonian")
     items = doc.get("jump_ops", [])
     if not isinstance(items, list):
@@ -86,16 +86,14 @@ def _read_lindblad_spec(path):
         spec = LindbladSpec(hamiltonian=h, jump_ops=tuple(jumps))
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-    rho0 = None
-    if "rho0" in doc:
-        where = f"{path}: rho0"
-        rho0 = io.matrix_from_json(doc["rho0"], where=where)
-        if rho0.shape != h.shape:
-            raise ValidationError(f"{where}: shape {rho0.shape} differs from hamiltonian {h.shape}")
-        try:
-            validate_density_matrix(rho0)
-        except ValidationError as exc:
-            raise ValidationError(f"{where}: {exc}") from exc
+    where = f"{path}: rho0"
+    rho0 = io.matrix_from_json(doc["rho0"], where=where)
+    if rho0.shape != h.shape:
+        raise ValidationError(f"{where}: shape {rho0.shape} differs from hamiltonian {h.shape}")
+    try:
+        validate_density_matrix(rho0)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
     return spec, rho0
 
 
@@ -126,8 +124,6 @@ def _load_samples(args):
         if args.lindblad_spec is None:
             raise ValidationError("--model lindblad requires --lindblad-spec")
         spec, rho0 = _read_lindblad_spec(args.lindblad_spec)
-        if rho0 is None:
-            raise ValidationError("lindblad spec file must carry an initial state rho0")
         return models.sample_model("lindblad", grid, params, spec=spec, rho0=rho0)
     return models.sample_model(args.model, grid, params)
 

@@ -18,8 +18,6 @@ class Tolerances:
     # circulant solver: P deemed singular when the minimum DFT-symbol
     # magnitude is below this fraction of the maximum
     singular_symbol: float = 1e-10
-    # block-constancy detection in the singularity classifier
-    spectrum_block: float = 1e-10
     # eigenvalue gap below which a cluster is treated as degenerate
     degeneracy_gap: float = 1e-8
     # rates more negative than this raise the negativity flag

@@ -17,7 +17,6 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import TrajectoryTooCoarse, ValidationError
 from .linalg import (
     RateSolveResult,
-    _block_report,
     _degenerate_clusters,
     _phase_fix,
     _solve_circulant_batch,
@@ -64,7 +63,7 @@ class EigenframeSeries:
 
     def index_of(self, t: float) -> int:
         k = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[k] - t) > 1e-9 * max(1.0, abs(t)):
+        if not (np.isfinite(t) and abs(self.times[k] - t) <= 1e-9 * max(1.0, abs(t))):
             raise ValidationError(f"time {t} is not on the frame grid")
         return k
 
@@ -135,24 +134,31 @@ def _align(times, vals, vecs, tol: Tolerances) -> EigenframeSeries:
     (n, d, d), every frame in descending eigenvalue order.  Frame 0 keeps
     that order with _phase_fix's gauge, except that the basis of each
     numerically degenerate cluster is rotated onto frame 1's by the polar
-    part of their overlap block.  Each later frame is matched to the one
-    before: when every diagonal overlap with it reaches
-    ``tol.overlap_floor`` the branches keep their order, otherwise an
-    optimal assignment on squared overlaps matches them.  Each branch's
-    phase is then set by discrete parallel transport, and a numerically
-    degenerate cluster is aligned as a subspace via the polar part of its
-    overlap block.  The polar part of a block u diag(s) vh is u @ vh,
-    taken from numpy's SVD of the block (_polar).
+    part of their overlap block.  The polar part of a block
+    u diag(s) vh is u @ vh, taken from numpy's SVD of the block (_polar).
 
-    Up to the first frame that needs the assignment solver or polar, the
-    transport is a running product: branch i of frame k is
-    raw_k[:, i] * prod_{j<=k} conj(o_j,i) / |o_j,i| with
-    o_j,i = <raw_{j-1}[:, i], raw_j[:, i]>, computed for all those frames
-    at once.  From that frame on, frames are aligned one at a time.
+    Frame k (k >= 1) is aligned on its own when one of its raw diagonal
+    overlaps with frame k - 1 is below ``tol.overlap_floor`` (branches
+    may have crossed), or when it or frame k - 1 (k - 1 >= 1) holds a
+    degenerate cluster.  It keeps the branch order carried from before
+    when every diagonal overlap of the aligned frame k - 1 with the
+    reordered frame reaches the floor; otherwise an optimal assignment on
+    squared overlaps matches them.  Each cluster, a singleton included,
+    is then rotated by the polar part of its overlap block with the
+    aligned frame k - 1; on a singleton that is the parallel-transport
+    phase.
+
+    Every other frame keeps the carried order, and its phases are a
+    running product restarted from the aligned frame before its run: a
+    branch of frame k is its raw column times prod_j conj(o_j) / |o_j|
+    over the run up to k, with o_j the branch's overlap of frame j - 1
+    with raw frame j, the aligned frame j - 1 in the first factor and the
+    raw one in the others.  On a grid with no crossing and no cluster
+    this is one product over all frames.
     Adjacent frames whose aligned vectors overlap less than
     ``tol.overlap_floor`` raise TrajectoryTooCoarse.
     """
-    n = len(vals)
+    n, d = np.shape(vals)
     evals = np.array(vals)
     evecs = np.array(vecs)
     evecs[0] = _phase_fix(vecs[0])
@@ -163,43 +169,45 @@ def _align(times, vals, vecs, tol: Tolerances) -> EigenframeSeries:
             w = _polar(evecs[0][:, cluster].conj().T @ vecs[1][:, cluster])
             evecs[0][:, cluster] = evecs[0][:, cluster] @ w
 
-    # frames up to the first one that needs the assignment solver (a
-    # diagonal overlap below the floor) or polar (a degenerate cluster)
-    # are phase-transported by one running product
+    # overlaps[k - 1] is the raw diagonal overlap of frames k - 1 and k in
+    # descending order; a frame aligned alone rewrites its own row from its
+    # aligned vectors, where the running product of the next run starts
     overlaps = np.einsum("kai,kai->ki", evecs[:-1].conj(), evecs[1:])
-    gaps = np.diff(np.sort(evals[1:], axis=1), axis=1)
-    serial = (np.abs(overlaps).min(axis=1) < tol.overlap_floor) | (
-        gaps.min(axis=1, initial=np.inf) < tol.degeneracy_gap
-    )
-    first_serial = 1 + int(np.argmax(serial)) if serial.any() else n
-    transport = overlaps[: first_serial - 1].conj()
-    transport /= np.abs(transport)
-    evecs[1:first_serial] *= np.cumprod(transport, axis=0)[:, None, :]
-
-    for k in range(first_serial, n):
-        vals_k, vecs_k = evals[k], evecs[k]
-        overlap = evecs[k - 1].conj().T @ vecs_k
-        if np.abs(np.diagonal(overlap)).min() < tol.overlap_floor:
-            # identity matching is only optimal when every diagonal
-            # overlap dominates; otherwise solve the assignment problem
-            _, cols = linear_sum_assignment(-np.abs(overlap) ** 2)
-            vals_k[:], vecs_k[:] = vals_k[cols], vecs_k[:, cols]
-        for cluster in _degenerate_clusters(vals_k, tol):
-            if len(cluster) == 1:
-                i = cluster[0]
-                b = np.vdot(evecs[k - 1][:, i], vecs_k[:, i])
-                if b != 0:  # a zero overlap fails the floor below
-                    vecs_k[:, i] *= b.conj() / abs(b)
-            else:
-                block = evecs[k - 1][:, cluster].conj().T @ vecs_k[:, cluster]
-                vecs_k[:, cluster] = vecs_k[:, cluster] @ _polar(block).conj().T
+    gaps = np.diff(np.sort(evals, axis=1), axis=1).min(axis=1, initial=np.inf)
+    clustered = gaps[1:] < tol.degeneracy_gap
+    alone = (np.abs(overlaps).min(axis=1) < tol.overlap_floor) | clustered
+    alone[1:] |= clustered[:-1]
+    order = np.arange(d)
+    start = 1
+    for k in [*(np.flatnonzero(alone) + 1).tolist(), n]:
+        # frames start..k-1 keep the carried order; one running product
+        transport = overlaps[start - 1:k - 1].conj()
+        if (order != np.arange(d)).any():
+            transport = transport[:, order]
+            evals[start:k] = evals[start:k, order]
+            evecs[start:k] = evecs[start:k][:, :, order]
+        transport /= np.abs(transport)
+        evecs[start:k] *= np.cumprod(transport, axis=0)[:, None, :]
+        if k == n:
+            break
+        prev = evecs[k - 1]
+        if np.abs(np.einsum("ai,ai->i", prev.conj(), vecs[k][:, order])).min() < tol.overlap_floor:
+            _, order = linear_sum_assignment(-np.abs(prev.conj().T @ vecs[k]) ** 2)
+        evals[k], evecs[k] = vals[k][order], vecs[k][:, order]
+        for cluster in _degenerate_clusters(evals[k], tol):
+            block = prev[:, cluster].conj().T @ evecs[k][:, cluster]
+            evecs[k][:, cluster] = evecs[k][:, cluster] @ _polar(block).conj().T
+        if k + 1 < n:
+            overlaps[k, order] = np.einsum("ai,ai->i", evecs[k].conj(), vecs[k + 1][:, order])
+        start = k + 1
 
     aligned = np.abs(np.einsum("kai,kai->ki", evecs[:-1].conj(), evecs[1:])).min(axis=1)
     if (aligned < tol.overlap_floor).any():
         k = 1 + int(np.argmax(aligned < tol.overlap_floor))
         raise TrajectoryTooCoarse(
             f"eigenvector overlap {aligned[k - 1]:.3f} below "
-            f"{tol.overlap_floor} between t={times[k - 1]} and t={times[k]}"
+            f"{tol.overlap_floor} between t={times[k - 1]} and t={times[k]}, "
+            f"smallest eigenvalue gap {min(gaps[k - 1], gaps[k]):.3g}"
         )
     return EigenframeSeries(times=times, eigenvalues=evals, eigenvectors=evecs)
 
@@ -260,14 +268,11 @@ def compute_rates_at(
 ) -> RateSolveResult:
     """Jump rates at grid time t from the tracked eigenvalue branches: the
     row that decompose_trajectory stores, with its singular flag and
-    condition estimate, and the block structure of p when the circulant
-    itself is singular (infinite condition estimate)."""
+    condition estimate."""
     k = frames.index_of(t)
     rates, _, singular, condition = _rate_rows(frames, tol)
     return RateSolveResult(
-        q=rates[k], singular=bool(singular[k]), condition_estimate=float(condition[k]),
-        block_structure=(_block_report(_populations(frames.eigenvalues[k]), tol)
-                         if np.isinf(condition[k]) else None),
+        q=rates[k], singular=bool(singular[k]), condition_estimate=float(condition[k])
     )
 
 

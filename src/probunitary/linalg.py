@@ -3,8 +3,7 @@
 Density-matrix validation with the package's one eigendecomposition
 convention (descending eigenvalues, phase-fixed eigenvectors), the index
 rows of the cyclic shifts and the conjugated permutations that every jump
-unitary is built from, and the circulant rate solver with its singularity
-classifier.
+unitary is built from, and the circulant rate solver.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ __all__ = [
     "conjugated_permutations",
     "rate_system_matrix",
     "solve_circulant_rates",
-    "classify_circulant_singularity",
 ]
 
 
@@ -40,7 +38,6 @@ class RateSolveResult:
     q: np.ndarray
     singular: bool
     condition_estimate: float
-    block_structure: str | None = None
 
 
 def validate_density_matrix(rho, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -138,36 +135,6 @@ def rate_system_matrix(p) -> np.ndarray:
     return p[cyclic_shift_rows(p.shape[0])]
 
 
-def classify_circulant_singularity(
-    p, tol: float | None = None
-) -> tuple[bool, int | None, str]:
-    """Decide singularity of circ(p) for a sorted probability vector.
-
-    The circulant is singular exactly when p splits into consecutive
-    constant blocks of a common length b >= 2 dividing d.  Returns
-    (singular, block_length, description) with the smallest such b.
-    """
-    p = np.asarray(p, dtype=float)
-    if tol is None:
-        tol = DEFAULT_TOLERANCES.spectrum_block
-    d = p.shape[0]
-    for b in range(2, d + 1):
-        if d % b:
-            continue
-        blocks = p.reshape(d // b, b)
-        if np.all(blocks.max(axis=1) - blocks.min(axis=1) <= tol):
-            desc = f"{d // b} constant block(s) of length {b}"
-            return True, b, desc
-    return False, None, "no constant block pattern"
-
-
-def _block_report(p, tol: Tolerances) -> str:
-    singular, _, desc = classify_circulant_singularity(
-        np.sort(np.asarray(p, dtype=float))[::-1], tol.spectrum_block
-    )
-    return desc if singular else "spectrum nearly block-constant"
-
-
 def _solve_circulant_batch(p, f, tol: Tolerances):
     """Solve M v = f with M[k, i] = p[(k + i) mod d] for every row of the
     (n, d) arrays p and f by DFT diagonalization.
@@ -211,10 +178,9 @@ def solve_circulant_rates(p, f, tol: Tolerances = DEFAULT_TOLERANCES) -> RateSol
     The unknowns are v = (-q0, q1, ...), so q0 is the total rate.  When M
     is singular the minimum-norm (pseudoinverse) solution, which drops any
     component of f outside the range of M, is returned with the singular
-    flag and the block structure set; it does not raise.
+    flag set; it does not raise.
     """
     q, singular, condition = _solve_circulant_batch([p], [f], tol)
     return RateSolveResult(
-        q=q[0], singular=bool(singular[0]), condition_estimate=float(condition[0]),
-        block_structure=_block_report(p, tol) if singular[0] else None,
+        q=q[0], singular=bool(singular[0]), condition_estimate=float(condition[0])
     )

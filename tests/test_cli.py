@@ -232,6 +232,15 @@ def test_trajectory_too_coarse_exits_2(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "overlap" in err
 
 
+def test_spec_without_rho0_exits_2(tmp_path, capsys):
+    spec = write_spec(tmp_path / "spec.json", [])
+    doc = json.loads((tmp_path / "spec.json").read_text())
+    del doc["rho0"]
+    (tmp_path / "spec.json").write_text(json.dumps(doc))
+    assert main(decompose_argv(tmp_path, spec)) == EXIT_VALIDATION
+    assert capsys.readouterr().err.strip().endswith(f"{spec}: missing key 'rho0'")
+
+
 @pytest.mark.parametrize(
     "key, value, expected",
     [

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm, polar
 from scipy.optimize import linear_sum_assignment
 
+from probunitary import decomposition
 from probunitary.config import DEFAULT_TOLERANCES
 from probunitary.decomposition import (
     TrajectorySample,
@@ -42,9 +43,6 @@ def assert_rates_row(dec, k):
     assert np.array_equal(res.q, dec.rates[k])
     assert res.singular == dec.singular_flags[k]
     assert res.condition_estimate == dec.condition_estimates[k]
-    # the block report belongs to a singular circulant, not to a row the
-    # grid-aware flag alone marks
-    assert (res.block_structure is None) == np.isfinite(dec.condition_estimates[k])
 
 
 def rotating_qubit_samples(omega, times, p=(0.8, 0.2)):
@@ -98,8 +96,18 @@ class TestAlignment:
 
     def test_too_coarse_raises(self):
         samples = rotating_qubit_samples(1.0, [0.0, 1.5])
-        with pytest.raises(TrajectoryTooCoarse):
+        with pytest.raises(TrajectoryTooCoarse, match=r"overlap 0\.732 below 0\.9 between "
+                           r"t=0\.0 and t=1\.5, smallest eigenvalue gap 0\.6$"):
             align_eigenframes(samples)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 0.15])
+    def test_time_off_the_grid_rejected(self, t):
+        frames = align_eigenframes(rotating_qubit_samples(1.0, [0.0, 0.1, 0.2]))
+        assert frames.index_of(0.1 + 1e-12) == 1
+        with pytest.raises(ValidationError, match="not on the frame grid"):
+            frames.index_of(t)
+        with pytest.raises(ValidationError, match="not on the frame grid"):
+            compute_rates_at(frames, t)
 
     def test_needs_two_samples(self):
         with pytest.raises(ValidationError):
@@ -141,11 +149,10 @@ class TestAlignment:
 def sequential_alignment(samples, tol=DEFAULT_TOLERANCES):
     """Frame-by-frame reference for align_eigenframes: assignment when a
     diagonal overlap is below the floor, per-branch phase transport or the
-    polar part of each degenerate cluster's overlap block.  Also returns
-    the first frame that needed the assignment solver or polar."""
+    polar part of each degenerate cluster's overlap block."""
     _, first, v = _validated_eigh(samples[0].rho, tol)
     vals, vecs = [first], [_phase_fix(v)]
-    d, serial = len(first), None
+    d = len(first)
     for k in range(1, len(samples)):
         w, v = np.linalg.eigh(samples[k].rho)
         w, v = w[::-1], v[:, ::-1].copy()
@@ -154,7 +161,6 @@ def sequential_alignment(samples, tol=DEFAULT_TOLERANCES):
         if np.abs(np.diagonal(overlap)).min() < tol.overlap_floor:
             _, cols = linear_sum_assignment(-np.abs(overlap) ** 2)
             w, v = w[cols], v[:, cols]
-            serial = serial or k
         order = np.argsort(w)[::-1]
         start = 0
         while start < d:
@@ -168,11 +174,10 @@ def sequential_alignment(samples, tol=DEFAULT_TOLERANCES):
             else:
                 u, _ = polar(prev[:, cluster].conj().T @ v[:, cluster])
                 v[:, cluster] = v[:, cluster] @ u.conj().T
-                serial = serial or k
             start = stop
         vals.append(w)
         vecs.append(v)
-    return np.array(vals), np.array(vecs), serial
+    return np.array(vals), np.array(vecs)
 
 
 def rotating_samples(populations, times, seed=4):
@@ -186,28 +191,62 @@ def rotating_samples(populations, times, seed=4):
 
 
 class TestAlignmentSplice:
-    """Frames from the first one that needs the assignment solver or polar
-    on are aligned one at a time; all frames agree with the sequential
-    reference."""
+    """A frame is aligned on its own only where a raw diagonal overlap with
+    the frame before is below the floor, or where it or the frame before
+    holds a degenerate cluster; every other frame keeps the branch order
+    carried through the crossings before it.  All frames agree with the
+    sequential reference, and each crossing costs one assignment."""
 
     times = np.linspace(0.0, 1.0, 101)
 
-    def check(self, samples, first_serial):
-        vals, vecs, serial = sequential_alignment(samples)
-        assert serial == first_serial
+    def check(self, monkeypatch, samples, assignments=None):
+        calls = []
+        solve = decomposition.linear_sum_assignment
+        monkeypatch.setattr(decomposition, "linear_sum_assignment",
+                            lambda cost: calls.append(cost) or solve(cost))
         frames = align_eigenframes(samples)
+        vals, vecs = sequential_alignment(samples)
         assert np.abs(frames.eigenvalues - vals).max() <= 1e-13
         assert np.abs(frames.eigenvectors - vecs).max() <= 1e-13
+        if assignments is not None:
+            assert len(calls) == assignments
+        return frames
 
-    def test_branch_crossing_mid_grid(self):
+    def test_branch_crossing_mid_grid(self, monkeypatch):
         # two populations cross between t = 0.50 and t = 0.51
         a = 0.1 / 1.01
-        self.check(rotating_samples(lambda t: [0.45 - a * t, 0.35 + a * t, 0.2], self.times), 51)
+        self.check(monkeypatch, rotating_samples(
+            lambda t: [0.45 - a * t, 0.35 + a * t, 0.2], self.times), assignments=1)
 
-    def test_degenerate_cluster_from_mid_grid(self):
+    def test_degenerate_cluster_from_mid_grid(self, monkeypatch):
         # the two lower populations meet at t = 0.505 and stay equal
         s = lambda t: 0.05 * min(t / 0.505, 1.0)  # noqa: E731
-        self.check(rotating_samples(lambda t: [0.5, 0.3 - s(t), 0.2 + s(t)], self.times), 51)
+        self.check(monkeypatch, rotating_samples(
+            lambda t: [0.5, 0.3 - s(t), 0.2 + s(t)], self.times))
+
+    def test_crossing_and_crossing_back(self, monkeypatch):
+        # the first two populations cross near t = 0.253 and back near 0.753
+        c = lambda t: 0.05 * math.cos(2 * math.pi * (t - 0.003))  # noqa: E731
+        frames = self.check(monkeypatch, rotating_samples(
+            lambda t: [0.4 + c(t), 0.4 - c(t), 0.2], self.times), assignments=2)
+        assert frames.eigenvalues[50, 0] < frames.eigenvalues[50, 1]
+        assert frames.eigenvalues[-1, 0] > frames.eigenvalues[-1, 1]
+
+    def test_two_crossings(self, monkeypatch):
+        # the lowest population crosses the middle one near t = 0.253 and
+        # the highest near t = 0.753
+        s = lambda t: 0.2 * t - 0.0506  # noqa: E731
+        frames = self.check(monkeypatch, rotating_samples(
+            lambda t: [0.4, 0.3 - s(t), 0.3 + s(t)], self.times), assignments=2)
+        np.testing.assert_allclose(frames.eigenvalues[-1], [0.4, 0.1506, 0.4494], atol=1e-12)
+
+    def test_crossing_then_degenerate_cluster(self, monkeypatch):
+        # the first two populations cross near t = 0.161; from t = 0.805 on
+        # the falling one equals the lowest
+        x = lambda t: 0.25 * min(t / 0.805, 1.0)  # noqa: E731
+        frames = self.check(monkeypatch, rotating_samples(
+            lambda t: [0.45 - x(t), 0.35 + x(t), 0.2], self.times))
+        np.testing.assert_allclose(frames.eigenvalues[-1], [0.2, 0.6, 0.2], atol=1e-12)
 
 
 class TestHamiltonian:
@@ -466,7 +505,6 @@ class TestPipeline:
         dec = decompose_trajectory(rotating_qubit_samples(1.0, times, p=(0.5, 0.5)))
         assert dec.singular_flags.all()
         assert_rates_row(dec, 3)
-        assert "length 2" in compute_rates_at(dec.frames, times[3]).block_structure
 
     def test_first_order_convergence(self, rng):
         spec = amplitude_damping_spec(0.9)

@@ -10,7 +10,6 @@ from probunitary.linalg import (
     _phase_fix,
     _validated_eigh,
     rate_system_matrix,
-    classify_circulant_singularity,
     solve_circulant_rates,
     validate_density_matrix,
 )
@@ -214,7 +213,6 @@ class TestCirculantSolver:
     def test_singular_inconsistent_is_reported(self):
         res = solve_circulant_rates([0.5, 0.5], [-0.1, 0.2])
         assert res.singular
-        assert "length 2" in res.block_structure
 
     def test_jc_channel_instance(self):
         # mixed-unitary channel of the vacuum Rabi qubit
@@ -271,35 +269,3 @@ class TestCirculantSolver:
     def test_bad_probability_vector(self):
         with pytest.raises(ValidationError):
             solve_circulant_rates([0.9, 0.3], [0.0, 0.0])
-
-
-class TestSingularityClassifier:
-    def test_paper_block_example(self):
-        singular, b, _ = classify_circulant_singularity(
-            np.repeat([0.3, 0.15, 0.05], 2)
-        )
-        assert singular and b == 2
-
-    def test_distinct_values(self):
-        singular, b, _ = classify_circulant_singularity([0.5, 0.3, 0.2])
-        assert not singular and b is None
-
-    def test_maximally_mixed_qubit(self):
-        # DFT symbol of circ(0.5, 0.5) vanishes at frequency 1
-        singular, b, _ = classify_circulant_singularity([0.5, 0.5])
-        assert singular and b == 2
-        assert abs(np.fft.fft([0.5, 0.5])[1]) < 1e-15
-
-    @pytest.mark.parametrize("d", range(2, 13))
-    def test_agrees_with_rank_oracle(self, d, rng):
-        for _ in range(60):
-            if rng.random() < 0.5 and d % 2 == 0:
-                # block-patterned spectrum
-                b = int(rng.choice([b for b in range(2, d + 1) if d % b == 0]))
-                base = rng.dirichlet(np.ones(d // b))
-                p = np.repeat(np.sort(base)[::-1] / b, b)
-            else:
-                p = np.sort(rng.dirichlet(np.ones(d)))[::-1]
-            singular, _, _ = classify_circulant_singularity(p, tol=1e-12)
-            rank = np.linalg.matrix_rank(rate_system_matrix(p), tol=1e-10)
-            assert singular == (rank < d)
