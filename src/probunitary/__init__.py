@@ -13,7 +13,6 @@ from .channel import (
     decompose_channel,
     to_kraus_like,
 )
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .decomposition import (
     DecompositionSeries,
     EigenframeSeries,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEGENERACY_GAP, RATE_NEGATIVITY, RECONSTRUCTION
 from .errors import SingularChannel, ValidationError
 from .linalg import (
     _phase_fix,
@@ -140,7 +140,7 @@ def _permutation_mixture(y, x) -> tuple[np.ndarray, np.ndarray]:
     return w, perms
 
 
-def _transposition_tree(y, x, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+def _transposition_tree(y, x) -> tuple[np.ndarray, np.ndarray]:
     """Weights w and index rows S, d of each, with sum_n w[n] y[S[n]] = x,
     for descending y and any x of the same sum.
 
@@ -148,10 +148,10 @@ def _transposition_tree(y, x, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     is farther in eigenvalue (d - 1 hangs from 0), so every edge spans at
     least half the spread y[0] - y[d-1]; the swap moves w[n] times that
     gap into n's subtree, which must gain its net change of x - y.  Raises
-    SingularChannel when the spread is below ``tol.degeneracy_gap``.
+    SingularChannel when the spread is below DEGENERACY_GAP.
     """
     d = y.shape[0]
-    if y[0] - y[-1] < tol.degeneracy_gap:
+    if y[0] - y[-1] < DEGENERACY_GAP:
         raise SingularChannel("maximally mixed input cannot be mapped to a different output")
     n = np.arange(1, d)
     parent = np.where(y[0] - y[n] >= y[n] - y[-1], 0, d - 1)
@@ -171,18 +171,18 @@ def _mix(q, unitaries, rho) -> np.ndarray:
     return np.einsum("i,iab,bc,idc->ad", q, unitaries, rho, unitaries.conj())
 
 
-def _sorted_split(y, v_in, x, v_out, tol: Tolerances):
+def _sorted_split(y, v_in, x, v_out):
     """Split over conjugated permutations of the descending spectra y of
     rho_in and x of rho_out as the record (q, V_out, V_in, index rows,
     pairing) that decompose_channel finishes: the Hardy-Littlewood-Polya
     chain when x is majorized by y, else the transposition tree."""
     # x is majorized by y: every leading partial sum of x is at most y's
-    if np.all(np.cumsum(x)[:-1] <= np.cumsum(y)[:-1] + tol.rate_negativity):
+    if np.all(np.cumsum(x)[:-1] <= np.cumsum(y)[:-1] + RATE_NEGATIVITY):
         q, perms = _permutation_mixture(y, x)
-        q[q < tol.rate_negativity] = 0.0
+        q[q < RATE_NEGATIVITY] = 0.0
         q /= q.sum()
     else:
-        q, perms = _transposition_tree(y, x, tol)
+        q, perms = _transposition_tree(y, x)
     # U_n = V_out P_n V_in^dag maps descending input branch perms[n, k]
     # to descending output branch k
     return q, v_out, v_in, perms, np.arange(y.shape[0])
@@ -204,54 +204,52 @@ def linear_sum_assignment(cost):
     return scipy.optimize.linear_sum_assignment(cost)
 
 
-def _is_probability(q, tol: Tolerances) -> bool:
-    return bool(np.all((q >= -tol.rate_negativity) & (q <= 1 + tol.rate_negativity)))
+def _is_probability(q) -> bool:
+    return bool(np.all((q >= -RATE_NEGATIVITY) & (q <= 1 + RATE_NEGATIVITY)))
 
 
-def decompose_channel(
-    rho_in, rho_out, tol: Tolerances = DEFAULT_TOLERANCES
-) -> ChannelDecomposition:
+def decompose_channel(rho_in, rho_out) -> ChannelDecomposition:
     """Decompose the map rho_in -> rho_out into probabilistic unitaries.
 
     A construction is valid when it reconstructs rho_out to
-    ``tol.reconstruction``.  The cyclic one is returned when it is valid
-    and its q lies in [0, 1] (to within ``tol.rate_negativity``).
+    RECONSTRUCTION.  The cyclic one is returned when it is valid and its
+    q lies in [0, 1] (to within RATE_NEGATIVITY).
     Otherwise the descending spectra are split over at most d conjugated
     permutations, by the Hardy-Littlewood-Polya chain when spec(rho_out)
     is majorized by spec(rho_in) (leading partial sums compared with slack
-    ``tol.rate_negativity``; weights below it set to 0), else by the
+    RATE_NEGATIVITY; weights below it set to 0), else by the
     transposition tree; the cyclic split stays if it is valid with no
     larger sum_i |q_i|, a signed split's sampling overhead (1 when
     mixed-unitary).  Raises SingularChannel only for a maximally mixed
     rho_in with a different rho_out, which no mixture of unitaries reaches.
     """
-    rho_in, p_in, v_in = _validated_eigh(rho_in, tol)
-    rho_out, p_out, v_out = _validated_eigh(rho_out, tol)
+    rho_in, p_in, v_in = _validated_eigh(rho_in)
+    rho_out, p_out, v_out = _validated_eigh(rho_out)
     if rho_in.shape != rho_out.shape:
         raise ValidationError("input and output dimensions differ")
 
     v_in, v_out = _phase_fix(v_in), _phase_fix(v_out)
     _, cols = linear_sum_assignment(-np.abs(v_in.conj().T @ v_out) ** 2)
-    q = solve_circulant_rates(p_in, p_out[cols] - p_in, tol=tol).q
+    q = solve_circulant_rates(p_in, p_out[cols] - p_in).q
     # the solve returns q0 = -v0, and v0 is the stay probability less 1
     q[0] = 1.0 - q[0]
     split = _reconstruct((q, v_out[:, cols], v_in, cyclic_shift_rows(len(q)), cols),
                          rho_in, rho_out)
-    fits = split[3] <= tol.reconstruction
-    if not (fits and _is_probability(q, tol)):
-        alt = _reconstruct(_sorted_split(p_in, v_in, p_out, v_out, tol), rho_in, rho_out)
+    fits = split[3] <= RECONSTRUCTION
+    if not (fits and _is_probability(q)):
+        alt = _reconstruct(_sorted_split(p_in, v_in, p_out, v_out), rho_in, rho_out)
         if not fits or np.abs(alt[0]).sum() < np.abs(q).sum():
             split = alt
     q, unitaries, pairing, residual = split
-    if residual > tol.reconstruction:
+    if residual > RECONSTRUCTION:
         raise RuntimeError(
             f"internal error: reconstruction residual {residual:.3e} exceeds "
-            f"{tol.reconstruction:.1e}"
+            f"{RECONSTRUCTION:.1e}"
         )
     return ChannelDecomposition(
         probabilities=q,
         unitaries=unitaries,
-        classification=MIXED_UNITARY if _is_probability(q, tol) else QUASI_PROBABILITY,
+        classification=MIXED_UNITARY if _is_probability(q) else QUASI_PROBABILITY,
         reconstruction_residual=residual,
         pairing=pairing,
     )

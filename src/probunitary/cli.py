@@ -98,14 +98,14 @@ def _read_lindblad_spec(path):
 
 
 def _load_samples(args):
-    if not (math.isfinite(args.dt) and args.dt > 0 and math.isfinite(args.horizon)):
-        raise ValidationError(
-            f"--dt {args.dt} must be positive and --horizon {args.horizon} finite"
-        )
     if args.input is not None:
         return io.read_trajectory(args.input)
     if args.model is None:
         raise ValidationError("either --model or --input is required")
+    if not (math.isfinite(args.dt) and args.dt > 0 and math.isfinite(args.horizon)):
+        raise ValidationError(
+            f"--dt {args.dt} must be positive and --horizon {args.horizon} finite"
+        )
     # np.arange raises a bare ValueError on a grid no array can hold
     points = (args.horizon + args.dt / 2) / args.dt
     if not points * np.dtype(float).itemsize < np.iinfo(np.intp).max:

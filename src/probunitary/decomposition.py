@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEGENERACY_GAP, OVERLAP_FLOOR, RATE_NEGATIVITY
 from .errors import TrajectoryTooCoarse, ValidationError
 from .linalg import (
     RateSolveResult,
@@ -97,7 +97,7 @@ class DecompositionSeries:
         return _hamiltonians(self.frames)
 
 
-def _spectra_of(samples, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _spectra_of(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Times, eigenvalues (n, d) and eigenvectors (n, d, d) of the samples,
     each frame in descending eigenvalue order."""
     if len(samples) < 2:
@@ -108,7 +108,7 @@ def _spectra_of(samples, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, np.nd
     dims = {s.rho.shape[0] for s in samples}
     if len(dims) != 1:
         raise ValidationError("trajectory samples have mismatched dimensions")
-    _, evals, evecs = _validated_eigh(np.stack([s.rho for s in samples]), tol)
+    _, evals, evecs = _validated_eigh(np.stack([s.rho for s in samples]))
     return times, evals, evecs
 
 
@@ -127,7 +127,7 @@ def _polar(block) -> np.ndarray:
     return u @ vh
 
 
-def _align(times, vals, vecs, tol: Tolerances) -> EigenframeSeries:
+def _align(times, vals, vecs) -> EigenframeSeries:
     """Match eigenvector branches across frames and fix their gauge.
 
     Takes _validated_eigh's output: eigenvalues (n, d) and eigenvectors
@@ -138,15 +138,17 @@ def _align(times, vals, vecs, tol: Tolerances) -> EigenframeSeries:
     u diag(s) vh is u @ vh, taken from numpy's SVD of the block (_polar).
 
     Frame k (k >= 1) is aligned on its own when one of its raw diagonal
-    overlaps with frame k - 1 is below ``tol.overlap_floor`` (branches
+    overlaps with frame k - 1 is below OVERLAP_FLOOR (branches
     may have crossed), or when it or frame k - 1 (k - 1 >= 1) holds a
     degenerate cluster.  It keeps the branch order carried from before
-    when every diagonal overlap of the aligned frame k - 1 with the
-    reordered frame reaches the floor; otherwise an optimal assignment on
-    squared overlaps matches them.  Each cluster, a singleton included,
-    is then rotated by the polar part of its overlap block with the
-    aligned frame k - 1; on a singleton that is the parallel-transport
-    phase.
+    when, in every cluster of the reordered frame, each column of the
+    cluster's overlap block with the aligned frame k - 1 has a norm that
+    reaches the floor (on a singleton, its diagonal overlap; inside a
+    cluster the basis is arbitrary, so only the block's span is judged);
+    otherwise an optimal assignment on squared overlaps matches them.
+    Each cluster, a singleton included, is then rotated by the polar part
+    of its overlap block with the aligned frame k - 1; on a singleton
+    that is the parallel-transport phase.
 
     Every other frame keeps the carried order, and its phases are a
     running product restarted from the aligned frame before its run: a
@@ -156,7 +158,7 @@ def _align(times, vals, vecs, tol: Tolerances) -> EigenframeSeries:
     raw one in the others.  On a grid with no crossing and no cluster
     this is one product over all frames.
     Adjacent frames whose aligned vectors overlap less than
-    ``tol.overlap_floor`` raise TrajectoryTooCoarse.
+    OVERLAP_FLOOR raise TrajectoryTooCoarse.
     """
     n, d = np.shape(vals)
     evals = np.array(vals)
@@ -164,7 +166,7 @@ def _align(times, vals, vecs, tol: Tolerances) -> EigenframeSeries:
     evecs[0] = _phase_fix(vecs[0])
     # frame 0's basis of a degenerate cluster is arbitrary; rotate it onto
     # frame 1's, so that a cluster the dynamics splits stays aligned
-    for cluster in _degenerate_clusters(evals[0], tol):
+    for cluster in _degenerate_clusters(evals[0]):
         if len(cluster) > 1:
             w = _polar(evecs[0][:, cluster].conj().T @ vecs[1][:, cluster])
             evecs[0][:, cluster] = evecs[0][:, cluster] @ w
@@ -174,8 +176,8 @@ def _align(times, vals, vecs, tol: Tolerances) -> EigenframeSeries:
     # aligned vectors, where the running product of the next run starts
     overlaps = np.einsum("kai,kai->ki", evecs[:-1].conj(), evecs[1:])
     gaps = np.diff(np.sort(evals, axis=1), axis=1).min(axis=1, initial=np.inf)
-    clustered = gaps[1:] < tol.degeneracy_gap
-    alone = (np.abs(overlaps).min(axis=1) < tol.overlap_floor) | clustered
+    clustered = gaps[1:] < DEGENERACY_GAP
+    alone = (np.abs(overlaps).min(axis=1) < OVERLAP_FLOOR) | clustered
     alone[1:] |= clustered[:-1]
     order = np.arange(d)
     start = 1
@@ -191,10 +193,16 @@ def _align(times, vals, vecs, tol: Tolerances) -> EigenframeSeries:
         if k == n:
             break
         prev = evecs[k - 1]
-        if np.abs(np.einsum("ai,ai->i", prev.conj(), vecs[k][:, order])).min() < tol.overlap_floor:
+        carried = vecs[k][:, order]
+        clusters = _degenerate_clusters(vals[k][order])
+        norms = np.abs(np.einsum("ai,ai->i", prev.conj(), carried))
+        for cluster in [c for c in clusters if len(c) > 1]:
+            norms[cluster] = np.linalg.norm(prev[:, cluster].conj().T @ carried[:, cluster], axis=0)
+        if norms.min() < OVERLAP_FLOOR:
             _, order = linear_sum_assignment(-np.abs(prev.conj().T @ vecs[k]) ** 2)
+            clusters = _degenerate_clusters(vals[k][order])
         evals[k], evecs[k] = vals[k][order], vecs[k][:, order]
-        for cluster in _degenerate_clusters(evals[k], tol):
+        for cluster in clusters:
             block = prev[:, cluster].conj().T @ evecs[k][:, cluster]
             evecs[k][:, cluster] = evecs[k][:, cluster] @ _polar(block).conj().T
         if k + 1 < n:
@@ -202,21 +210,19 @@ def _align(times, vals, vecs, tol: Tolerances) -> EigenframeSeries:
         start = k + 1
 
     aligned = np.abs(np.einsum("kai,kai->ki", evecs[:-1].conj(), evecs[1:])).min(axis=1)
-    if (aligned < tol.overlap_floor).any():
-        k = 1 + int(np.argmax(aligned < tol.overlap_floor))
+    if (aligned < OVERLAP_FLOOR).any():
+        k = 1 + int(np.argmax(aligned < OVERLAP_FLOOR))
         raise TrajectoryTooCoarse(
             f"eigenvector overlap {aligned[k - 1]:.3f} below "
-            f"{tol.overlap_floor} between t={times[k - 1]} and t={times[k]}, "
+            f"{OVERLAP_FLOOR} between t={times[k - 1]} and t={times[k]}, "
             f"smallest eigenvalue gap {min(gaps[k - 1], gaps[k]):.3g}"
         )
     return EigenframeSeries(times=times, eigenvalues=evals, eigenvectors=evecs)
 
 
-def align_eigenframes(
-    samples, tol: Tolerances = DEFAULT_TOLERANCES
-) -> EigenframeSeries:
+def align_eigenframes(samples) -> EigenframeSeries:
     """Diagonalize every sample and align the frames along the grid."""
-    return _align(*_spectra_of(samples, tol), tol)
+    return _align(*_spectra_of(samples))
 
 
 def _d_dt(values: np.ndarray, frames: EigenframeSeries) -> np.ndarray:
@@ -242,17 +248,17 @@ def _populations(eigenvalues) -> np.ndarray:
     return p / p.sum(axis=-1, keepdims=True)
 
 
-def _rate_rows(frames: EigenframeSeries, tol: Tolerances):
+def _rate_rows(frames: EigenframeSeries):
     """Rates (n, d), negative and singular flags (n,) and condition
     estimates (n,) on every grid time, as decompose_trajectory stores them:
     the rate system on the populations p and the eigenvalue derivatives f."""
     f = _d_dt(frames.eigenvalues, frames)
-    rates, singular, condition = _solve_circulant_batch(_populations(frames.eigenvalues), f, tol)
+    rates, singular, condition = _solve_circulant_batch(_populations(frames.eigenvalues), f)
     # grid-aware flag: rates of order 1/dt are indistinguishable from
     # a singular crossing at this resolution and break the scheme
     spacings = np.diff(frames.times)
     singular |= condition * np.append(spacings, spacings[-1]) >= 1.0
-    negative = np.any(rates[:, 1:] < -tol.rate_negativity, axis=1)
+    negative = np.any(rates[:, 1:] < -RATE_NEGATIVITY, axis=1)
     return rates, negative, singular, condition
 
 
@@ -263,14 +269,12 @@ def build_hamiltonian(frames: EigenframeSeries, t: float) -> np.ndarray:
     return _hamiltonians(frames)[k]
 
 
-def compute_rates_at(
-    frames: EigenframeSeries, t: float, tol: Tolerances = DEFAULT_TOLERANCES
-) -> RateSolveResult:
+def compute_rates_at(frames: EigenframeSeries, t: float) -> RateSolveResult:
     """Jump rates at grid time t from the tracked eigenvalue branches: the
     row that decompose_trajectory stores, with its singular flag and
     condition estimate."""
     k = frames.index_of(t)
-    rates, _, singular, condition = _rate_rows(frames, tol)
+    rates, _, singular, condition = _rate_rows(frames)
     return RateSolveResult(
         q=rates[k], singular=bool(singular[k]), condition_estimate=float(condition[k])
     )
@@ -311,13 +315,11 @@ def reconstruct_rhs(rho, h, unitaries, q) -> np.ndarray:
     return out + np.einsum("...i,...iab,...bc,...idc->...ad", q[..., 1:], jumps, rho, jumps.conj())
 
 
-def decompose_trajectory(
-    samples, tol: Tolerances = DEFAULT_TOLERANCES
-) -> DecompositionSeries:
+def decompose_trajectory(samples) -> DecompositionSeries:
     """Full pipeline: align frames, then solve q on every grid time; H
     is rebuilt from the frames by DecompositionSeries.hamiltonians."""
-    frames = align_eigenframes(samples, tol=tol)
-    rates, negative, singular, condition = _rate_rows(frames, tol)
+    frames = align_eigenframes(samples)
+    rates, negative, singular, condition = _rate_rows(frames)
     return DecompositionSeries(
         times=frames.times,
         rates=rates,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEGENERACY_GAP, HERMITICITY, PSD, SINGULAR_SYMBOL, TRACE
 from .errors import ValidationError
 
 __all__ = [
@@ -40,7 +40,7 @@ class RateSolveResult:
     condition_estimate: float
 
 
-def validate_density_matrix(rho, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def validate_density_matrix(rho) -> np.ndarray:
     """Check finiteness, hermiticity, unit trace and positivity of a
     density matrix (d, d) or of every matrix of a stack (n, d, d).
 
@@ -49,10 +49,10 @@ def validate_density_matrix(rho, tol: Tolerances = DEFAULT_TOLERANCES) -> np.nda
     first violated check.  Positivity is judged on one eigh per matrix;
     _validated_eigh returns that eigendecomposition as well.
     """
-    return _validated_eigh(rho, tol)[0]
+    return _validated_eigh(rho)[0]
 
 
-def _validated_eigh(rho, tol: Tolerances):
+def _validated_eigh(rho):
     """validate_density_matrix's checks and its eigendecomposition: the
     validated complex array, its eigenvalues (..., d) and eigenvectors
     (..., d, d), both in descending eigenvalue order.
@@ -75,37 +75,37 @@ def _validated_eigh(rho, tol: Tolerances):
 
     check(~np.isfinite(stack).all(axis=(1, 2)), lambda k: "matrix contains NaN or Inf entries")
     herm = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
-    check(herm > tol.hermiticity,
+    check(herm > HERMITICITY,
           lambda k: f"density matrix not Hermitian: deviation {herm[k]:.3e}")
     tr = np.einsum("kii->k", stack)
-    check(np.abs(tr - 1.0) > tol.trace,
+    check(np.abs(tr - 1.0) > TRACE,
           lambda k: f"density matrix trace {tr[k]} differs from 1")
     evals, evecs = np.linalg.eigh(rho)
     low = evals.reshape(-1, rho.shape[-1]).min(axis=1)
-    check(low < -tol.psd,
+    check(low < -PSD,
           lambda k: f"density matrix not positive semidefinite: min eigenvalue {low[k]:.3e}")
     return rho, evals[..., ::-1], evecs[..., ::-1]
 
 
-def _phase_fix(vecs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Rotate each column so its first significant component (|v| > tol)
+def _phase_fix(vecs: np.ndarray) -> np.ndarray:
+    """Rotate each column so its first significant component (|v| > 1e-12)
     is real positive; a column with no significant component is returned
     unchanged.  All columns in one masked broadcast, on a C-ordered copy."""
-    significant = np.abs(vecs) > tol
+    significant = np.abs(vecs) > 1e-12
     lead = vecs[significant.argmax(axis=0), np.arange(vecs.shape[1])]
     fixed = vecs.copy()
     np.multiply(fixed, np.exp(-1j * np.angle(lead)), out=fixed, where=significant.any(axis=0))
     return fixed
 
 
-def _degenerate_clusters(evals, tol: Tolerances) -> list[list[int]]:
+def _degenerate_clusters(evals) -> list[list[int]]:
     """Indices of evals in descending order (ties in index order), split
-    into the runs whose adjacent gaps are below ``tol.degeneracy_gap``.
+    into the runs whose adjacent gaps are below DEGENERACY_GAP.
     Plain Python: d is small, and numpy's per-call cost would dominate."""
     vals = np.asarray(evals).tolist()
     clusters = []
     for i in sorted(range(len(vals)), key=vals.__getitem__, reverse=True):
-        if clusters and vals[clusters[-1][-1]] - vals[i] < tol.degeneracy_gap:
+        if clusters and vals[clusters[-1][-1]] - vals[i] < DEGENERACY_GAP:
             clusters[-1].append(i)
         else:
             clusters.append([i])
@@ -135,7 +135,7 @@ def rate_system_matrix(p) -> np.ndarray:
     return p[cyclic_shift_rows(p.shape[0])]
 
 
-def _solve_circulant_batch(p, f, tol: Tolerances):
+def _solve_circulant_batch(p, f):
     """Solve M v = f with M[k, i] = p[(k + i) mod d] for every row of the
     (n, d) arrays p and f by DFT diagonalization.
 
@@ -158,7 +158,7 @@ def _solve_circulant_batch(p, f, tol: Tolerances):
     fhat = np.fft.fft(f, axis=1)
     mags = np.abs(symbol)
     top = mags.max(axis=1)
-    alive = mags > tol.singular_symbol * top[:, None]
+    alive = mags > SINGULAR_SYMBOL * top[:, None]
     singular = ~alive.all(axis=1)
     vhat = np.where(alive, fhat / np.where(alive, symbol, 1.0), 0.0)
     condition = np.full(p.shape[0], np.inf)
@@ -171,7 +171,7 @@ def _solve_circulant_batch(p, f, tol: Tolerances):
     return q, singular, condition
 
 
-def solve_circulant_rates(p, f, tol: Tolerances = DEFAULT_TOLERANCES) -> RateSolveResult:
+def solve_circulant_rates(p, f) -> RateSolveResult:
     """Solve the circulant rate system M v = f for one p, f by DFT
     diagonalization; M[k, i] = p[(k + i) mod d] (see rate_system_matrix).
 
@@ -180,7 +180,7 @@ def solve_circulant_rates(p, f, tol: Tolerances = DEFAULT_TOLERANCES) -> RateSol
     component of f outside the range of M, is returned with the singular
     flag set; it does not raise.
     """
-    q, singular, condition = _solve_circulant_batch([p], [f], tol)
+    q, singular, condition = _solve_circulant_batch([p], [f])
     return RateSolveResult(
         q=q[0], singular=bool(singular[0]), condition_estimate=float(condition[0])
     )

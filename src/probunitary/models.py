@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import HERMITICITY
 from .decomposition import TrajectorySample
 from .errors import ValidationError
 from .linalg import validate_density_matrix
@@ -49,7 +49,7 @@ class LindbladSpec:
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonian, dtype=complex)
-        if np.max(np.abs(h - h.conj().T)) > DEFAULT_TOLERANCES.hermiticity:
+        if np.max(np.abs(h - h.conj().T)) > HERMITICITY:
             raise ValidationError("Lindblad Hamiltonian must be Hermitian")
         d = h.shape[0]
         for op, gamma in self.jump_ops:
@@ -160,9 +160,7 @@ def _liouvillian(spec: LindbladSpec) -> np.ndarray:
     return gen
 
 
-def integrate(
-    spec: LindbladSpec, rho0, grid, tol: Tolerances = DEFAULT_TOLERANCES
-) -> list[TrajectorySample]:
+def integrate(spec: LindbladSpec, rho0, grid) -> list[TrajectorySample]:
     """Propagate the Lindblad equation exactly on a time grid.
 
     The state after each step is exp(L dt) applied to the state before,
@@ -174,7 +172,7 @@ def integrate(
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise ValidationError("grid must be strictly increasing with >= 2 points")
-    rho0 = validate_density_matrix(rho0, tol)
+    rho0 = validate_density_matrix(rho0)
     if rho0.shape != np.shape(spec.hamiltonian):
         raise ValidationError("state and Hamiltonian dimensions differ")
     d = rho0.shape[0]

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import RATE_NEGATIVITY
 from .decomposition import DecompositionSeries
 from .errors import (
     NegativeRate,
@@ -90,13 +90,13 @@ def _hermitian_propagator(h, dt: float) -> np.ndarray:
     return (vecs * phases) @ vecs.conj().swapaxes(-1, -2)
 
 
-def _jump_edges(q, dt, tol: Tolerances) -> np.ndarray:
+def _jump_edges(q, dt) -> np.ndarray:
     """Cumulative jump probabilities q_1 dt, q_1 dt + q_2 dt, ... along the
     last axis of q, refusing negative rates and steps whose total
     jump probability reaches 1.  ``dt`` is a scalar, or a column holding
     each row's own spacing."""
     jump_rates = q[..., 1:]
-    if np.any(jump_rates < -tol.rate_negativity):
+    if np.any(jump_rates < -RATE_NEGATIVITY):
         raise NegativeRate("negative rates cannot be realized by the scheme")
     probabilities = np.clip(jump_rates, 0.0, None) * dt
     total = probabilities.sum(axis=-1).max()
@@ -136,7 +136,7 @@ def _waiting_time_jumps(edges: np.ndarray, seed: int, n_traj: int):
         start = k + 1
 
 
-def step(state, h, unitaries, q, dt, draw, tol: Tolerances = DEFAULT_TOLERANCES):
+def step(state, h, unitaries, q, dt, draw):
     """Advance one state by one step of the scheme using a uniform draw.
 
     The draw is partitioned into [0, q_1 dt), [q_1 dt, q_1 dt + q_2 dt),
@@ -146,7 +146,7 @@ def step(state, h, unitaries, q, dt, draw, tol: Tolerances = DEFAULT_TOLERANCES)
     unitaries = np.asarray(unitaries, dtype=complex)
     if unitaries.shape[0] != np.shape(q)[0]:
         raise ValidationError("step needs one unitary per rate")
-    edges = _jump_edges(np.asarray(q, dtype=float), dt, tol)
+    edges = _jump_edges(np.asarray(q, dtype=float), dt)
     branch = int(np.searchsorted(edges, draw, side="right"))
     if branch < edges.shape[0]:
         u = unitaries[branch + 1]
@@ -155,23 +155,17 @@ def step(state, h, unitaries, q, dt, draw, tol: Tolerances = DEFAULT_TOLERANCES)
     return u @ np.asarray(state, dtype=complex) @ u.conj().T
 
 
-def _flagged_intervals(decomposition: DecompositionSeries, horizon: float):
+def _flagged_intervals(decomposition: DecompositionSeries, n_steps: int):
     """(first, last) grid time of every contiguous run of flagged
-    (negative or singular) grid points up to the horizon."""
-    mask = (decomposition.times <= horizon + 1e-12) & (
-        decomposition.negative_flags | decomposition.singular_flags
-    )
+    (negative or singular) grid points among the first n_steps + 1."""
+    mask = (decomposition.negative_flags | decomposition.singular_flags)[: n_steps + 1]
     edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
     times = decomposition.times
     return [(float(times[a]), float(times[b - 1])) for a, b in edges.reshape(-1, 2)]
 
 
-def run_ensemble(
-    config: SimConfig,
-    decomposition: DecompositionSeries,
-    exact=None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> EnsembleResult:
+def run_ensemble(config: SimConfig, decomposition: DecompositionSeries,
+                 exact=None) -> EnsembleResult:
     """Average an ensemble of stochastic trajectories of the scheme.
 
     The scheme is built for one initial state on one grid, and both come
@@ -180,17 +174,25 @@ def run_ensemble(
     to times[k + 1] with its own spacing, so a non-uniform grid is
     simulated as given and StepTooLarge is judged step by step.
     ``exact`` is an optional list of TrajectorySample on the same grid,
-    at least up to the horizon, used for the per-time trace distance.
+    at least up to the horizon, used for the per-time trace distance; a
+    sample time off the grid (relative 1e-9) raises ValidationError.
     """
     times = decomposition.times
     n_steps = int(np.searchsorted(times, config.horizon + 1e-12)) - 1
     if n_steps < 1:
         raise ValidationError("horizon shorter than one decomposition step")
-    if exact is not None and len(exact) < n_steps + 1:
-        raise ValidationError(f"exact has {len(exact)} samples, the horizon needs {n_steps + 1}")
+    if exact is not None:
+        if len(exact) < n_steps + 1:
+            raise ValidationError(f"exact has {len(exact)} samples, the horizon needs {n_steps + 1}")
+        given = np.array([s.time for s in exact[: n_steps + 1]], dtype=float)
+        off = ~(np.abs(given - times[: n_steps + 1]) <= 1e-9 * np.maximum(1.0, np.abs(given)))
+        k = int(np.argmax(off))
+        if off[k]:
+            raise ValidationError(
+                f"exact sample {k} at t={given[k]} is off the grid time {times[k]}")
     frames = decomposition.frames
     lam0 = frames.eigenvalues[0]
-    flagged = _flagged_intervals(decomposition, config.horizon)
+    flagged = _flagged_intervals(decomposition, n_steps)
     if flagged:
         spans = ", ".join(f"[{a:g}, {b:g}]" for a, b in flagged)
         raise RefusesToSimulate(
@@ -203,7 +205,7 @@ def run_ensemble(
     # midpoint rates of every interval, shared by all trajectories
     q_mid = 0.5 * (decomposition.rates[:n_steps] + decomposition.rates[1 : n_steps + 1])
     spacing = np.diff(times[: n_steps + 1])
-    edges = _jump_edges(q_mid, spacing[:, None], tol)   # (n_steps, d-1)
+    edges = _jump_edges(q_mid, spacing[:, None])   # (n_steps, d-1)
 
     # labels[b, j]: the index into lam0 of the eigenvalue trajectory j
     # holds on frame branch b; a jump by shift i permutes trajectory j's

@@ -13,7 +13,7 @@ from probunitary.channel import (
     decompose_channel,
     to_kraus_like,
 )
-from probunitary.config import DEFAULT_TOLERANCES
+from probunitary.config import RECONSTRUCTION
 from probunitary.errors import SingularChannel, ValidationError
 
 from conftest import random_density_matrix, random_unitary
@@ -96,7 +96,7 @@ class TestDecomposeChannel:
         )
         assert dec.classification == QUASI_PROBABILITY
         np.testing.assert_allclose(dec.probabilities, [2.5, 0, -1.5, 0], atol=1e-12)
-        assert dec.reconstruction_residual <= DEFAULT_TOLERANCES.reconstruction
+        assert dec.reconstruction_residual <= RECONSTRUCTION
         assert np.abs(kraus_sum(dec) - np.eye(4)).max() <= 1e-12
 
     def test_nearly_singular_cyclic_system(self):
@@ -106,7 +106,7 @@ class TestDecomposeChannel:
         rho_out = np.diag([0.6, 0.2, 0.15, 0.05])
         dec = decompose_channel(rho_in, rho_out)
         assert dec.classification == QUASI_PROBABILITY
-        assert dec.reconstruction_residual <= DEFAULT_TOLERANCES.reconstruction
+        assert dec.reconstruction_residual <= RECONSTRUCTION
         assert np.abs(apply_decomposition(dec, rho_in) - rho_out).max() <= 1e-12
 
     @pytest.mark.parametrize("delta", [1e-9, 1e-8, 1e-7])
@@ -129,7 +129,7 @@ class TestDecomposeChannel:
         for _ in range(200):
             u, w = random_unitary(rng, 4), random_unitary(rng, 4)
             dec = decompose_channel(rotated(u, [0.3, 0.3, 0.2, 0.2]), rotated(w, [0.5, 0.5, 0, 0]))
-            assert dec.reconstruction_residual <= DEFAULT_TOLERANCES.reconstruction
+            assert dec.reconstruction_residual <= RECONSTRUCTION
             labels.add(dec.classification)
         assert labels == {QUASI_PROBABILITY}
 
@@ -153,7 +153,7 @@ class TestDecomposeChannel:
         rho_in = rotated(random_unitary(rng, d), y)
         dec = decompose_channel(rho_in, rotated(random_unitary(rng, d), x))
         assert (dec.classification == MIXED_UNITARY) == is_majorized(x, y)
-        assert dec.reconstruction_residual <= DEFAULT_TOLERANCES.reconstruction
+        assert dec.reconstruction_residual <= RECONSTRUCTION
         assert np.abs(kraus_sum(dec) - np.eye(d)).max() <= 1e-9
 
     def test_dimension_mismatch(self, rng):

@@ -166,6 +166,25 @@ def test_simulate_input_runs_on_the_file_grid(tmp_path):
     np.testing.assert_allclose(table[:, 0], np.linspace(0, 0.5, 51), rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("decompose", ["--dt", "0"]),
+    ("simulate", ["--dt", "nan", "--horizon", "0.5", "--trajectories", "20"]),
+])
+def test_input_ignores_unused_dt(tmp_path, command, extra):
+    # --dt only spaces a --model grid; an --input file brings its own times
+    path = tmp_path / "traj.json"
+    io.write_trajectory(path, models.sample_model("amplitude-damping", np.linspace(0, 0.5, 51)))
+    assert main([command, "--input", str(path), *extra, "--out", str(tmp_path / "run")]) == EXIT_OK
+
+
+def test_input_simulate_checks_horizon(tmp_path, capsys):
+    path = tmp_path / "traj.json"
+    io.write_trajectory(path, models.sample_model("amplitude-damping", np.linspace(0, 0.5, 51)))
+    argv = ["simulate", "--input", str(path), "--horizon", "nan", "--out", str(tmp_path / "run")]
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: horizon must be positive and finite\n"
+
+
 def test_nan_hamiltonian_exits_2(tmp_path, capsys):
     spec = write_spec(tmp_path / "spec.json", [])
     doc = json.loads((tmp_path / "spec.json").read_text())

@@ -6,7 +6,7 @@ from scipy.linalg import expm, polar
 from scipy.optimize import linear_sum_assignment
 
 from probunitary import decomposition
-from probunitary.config import DEFAULT_TOLERANCES
+from probunitary.config import DEGENERACY_GAP, OVERLAP_FLOOR
 from probunitary.decomposition import (
     TrajectorySample,
     _align,
@@ -66,9 +66,9 @@ class TestAlignment:
 
     def test_sign_flip_is_absorbed(self):
         rho = np.diag([0.6, 0.4]).astype(complex)
-        _, vals, vecs = _validated_eigh(np.stack([rho, rho]), DEFAULT_TOLERANCES)
+        _, vals, vecs = _validated_eigh(np.stack([rho, rho]))
         flipped = vecs * np.array([1, -1])[:, None, None]
-        frames = _align(np.array([0.0, 0.1]), vals, flipped, DEFAULT_TOLERANCES)
+        frames = _align(np.array([0.0, 0.1]), vals, flipped)
         overlap = np.vdot(frames.eigenvectors[0][:, 0], frames.eigenvectors[1][:, 0])
         assert overlap.real > 0.999 and abs(overlap.imag) < 1e-12
 
@@ -146,11 +146,11 @@ class TestAlignment:
             align_eigenframes(samples)
 
 
-def sequential_alignment(samples, tol=DEFAULT_TOLERANCES):
+def sequential_alignment(samples):
     """Frame-by-frame reference for align_eigenframes: assignment when a
     diagonal overlap is below the floor, per-branch phase transport or the
     polar part of each degenerate cluster's overlap block."""
-    _, first, v = _validated_eigh(samples[0].rho, tol)
+    _, first, v = _validated_eigh(samples[0].rho)
     vals, vecs = [first], [_phase_fix(v)]
     d = len(first)
     for k in range(1, len(samples)):
@@ -158,14 +158,14 @@ def sequential_alignment(samples, tol=DEFAULT_TOLERANCES):
         w, v = w[::-1], v[:, ::-1].copy()
         prev = vecs[-1]
         overlap = prev.conj().T @ v
-        if np.abs(np.diagonal(overlap)).min() < tol.overlap_floor:
+        if np.abs(np.diagonal(overlap)).min() < OVERLAP_FLOOR:
             _, cols = linear_sum_assignment(-np.abs(overlap) ** 2)
             w, v = w[cols], v[:, cols]
         order = np.argsort(w)[::-1]
         start = 0
         while start < d:
             stop = start + 1
-            while stop < d and w[order[stop - 1]] - w[order[stop]] < tol.degeneracy_gap:
+            while stop < d and w[order[stop - 1]] - w[order[stop]] < DEGENERACY_GAP:
                 stop += 1
             cluster = order[start:stop]
             if cluster.size == 1:
@@ -195,7 +195,8 @@ class TestAlignmentSplice:
     the frame before is below the floor, or where it or the frame before
     holds a degenerate cluster; every other frame keeps the branch order
     carried through the crossings before it.  All frames agree with the
-    sequential reference, and each crossing costs one assignment."""
+    sequential reference, each crossing costs one assignment, and a
+    degenerate cluster costs none."""
 
     times = np.linspace(0.0, 1.0, 101)
 
@@ -222,7 +223,7 @@ class TestAlignmentSplice:
         # the two lower populations meet at t = 0.505 and stay equal
         s = lambda t: 0.05 * min(t / 0.505, 1.0)  # noqa: E731
         self.check(monkeypatch, rotating_samples(
-            lambda t: [0.5, 0.3 - s(t), 0.2 + s(t)], self.times))
+            lambda t: [0.5, 0.3 - s(t), 0.2 + s(t)], self.times), assignments=0)
 
     def test_crossing_and_crossing_back(self, monkeypatch):
         # the first two populations cross near t = 0.253 and back near 0.753
@@ -245,7 +246,7 @@ class TestAlignmentSplice:
         # the falling one equals the lowest
         x = lambda t: 0.25 * min(t / 0.805, 1.0)  # noqa: E731
         frames = self.check(monkeypatch, rotating_samples(
-            lambda t: [0.45 - x(t), 0.35 + x(t), 0.2], self.times))
+            lambda t: [0.45 - x(t), 0.35 + x(t), 0.2], self.times), assignments=1)
         np.testing.assert_allclose(frames.eigenvalues[-1], [0.2, 0.6, 0.2], atol=1e-12)
 
 
@@ -453,9 +454,9 @@ class TestPipeline:
         times = np.arange(0, 0.05, 1e-3)
         samples = rotating_qubit_samples(0.9, times)
         frames_ref = align_eigenframes(samples)
-        _, vals, vecs = _validated_eigh(np.stack([s.rho for s in samples]), DEFAULT_TOLERANCES)
+        _, vals, vecs = _validated_eigh(np.stack([s.rho for s in samples]))
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=(len(samples), 1, 2)))
-        frames_alt = _align(times, vals, vecs * phases, DEFAULT_TOLERANCES)
+        frames_alt = _align(times, vals, vecs * phases)
         k = 5
         h_ref = build_hamiltonian(frames_ref, times[k])
         h_alt = build_hamiltonian(frames_alt, times[k])

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probunitary.config import DEFAULT_TOLERANCES
 from probunitary.decomposition import TrajectorySample, align_eigenframes, build_tilde_unitaries
 from probunitary.errors import ValidationError
 from probunitary.linalg import (
@@ -56,7 +55,7 @@ class TestValidation:
 def eigen(m):
     """The package's one eigen convention: _validated_eigh's descending
     order with _phase_fix's gauge."""
-    _, vals, vecs = _validated_eigh(m, DEFAULT_TOLERANCES)
+    _, vals, vecs = _validated_eigh(m)
     return vals, _phase_fix(vecs)
 
 

@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from probunitary.config import DEFAULT_TOLERANCES
 from probunitary.decomposition import (
     TrajectorySample,
     build_tilde_unitaries,
@@ -231,7 +230,7 @@ class TestEnsemble:
             grid = np.arange(0, horizon + dt / 2, dt)
             dec = decompose_trajectory(integrate(spec, rho0, grid))
             q_mid = 0.5 * (dec.rates[:-1] + dec.rates[1:])
-            edges = _jump_edges(q_mid, dt, DEFAULT_TOLERANCES)
+            edges = _jump_edges(q_mid, dt)
             worst, jumps = 0.0, 0
             for seed in range(n_seeds):
                 # a one-trajectory ensemble's mean is that trajectory's state
@@ -262,6 +261,19 @@ class TestEnsemble:
         config = SimConfig(n_traj=10, seed=1, horizon=0.2)
         with pytest.raises(ValidationError, match="exact has 200 samples"):
             run_ensemble(config, dec, exact=samples[:-1])
+
+    def test_exact_on_another_grid_rejected(self):
+        # same number of samples, spaced over twice the decomposition's span
+        grid = np.linspace(0.0, 0.5, 51)
+        dec = decompose_trajectory(sample_model("amplitude-damping", grid))
+        exact = sample_model("amplitude-damping", np.linspace(0.0, 1.0, 51))
+        config = SimConfig(n_traj=100, seed=1, horizon=0.5)
+        with pytest.raises(ValidationError, match=r"exact sample 1 at t=0\.02 is off the grid time 0\.01"):
+            run_ensemble(config, dec, exact=exact)
+        # a sample time within rounding of the grid is on it
+        nudged = [TrajectorySample(s.time * (1 + 1e-12), s.rho)
+                  for s in sample_model("amplitude-damping", grid)]
+        assert run_ensemble(config, dec, exact=nudged).trace_distance_to_exact.shape == (51,)
 
     @pytest.mark.parametrize("seed", [0, 1, 9])
     def test_qutrit_ensemble_matches_integrator(self, seed):
@@ -407,7 +419,7 @@ class TestSampler:
         dt, n_steps, n = 1e-2, 200, 20000
         t = (np.arange(n_steps) + 0.5) * dt
         q = np.stack([np.zeros_like(t), 2 + 1.5 * np.sin(2 * np.pi * t), 1 + t], axis=1)
-        edges = _jump_edges(q, dt, DEFAULT_TOLERANCES)
+        edges = _jump_edges(q, dt)
         counts = np.zeros((n_steps, 2))
         jumped = np.zeros((n_steps, n), dtype=bool)
         for lanes, k, branch in _waiting_time_jumps(edges, 17, n):
