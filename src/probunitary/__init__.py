@@ -16,7 +16,7 @@ from .channel import (
 from .decomposition import (
     DecompositionSeries,
     EigenframeSeries,
-    TrajectorySample,
+    Trajectory,
     align_eigenframes,
     build_hamiltonian,
     build_tilde_unitaries,

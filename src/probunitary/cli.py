@@ -97,7 +97,7 @@ def _read_lindblad_spec(path):
     return spec, rho0
 
 
-def _load_samples(args):
+def _load_trajectory(args):
     if args.input is not None:
         return io.read_trajectory(args.input)
     if args.model is None:
@@ -128,13 +128,8 @@ def _load_samples(args):
     return models.sample_model(args.model, grid, params)
 
 
-def _build_decomposition(args):
-    samples = _load_samples(args)
-    return samples, decompose_trajectory(samples)
-
-
 def cmd_decompose(args) -> int:
-    samples, decomposition = _build_decomposition(args)
+    decomposition = decompose_trajectory(_load_trajectory(args))
     if decomposition.singular_flags.all():
         print("decomposition singular at every grid point", file=sys.stderr)
         return EXIT_SINGULAR
@@ -146,9 +141,10 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    samples, decomposition = _build_decomposition(args)
+    trajectory = _load_trajectory(args)
+    decomposition = decompose_trajectory(trajectory)
     config = SimConfig(n_traj=args.trajectories, seed=args.seed, horizon=args.horizon)
-    result = run_ensemble(config, decomposition, exact=samples)
+    result = run_ensemble(config, decomposition, exact=trajectory)
     io.write_ensemble_csv(f"{args.out}.ensemble.csv", result)
     return EXIT_OK
 
@@ -173,7 +169,8 @@ def cmd_models(args) -> int:
 
 def _add_model_options(parser):
     parser.add_argument("--model", choices=sorted(MODEL_CATALOGUE))
-    parser.add_argument("--input", help="trajectory JSON file")
+    parser.add_argument("--input", help="trajectory JSON file: keys dim, times and rho, as "
+                        "written by probunitary.io.write_trajectory")
     parser.add_argument("--omega", type=float, default=1.0)
     parser.add_argument("--gamma", type=float, default=1.0)
     parser.add_argument("--lindblad-spec", help="Lindblad spec JSON file")

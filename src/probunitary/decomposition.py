@@ -1,6 +1,6 @@
 """Probabilistic-unitary decomposition of a density-matrix trajectory.
 
-Given samples of rho(t), this module tracks a continuous eigenframe
+Given rho(t) on a time grid, this module tracks a continuous eigenframe
 across the grid and solves for the jump rates at every grid time, each
 in one batched computation over the grid.  The driving Hamiltonian and
 the cyclic shifts conjugated into the instantaneous frame follow from
@@ -26,7 +26,7 @@ from .linalg import (
 )
 
 __all__ = [
-    "TrajectorySample",
+    "Trajectory",
     "EigenframeSeries",
     "DecompositionSeries",
     "align_eigenframes",
@@ -38,10 +38,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
-    time: float
-    rho: np.ndarray
+@dataclass
+class Trajectory:
+    """``rhos[k]`` (n, d, d) is the state at ``times[k]`` (n,), held as given:
+    the computations that take a Trajectory check its grid."""
+
+    times: np.ndarray
+    rhos: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.times)
 
 
 @dataclass
@@ -97,19 +103,13 @@ class DecompositionSeries:
         return _hamiltonians(self.frames)
 
 
-def _spectra_of(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Times, eigenvalues (n, d) and eigenvectors (n, d, d) of the samples,
-    each frame in descending eigenvalue order."""
-    if len(samples) < 2:
-        raise ValidationError("need at least two trajectory samples")
-    times = np.array([s.time for s in samples], dtype=float)
-    if np.any(np.diff(times) <= 0):
-        raise ValidationError("sample times must be strictly increasing")
-    dims = {s.rho.shape[0] for s in samples}
-    if len(dims) != 1:
-        raise ValidationError("trajectory samples have mismatched dimensions")
-    _, evals, evecs = _validated_eigh(np.stack([s.rho for s in samples]))
-    return times, evals, evecs
+def _checked_grid(times) -> np.ndarray:
+    """``times`` as floats; ValidationError unless >= 2 finite, increasing times in 1-D."""
+    times = np.asarray(times, dtype=float)
+    ok = times.ndim == 1 and times.size >= 2 and np.isfinite(times).all()
+    if not (ok and np.all(np.diff(times) > 0)):
+        raise ValidationError("a time grid needs >= 2 finite, strictly increasing times in 1-D")
+    return times
 
 
 def linear_sum_assignment(cost):
@@ -220,9 +220,13 @@ def _align(times, vals, vecs) -> EigenframeSeries:
     return EigenframeSeries(times=times, eigenvalues=evals, eigenvectors=evecs)
 
 
-def align_eigenframes(samples) -> EigenframeSeries:
-    """Diagonalize every sample and align the frames along the grid."""
-    return _align(*_spectra_of(samples))
+def align_eigenframes(trajectory: Trajectory) -> EigenframeSeries:
+    """Diagonalize every state and align the frames along the grid."""
+    times = _checked_grid(trajectory.times)
+    if np.ndim(trajectory.rhos) != 3 or len(trajectory.rhos) != len(times):
+        raise ValidationError(f"{len(times)} times but states of shape {np.shape(trajectory.rhos)}")
+    _, evals, evecs = _validated_eigh(trajectory.rhos)
+    return _align(times, evals, evecs)
 
 
 def _d_dt(values: np.ndarray, frames: EigenframeSeries) -> np.ndarray:
@@ -315,10 +319,10 @@ def reconstruct_rhs(rho, h, unitaries, q) -> np.ndarray:
     return out + np.einsum("...i,...iab,...bc,...idc->...ad", q[..., 1:], jumps, rho, jumps.conj())
 
 
-def decompose_trajectory(samples) -> DecompositionSeries:
+def decompose_trajectory(trajectory: Trajectory) -> DecompositionSeries:
     """Full pipeline: align frames, then solve q on every grid time; H
     is rebuilt from the frames by DecompositionSeries.hamiltonians."""
-    frames = align_eigenframes(samples)
+    frames = align_eigenframes(trajectory)
     rates, negative, singular, condition = _rate_rows(frames)
     return DecompositionSeries(
         times=frames.times,

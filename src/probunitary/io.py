@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .decomposition import DecompositionSeries, TrajectorySample
+from .decomposition import DecompositionSeries, Trajectory
 from .errors import ValidationError
 from .linalg import validate_density_matrix
 
@@ -147,16 +147,20 @@ def _write_json(path, doc) -> None:
         fh.write("}")
 
 
-def write_trajectory(path, samples) -> None:
-    rhos = np.stack([s.rho for s in samples])
+def write_trajectory(path, trajectory: Trajectory) -> None:
+    """JSON keys "dim" (d), "times" (n numbers) and "rho" (n matrices of d
+    rows of d [re, im] pairs); read_trajectory reads it back bit-exactly."""
+    rhos = np.asarray(trajectory.rhos)
     _write_json(path, {
         "dim": rhos.shape[1],
-        "times": np.array([s.time for s in samples], dtype=float).tolist(),
+        "times": np.asarray(trajectory.times, dtype=float).tolist(),
         "rho": rhos,
     })
 
 
-def read_trajectory(path) -> list[TrajectorySample]:
+def read_trajectory(path) -> Trajectory:
+    """The Trajectory of a write_trajectory file: integer dim >= 1, n finite
+    times and n d x d density matrices, in any time order (else ValidationError)."""
     doc = read_json_object(path, ("dim", "times", "rho"))
     d, rho = doc["dim"], doc["rho"]
     if type(d) is not int or d < 1:
@@ -180,7 +184,7 @@ def read_trajectory(path) -> list[TrajectorySample]:
         validate_density_matrix(rhos)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-    return [TrajectorySample(time=t, rho=r) for t, r in zip(times.tolist(), rhos)]
+    return Trajectory(times=times, rhos=rhos)
 
 
 def read_matrix_file(path) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import HERMITICITY
-from .decomposition import TrajectorySample
+from .decomposition import Trajectory, _checked_grid
 from .errors import ValidationError
 from .linalg import validate_density_matrix
 
@@ -95,8 +95,8 @@ def _diagonal_qubit_states(upper, times) -> np.ndarray:
     population ``upper`` is evaluated on math scalars, one time at a
     time: numpy's exp and cos may differ from math's in the last ulp."""
     times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise ValidationError("time must be nonnegative")
+    if not np.all((times >= 0) & (times < math.inf)):
+        raise ValidationError("time must be finite and nonnegative")
     top = np.array([upper(t) for t in times.tolist()], dtype=float)
     rhos = np.zeros((times.size, 2, 2), dtype=complex)
     rhos[:, 0, 0] = top
@@ -160,18 +160,16 @@ def _liouvillian(spec: LindbladSpec) -> np.ndarray:
     return gen
 
 
-def integrate(spec: LindbladSpec, rho0, grid) -> list[TrajectorySample]:
+def integrate(spec: LindbladSpec, rho0, grid) -> Trajectory:
     """Propagate the Lindblad equation exactly on a time grid.
 
     The state after each step is exp(L dt) applied to the state before,
     with one matrix exponential of the Liouvillian L per distinct grid
     spacing.  The propagated states are then rehermitized and their trace
-    renormalized; the first sample is rho0 as given, which must be a
+    renormalized; the first state is rho0 as given, which must be a
     density matrix (ValidationError otherwise).
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
-        raise ValidationError("grid must be strictly increasing with >= 2 points")
+    grid = _checked_grid(grid)
     rho0 = validate_density_matrix(rho0)
     if rho0.shape != np.shape(spec.hamiltonian):
         raise ValidationError("state and Hamiltonian dimensions differ")
@@ -189,7 +187,7 @@ def integrate(spec: LindbladSpec, rho0, grid) -> list[TrajectorySample]:
     rhos = vec.reshape(-1, d, d)
     rhos[1:] = (rhos[1:] + rhos[1:].conj().transpose(0, 2, 1)) / 2
     rhos[1:] /= np.einsum("kii->k", rhos[1:]).real[:, None, None]
-    return [TrajectorySample(time=t, rho=r) for t, r in zip(grid.tolist(), rhos)]
+    return Trajectory(times=grid, rhos=rhos)
 
 
 def sample_model(
@@ -198,16 +196,14 @@ def sample_model(
     params: ModelParams | None = None,
     spec: LindbladSpec | None = None,
     rho0=None,
-) -> list[TrajectorySample]:
-    """Produce trajectory samples for a catalogue model on a time grid."""
-    grid = np.asarray(grid, dtype=float)
+) -> Trajectory:
+    """The trajectory of a catalogue model on a time grid."""
+    grid = _checked_grid(grid)
     params = params or ModelParams()
-    if name in ("jc", "amplitude-damping"):
-        if name == "jc":
-            rhos = _jc_states(params.omega, grid)
-        else:
-            rhos = _amplitude_damping_states(params.gamma, grid)
-        return [TrajectorySample(time=t, rho=r) for t, r in zip(grid.tolist(), rhos)]
+    if name == "jc":
+        return Trajectory(times=grid, rhos=_jc_states(params.omega, grid))
+    if name == "amplitude-damping":
+        return Trajectory(times=grid, rhos=_amplitude_damping_states(params.gamma, grid))
     if name == "lindblad":
         if spec is None or rho0 is None:
             raise ValidationError("lindblad model needs a spec and initial state")

@@ -141,8 +141,11 @@ def step(state, h, unitaries, q, dt, draw):
 
     The draw is partitioned into [0, q_1 dt), [q_1 dt, q_1 dt + q_2 dt),
     ...; a draw in the i-th interval applies unitaries[i], the remainder
-    applies the Hamiltonian propagator exp(-i h dt).
+    applies the Hamiltonian propagator exp(-i h dt).  ``dt`` must be
+    finite and positive (ValidationError otherwise).
     """
+    if not 0 < dt < np.inf:
+        raise ValidationError(f"step needs a finite positive dt, got {dt}")
     unitaries = np.asarray(unitaries, dtype=complex)
     if unitaries.shape[0] != np.shape(q)[0]:
         raise ValidationError("step needs one unitary per rate")
@@ -173,9 +176,9 @@ def run_ensemble(config: SimConfig, decomposition: DecompositionSeries,
     V_0^dag from ``decomposition.frames``, and step k runs from times[k]
     to times[k + 1] with its own spacing, so a non-uniform grid is
     simulated as given and StepTooLarge is judged step by step.
-    ``exact`` is an optional list of TrajectorySample on the same grid,
-    at least up to the horizon, used for the per-time trace distance; a
-    sample time off the grid (relative 1e-9) raises ValidationError.
+    ``exact`` is an optional Trajectory on the same grid, at least up to
+    the horizon, used for the per-time trace distance; a time of it off
+    the grid (relative 1e-9) raises ValidationError.
     """
     times = decomposition.times
     n_steps = int(np.searchsorted(times, config.horizon + 1e-12)) - 1
@@ -184,7 +187,7 @@ def run_ensemble(config: SimConfig, decomposition: DecompositionSeries,
     if exact is not None:
         if len(exact) < n_steps + 1:
             raise ValidationError(f"exact has {len(exact)} samples, the horizon needs {n_steps + 1}")
-        given = np.array([s.time for s in exact[: n_steps + 1]], dtype=float)
+        given = np.asarray(exact.times[: n_steps + 1], dtype=float)
         off = ~(np.abs(given - times[: n_steps + 1]) <= 1e-9 * np.maximum(1.0, np.abs(given)))
         k = int(np.argmax(off))
         if off[k]:
@@ -245,8 +248,7 @@ def run_ensemble(config: SimConfig, decomposition: DecompositionSeries,
 
     tdist = None
     if exact is not None:
-        rhos = np.stack([np.asarray(s.rho, dtype=complex) for s in exact[: n_steps + 1]])
-        tdist = 0.5 * np.abs(np.linalg.eigvalsh(mean - rhos)).sum(axis=1)
+        tdist = 0.5 * np.abs(np.linalg.eigvalsh(mean - exact.rhos[: n_steps + 1])).sum(axis=1)
 
     return EnsembleResult(
         times=times[: n_steps + 1].copy(),
@@ -259,10 +261,11 @@ def run_ensemble(config: SimConfig, decomposition: DecompositionSeries,
 def convergence_sweep(make_problem, seed: int, horizon: float, dts, n_trajs):
     """Empirical bias/noise table over step sizes and ensemble sizes.
 
-    ``make_problem(dt)`` must return (decomposition, exact) on a grid
-    with spacing dt covering the horizon.  Returns a list of row dicts
-    with the max trace distance and the max aggregate standard error for
-    every (dt, n_traj) pair.
+    ``make_problem(dt)`` must return (decomposition, exact): the
+    decomposition on a grid with spacing dt covering the horizon, and the
+    exact Trajectory on that grid (see run_ensemble).  Returns a list of
+    row dicts with the max trace distance and the max aggregate standard
+    error for every (dt, n_traj) pair.
     """
     rows = []
     for dt in dts:

@@ -9,7 +9,7 @@ import pytest
 
 from probunitary import cli, io, models
 from probunitary.cli import EXIT_OK, EXIT_SINGULAR, EXIT_UNPHYSICAL, EXIT_VALIDATION, main
-from probunitary.decomposition import TrajectorySample, decompose_trajectory
+from probunitary.decomposition import Trajectory, decompose_trajectory
 
 from conftest import random_unitary
 
@@ -92,9 +92,8 @@ def test_decompose_writes_rates_and_hamiltonians(tmp_path):
         hamiltonian=io.matrix_from_json(spec_doc["hamiltonian"]),
         jump_ops=((io.matrix_from_json(SIGMA_X), 0.5),),
     )
-    samples = models.integrate(lindblad, io.matrix_from_json(spec_doc["rho0"]),
-                               np.arange(0.0, 0.05 + 1e-2 / 2, 1e-2))
-    dec = decompose_trajectory(samples)
+    dec = decompose_trajectory(models.integrate(
+        lindblad, io.matrix_from_json(spec_doc["rho0"]), np.arange(0.0, 0.05 + 1e-2 / 2, 1e-2)))
     hamiltonians = np.stack([io.matrix_from_json(h) for h in doc["hamiltonians"]])
     assert np.array_equal(doc["times"], dec.times)
     assert np.array_equal(hamiltonians, dec.hamiltonians)
@@ -288,7 +287,7 @@ def test_flagged_horizon_exits_4(tmp_path, capsys):
 
 def test_constant_maximally_mixed_trajectory_exits_3(tmp_path, capsys):
     path = tmp_path / "traj.json"
-    io.write_trajectory(path, [TrajectorySample(t, np.eye(2) / 2) for t in (0.0, 0.1, 0.2)])
+    io.write_trajectory(path, Trajectory(np.array([0.0, 0.1, 0.2]), np.tile(np.eye(2) / 2, (3, 1, 1))))
     assert main(["decompose", "--input", str(path), "--out", str(tmp_path / "run")]) == EXIT_SINGULAR
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
     assert not any(p.name.startswith("run") for p in tmp_path.iterdir())

@@ -23,9 +23,8 @@ SIGMA_X = io.matrix_to_json(np.array([[0, 1], [1, 0]]))
 
 
 def trajectory_doc():
-    samples = models.sample_model("amplitude-damping", np.linspace(0, 0.05, 6))
-    rhos = np.stack([s.rho for s in samples])
-    return {"dim": 2, "times": [s.time for s in samples], "rho": io.matrix_to_json(rhos)}
+    trajectory = models.sample_model("amplitude-damping", np.linspace(0, 0.05, 6))
+    return {"dim": 2, "times": trajectory.times.tolist(), "rho": io.matrix_to_json(trajectory.rhos)}
 
 
 # kind: (valid document, required keys, keys whose values the reader uses,

@@ -8,7 +8,7 @@ from scipy.optimize import linear_sum_assignment
 from probunitary import decomposition
 from probunitary.config import DEGENERACY_GAP, OVERLAP_FLOOR
 from probunitary.decomposition import (
-    TrajectorySample,
+    Trajectory,
     _align,
     align_eigenframes,
     build_hamiltonian,
@@ -20,10 +20,8 @@ from probunitary.decomposition import (
 from probunitary.errors import TrajectoryTooCoarse, ValidationError
 from probunitary.linalg import _phase_fix, _validated_eigh
 from probunitary.models import (
-    amplitude_damping_exact,
     amplitude_damping_spec,
     integrate,
-    jc_reduced_state,
     sample_model,
 )
 
@@ -47,20 +45,14 @@ def assert_rates_row(dec, k):
 
 def rotating_qubit_samples(omega, times, p=(0.8, 0.2)):
     """Eigenframe rotating about y at angular rate omega (closed form)."""
-    samples = []
-    for t in times:
-        r = expm(-1j * omega * t * SIGMA_Y / 2)
-        samples.append(
-            TrajectorySample(time=t, rho=r @ np.diag(p).astype(complex) @ r.conj().T)
-        )
-    return samples
+    r = np.stack([expm(-1j * omega * t * SIGMA_Y / 2) for t in times])
+    return Trajectory(np.asarray(times, dtype=float), r @ np.diag(p) @ r.conj().swapaxes(1, 2))
 
 
 class TestAlignment:
     def test_constant_trajectory(self):
         rho = np.diag([0.6, 0.4]).astype(complex)
-        samples = [TrajectorySample(time=t, rho=rho) for t in (0.0, 0.1, 0.2)]
-        frames = align_eigenframes(samples)
+        frames = align_eigenframes(Trajectory(np.array([0.0, 0.1, 0.2]), np.array([rho] * 3)))
         for k in range(3):
             np.testing.assert_allclose(frames.eigenvectors[k], np.eye(2), atol=1e-12)
 
@@ -111,7 +103,7 @@ class TestAlignment:
 
     def test_needs_two_samples(self):
         with pytest.raises(ValidationError):
-            align_eigenframes([TrajectorySample(0.0, np.eye(2) / 2)])
+            align_eigenframes(Trajectory(np.array([0.0]), np.array([np.eye(2) / 2])))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_stationary_degenerate_cluster_is_aligned(self, seed):
@@ -141,20 +133,36 @@ class TestAlignment:
 
     def test_nan_sample_rejected(self):
         samples = rotating_qubit_samples(1.0, [0.0, 0.1, 0.2])
-        samples[1].rho[0, 0] = np.nan
+        samples.rhos[1, 0, 0] = np.nan
         with pytest.raises(ValidationError, match="entry 1: .*NaN"):
             align_eigenframes(samples)
+
+
+BAD_GRIDS = {"nan": [0.0, math.nan, 0.2], "inf": [0.0, 0.1, math.inf], "repeated": [0.0, 0.1, 0.1]}
+GRID_ENTRY_POINTS = {
+    "integrate": lambda grid: integrate(amplitude_damping_spec(1.0), np.diag([1.0, 0.0]), grid),
+    "sample_model": lambda grid: sample_model("jc", grid),
+    "decompose_trajectory": lambda grid: decompose_trajectory(
+        Trajectory(np.array(grid), sample_model("jc", [0.0, 0.1, 0.2]).rhos)),
+}
+
+
+@pytest.mark.parametrize("grid", BAD_GRIDS.values(), ids=BAD_GRIDS)
+@pytest.mark.parametrize("entry", GRID_ENTRY_POINTS.values(), ids=GRID_ENTRY_POINTS)
+def test_non_finite_or_repeated_time_rejected(entry, grid):
+    with pytest.raises(ValidationError, match="finite, strictly increasing times"):
+        entry(grid)
 
 
 def sequential_alignment(samples):
     """Frame-by-frame reference for align_eigenframes: assignment when a
     diagonal overlap is below the floor, per-branch phase transport or the
     polar part of each degenerate cluster's overlap block."""
-    _, first, v = _validated_eigh(samples[0].rho)
+    _, first, v = _validated_eigh(samples.rhos[0])
     vals, vecs = [first], [_phase_fix(v)]
     d = len(first)
     for k in range(1, len(samples)):
-        w, v = np.linalg.eigh(samples[k].rho)
+        w, v = np.linalg.eigh(samples.rhos[k])
         w, v = w[::-1], v[:, ::-1].copy()
         prev = vecs[-1]
         overlap = prev.conj().T @ v
@@ -184,10 +192,9 @@ def rotating_samples(populations, times, seed=4):
     """U(t) diag(p(t)) U(t)^dag with U(t) = exp(-i t G), G random Hermitian."""
     rng = np.random.default_rng(seed)
     g = random_hermitian(rng, 3)
-    return [
-        TrajectorySample(time=t, rho=expm(-1j * t * g) @ np.diag(populations(t)) @ expm(1j * t * g))
-        for t in times
-    ]
+    return Trajectory(times, np.stack([
+        expm(-1j * t * g) @ np.diag(populations(t)) @ expm(1j * t * g) for t in times
+    ]))
 
 
 class TestAlignmentSplice:
@@ -253,8 +260,7 @@ class TestAlignmentSplice:
 class TestHamiltonian:
     def test_stationary_gives_zero(self):
         rho = np.diag([0.6, 0.4]).astype(complex)
-        samples = [TrajectorySample(time=t, rho=rho) for t in (0.0, 0.1, 0.2)]
-        frames = align_eigenframes(samples)
+        frames = align_eigenframes(Trajectory(np.array([0.0, 0.1, 0.2]), np.array([rho] * 3)))
         h = build_hamiltonian(frames, 0.1)
         np.testing.assert_allclose(h, 0.0, atol=1e-12)
 
@@ -283,29 +289,21 @@ class TestRates:
         dt = 1e-4
         t_star = math.acos(2 * 0.7 - 1)  # cos^2(t/2) = 0.7
         times = np.array([t_star - dt, t_star, t_star + dt])
-        samples = [
-            TrajectorySample(time=t, rho=jc_reduced_state(1.0, t)) for t in times
-        ]
-        frames = align_eigenframes(samples)
+        frames = align_eigenframes(sample_model("jc", times))
         res = compute_rates_at(frames, t_star)
         assert res.q[1] == pytest.approx(0.5 * math.tan(t_star), abs=1e-6)
         assert res.q[1] == pytest.approx(1.1456, abs=1e-3)
 
     def test_stationary_rates_vanish(self):
         rho = np.diag([0.6, 0.4]).astype(complex)
-        samples = [TrajectorySample(time=t, rho=rho) for t in (0.0, 0.1)]
-        frames = align_eigenframes(samples)
+        frames = align_eigenframes(Trajectory(np.array([0.0, 0.1]), np.array([rho] * 2)))
         np.testing.assert_allclose(compute_rates_at(frames, 0.0).q, 0.0, atol=1e-12)
 
     def test_amplitude_damping_rate(self):
         dt = 1e-5
         t_star = math.log(4 / 3)  # rho_11 = 0.75
         times = np.array([t_star - dt, t_star, t_star + dt])
-        samples = [
-            TrajectorySample(time=t, rho=amplitude_damping_exact(1.0, t))
-            for t in times
-        ]
-        frames = align_eigenframes(samples)
+        frames = align_eigenframes(sample_model("amplitude-damping", times))
         res = compute_rates_at(frames, t_star)
         assert res.q[1] == pytest.approx(1.5, abs=1e-6)
 
@@ -351,12 +349,10 @@ class TestReconstruction:
         # oracle: d/dt diag(cos^2(t/2), sin^2(t/2)) at t = 0.5
         dt, t0 = 1e-5, 0.5
         times = np.array([t0 - dt, t0, t0 + dt])
-        samples = [
-            TrajectorySample(time=t, rho=jc_reduced_state(1.0, t)) for t in times
-        ]
+        samples = sample_model("jc", times)
         dec = decompose_trajectory(samples)
         rhs = reconstruct_rhs(
-            samples[1].rho,
+            samples.rhos[1],
             dec.hamiltonians[1],
             build_tilde_unitaries(dec.frames.eigenvectors[1]),
             dec.rates[1],
@@ -371,7 +367,7 @@ class TestReconstruction:
         samples = integrate(spec, rho0, times)
         dec = decompose_trajectory(samples)
         k = len(times) // 2
-        rho = samples[k].rho
+        rho = samples.rhos[k]
         us = build_tilde_unitaries(dec.frames.eigenvectors[k])
         rhs = reconstruct_rhs(rho, dec.hamiltonians[k], us, dec.rates[k])
         assert abs(np.trace(rhs)) <= 1e-9
@@ -395,9 +391,8 @@ class TestReconstruction:
     def test_stack_is_the_per_time_rows(self, rng):
         spec = random_lindblad_spec(rng, 3, jump_scale=0.5)
         times = np.arange(0, 0.02, 1e-3)
-        samples = integrate(spec, random_density_matrix(rng, 3, min_gap=0.1), times)
-        dec = decompose_trajectory(samples)
-        rhos = np.stack([s.rho for s in samples])
+        trajectory = integrate(spec, random_density_matrix(rng, 3, min_gap=0.1), times)
+        dec, rhos = decompose_trajectory(trajectory), trajectory.rhos
         unitaries = np.stack([build_tilde_unitaries(v) for v in dec.frames.eigenvectors])
         stacked = reconstruct_rhs(rhos, dec.hamiltonians, unitaries, dec.rates)
         for k in range(len(times)):
@@ -414,22 +409,19 @@ class TestReconstruction:
 class TestPipeline:
     def test_constant_trajectory_all_quiet(self):
         rho = np.diag([0.6, 0.4]).astype(complex)
-        samples = [TrajectorySample(time=t, rho=rho) for t in np.arange(0, 0.1, 0.01)]
-        dec = decompose_trajectory(samples)
+        times = np.arange(0, 0.1, 0.01)
+        dec = decompose_trajectory(Trajectory(times, np.array([rho] * len(times))))
         np.testing.assert_allclose(dec.rates, 0.0, atol=1e-12)
         assert not dec.negative_flags.any()
         assert not dec.singular_flags.any()
-        for k in range(len(samples)):
+        for k in range(len(times)):
             comm = dec.hamiltonians[k] @ rho - rho @ dec.hamiltonians[k]
             assert np.abs(comm).max() <= 1e-12
 
     def test_jc_negative_flag_region(self):
         dt = 1e-3
         times = np.arange(0, 3.0 + dt / 2, dt)
-        samples = [
-            TrajectorySample(time=t, rho=jc_reduced_state(1.0, t)) for t in times
-        ]
-        dec = decompose_trajectory(samples)
+        dec = decompose_trajectory(sample_model("jc", times))
         half = math.pi / 2
         inside = (times > half + 0.05) & (times < 3.0)
         assert dec.negative_flags[inside].all()
@@ -439,11 +431,7 @@ class TestPipeline:
     def test_amplitude_damping_singular_near_ln2(self):
         dt = 1e-3
         times = np.arange(0, 1.0 + dt / 2, dt)
-        samples = [
-            TrajectorySample(time=t, rho=amplitude_damping_exact(1.0, t))
-            for t in times
-        ]
-        dec = decompose_trajectory(samples)
+        dec = decompose_trajectory(sample_model("amplitude-damping", times))
         k = int(np.argmin(np.abs(times - math.log(2))))
         assert dec.singular_flags[k]
         assert not dec.singular_flags[: k - 5].any()
@@ -454,7 +442,7 @@ class TestPipeline:
         times = np.arange(0, 0.05, 1e-3)
         samples = rotating_qubit_samples(0.9, times)
         frames_ref = align_eigenframes(samples)
-        _, vals, vecs = _validated_eigh(np.stack([s.rho for s in samples]))
+        _, vals, vecs = _validated_eigh(samples.rhos)
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=(len(samples), 1, 2)))
         frames_alt = _align(times, vals, vecs * phases)
         k = 5
@@ -466,7 +454,7 @@ class TestPipeline:
             compute_rates_at(frames_alt, times[k]).q,
             atol=1e-8,
         )
-        rho = samples[k].rho
+        rho = samples.rhos[k]
         for u_ref, u_alt in zip(
             build_tilde_unitaries(frames_ref.eigenvectors[k]),
             build_tilde_unitaries(frames_alt.eigenvectors[k]),
@@ -515,7 +503,7 @@ class TestPipeline:
             times = np.arange(0, 0.1 + dt / 2, dt)
             samples = integrate(spec, rho0, times)
             dec = decompose_trajectory(samples)
-            rhos = np.stack([s.rho for s in samples])
+            rhos = samples.rhos
             rho_dot = np.gradient(rhos, times, axis=0)
             inner = slice(1, len(times) - 1)
             unitaries = np.stack([build_tilde_unitaries(v) for v in dec.frames.eigenvectors[inner]])

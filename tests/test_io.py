@@ -17,7 +17,7 @@ from probunitary.channel import (
     decompose_channel,
     to_kraus_like,
 )
-from probunitary.decomposition import DecompositionSeries, TrajectorySample
+from probunitary.decomposition import DecompositionSeries, Trajectory
 from probunitary.errors import ValidationError
 from probunitary.montecarlo import EnsembleResult
 
@@ -162,20 +162,19 @@ def trajectories(draw):
     d = draw(st.integers(1, 3))
     n = draw(st.integers(1, 4))
     times = draw(st.lists(finite, min_size=n, max_size=n))
-    return [TrajectorySample(time=t, rho=draw(density_matrices(d))) for t in times]
+    return Trajectory(np.array(times), np.stack([draw(density_matrices(d)) for _ in times]))
 
 
 class TestRoundTrip:
     @settings(max_examples=60, deadline=None)
-    @given(samples=trajectories())
-    def test_trajectory_is_bit_exact(self, tmp_path_factory, samples):
+    @given(trajectory=trajectories())
+    def test_trajectory_is_bit_exact(self, tmp_path_factory, trajectory):
         path = tmp_path_factory.mktemp("traj") / "t.json"
-        io.write_trajectory(path, samples)
+        io.write_trajectory(path, trajectory)
         back = io.read_trajectory(path)
-        assert len(back) == len(samples)
-        for a, b in zip(samples, back):
-            assert bits(np.float64(a.time)) == bits(np.float64(b.time))
-            assert np.array_equal(bits(a.rho), bits(b.rho))
+        assert len(back) == len(trajectory.rhos)
+        assert np.array_equal(bits(back.times), bits(trajectory.times))
+        assert np.array_equal(bits(back.rhos), bits(trajectory.rhos))
 
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(1, 4).flatmap(
@@ -262,15 +261,14 @@ class TestAgainstReferenceEncoder:
         rng = np.random.default_rng(7)
         rhos = awkward_stack(rng, 600, 2)
         times = np.linspace(0.0, 0.6, 600)
-        samples = [TrajectorySample(time=t, rho=r) for t, r in zip(times.tolist(), rhos)]
-        assert written(tmp_path, io.write_trajectory, samples) == reference_bytes(
+        assert written(tmp_path, io.write_trajectory, Trajectory(times, rhos)) == reference_bytes(
             tmp_path, {"dim": 2, "times": times.tolist(), "rho": io.matrix_to_json(rhos)}
         )
 
     def test_integer_states_are_written_as_floats(self, tmp_path):
         rhos = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
-        samples = [TrajectorySample(time=0.0, rho=rhos[0]), TrajectorySample(time=1.0, rho=rhos[1])]
-        assert written(tmp_path, io.write_trajectory, samples) == reference_bytes(
+        trajectory = Trajectory(np.array([0.0, 1.0]), rhos)
+        assert written(tmp_path, io.write_trajectory, trajectory) == reference_bytes(
             tmp_path, {"dim": 2, "times": [0.0, 1.0], "rho": io.matrix_to_json(rhos)}
         )
 

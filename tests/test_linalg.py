@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probunitary.decomposition import TrajectorySample, align_eigenframes, build_tilde_unitaries
+from probunitary.decomposition import Trajectory, align_eigenframes, build_tilde_unitaries
 from probunitary.errors import ValidationError
 from probunitary.linalg import (
     _phase_fix,
@@ -81,8 +81,7 @@ class TestEigendecomposition:
         vals, vecs = eigen(np.eye(2) / 2)
         np.testing.assert_allclose(vals, [0.5, 0.5])
         np.testing.assert_allclose(vecs, np.eye(2)[:, ::-1], atol=1e-14)
-        samples = [TrajectorySample(time=t, rho=np.eye(2) / 2) for t in (0.0, 0.1)]
-        frames = align_eigenframes(samples)
+        frames = align_eigenframes(Trajectory(np.array([0.0, 0.1]), np.array([np.eye(2) / 2] * 2)))
         np.testing.assert_allclose(frames.eigenvalues[0], vals)
         np.testing.assert_allclose(frames.eigenvectors[0], vecs, atol=1e-14)
 
@@ -103,7 +102,7 @@ class TestEigendecomposition:
         for seed in range(50):
             u = random_unitary(np.random.default_rng(seed), 5)
             rho = u @ np.diag([0.63, 0.37, 0.0, 0.0, 0.0]) @ u.conj().T
-            frames = align_eigenframes([TrajectorySample(time=t, rho=rho) for t in (0.0, 0.1)])
+            frames = align_eigenframes(Trajectory(np.array([0.0, 0.1]), np.array([rho, rho])))
             vals = frames.eigenvalues[0]
             np.testing.assert_allclose(vals, [0.63, 0.37, 0, 0, 0], atol=1e-12)
             assert np.all(np.diff(vals) <= 0), (seed, vals)

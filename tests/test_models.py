@@ -101,30 +101,28 @@ class TestIntegrator:
         spec = LindbladSpec(hamiltonian=random_hermitian(rng, 2))
         rho0 = random_density_matrix(rng, 2)
         grid = np.arange(0, 1.0, 1e-3)
-        samples = integrate(spec, rho0, grid)
-        purities = [np.trace(s.rho @ s.rho).real for s in samples]
-        assert max(purities) - min(purities) <= 1e-10
+        rhos = integrate(spec, rho0, grid).rhos
+        purities = np.einsum("kab,kba->k", rhos, rhos).real
+        assert purities.max() - purities.min() <= 1e-10
 
     def test_amplitude_damping_against_exact(self):
         spec = amplitude_damping_spec(1.0)
         grid = np.arange(0, 1.0 + 5e-4, 1e-3)
-        samples = integrate(spec, np.diag([1.0, 0.0]).astype(complex), grid)
-        final = samples[-1].rho
+        final = integrate(spec, np.diag([1.0, 0.0]).astype(complex), grid).rhos[-1]
         assert final[0, 0].real == pytest.approx(math.exp(-1.0), abs=1e-8)
 
     def test_trace_and_hermiticity_every_step(self):
         spec = amplitude_damping_spec(2.0)
         grid = np.arange(0, 0.5, 1e-3)
-        for s in integrate(spec, np.diag([1.0, 0.0]).astype(complex), grid):
-            assert abs(np.trace(s.rho) - 1) <= 1e-12
-            assert np.abs(s.rho - s.rho.conj().T).max() <= 1e-12
+        rhos = integrate(spec, np.diag([1.0, 0.0]).astype(complex), grid).rhos
+        assert np.abs(np.einsum("kii->k", rhos) - 1).max() <= 1e-12
+        assert np.abs(rhos - rhos.conj().swapaxes(1, 2)).max() <= 1e-12
 
     def test_exact_against_closed_form(self):
         spec = amplitude_damping_spec(1.0)
         grid = np.arange(0, 1.0 + 5e-3, 1e-2)
-        samples = integrate(spec, np.diag([1.0, 0.0]).astype(complex), grid)
-        worst = max(np.abs(s.rho - amplitude_damping_exact(1.0, s.time)).max() for s in samples)
-        assert worst <= 1e-12
+        rhos = integrate(spec, np.diag([1.0, 0.0]).astype(complex), grid).rhos
+        assert np.abs(rhos - np.stack([amplitude_damping_exact(1.0, t) for t in grid])).max() <= 1e-12
 
     def test_bad_grid_rejected(self):
         spec = amplitude_damping_spec(1.0)
@@ -134,10 +132,10 @@ class TestIntegrator:
     def test_large_steps_stay_positive(self):
         # one grid step is fifty decay times
         spec = amplitude_damping_spec(50.0)
-        samples = integrate(spec, np.diag([1.0, 0.0]).astype(complex), [0.0, 1.0, 2.0])
-        for s in samples:
-            assert np.linalg.eigvalsh(s.rho).min() >= -1e-15
-            assert np.abs(s.rho - amplitude_damping_exact(50.0, s.time)).max() <= 1e-12
+        grid = [0.0, 1.0, 2.0]
+        rhos = integrate(spec, np.diag([1.0, 0.0]).astype(complex), grid).rhos
+        assert np.linalg.eigvalsh(rhos).min() >= -1e-15
+        assert np.abs(rhos - np.stack([amplitude_damping_exact(50.0, t) for t in grid])).max() <= 1e-12
 
     def test_non_positive_rho0_rejected(self):
         # the propagator preserves positivity, so rho0 is checked once
@@ -152,7 +150,7 @@ class TestIntegrator:
                  (random_hermitian(rng, d, 0.5), 1.3))
         rho0 = random_density_matrix(rng, d)
         grid = np.cumsum(np.concatenate([[0.0], rng.uniform(1e-3, 0.2, 40)]))
-        samples = integrate(LindbladSpec(hamiltonian=h, jump_ops=jumps), rho0, grid)
+        rhos = integrate(LindbladSpec(hamiltonian=h, jump_ops=jumps), rho0, grid).rhos
 
         def rhs(rho):
             out = -1j * (h @ rho - rho @ h)
@@ -163,16 +161,27 @@ class TestIntegrator:
 
         # the generator's columns are its action on the matrix units
         gen = np.column_stack([rhs(e.reshape(d, d)).reshape(-1) for e in np.eye(d * d)])
-        for s in samples:
-            exact = (expm(gen * s.time) @ rho0.reshape(-1)).reshape(d, d)
-            assert np.abs(s.rho - exact).max() <= 1e-12
+        for t, rho in zip(grid, rhos):
+            exact = (expm(gen * t) @ rho0.reshape(-1)).reshape(d, d)
+            assert np.abs(rho - exact).max() <= 1e-12
 
 
 class TestCatalogue:
+    def test_length_is_the_grid_size(self):
+        grid = np.linspace(0.0, 0.5, 11)
+        assert len(integrate(amplitude_damping_spec(1.0), np.diag([1.0, 0.0]), grid)) == grid.size
+        assert len(sample_model("jc", grid)) == grid.size
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    @pytest.mark.parametrize("closed_form", [jc_reduced_state, amplitude_damping_exact])
+    def test_non_finite_time_rejected(self, closed_form, t):
+        with pytest.raises(ValidationError, match="finite and nonnegative"):
+            closed_form(1.0, t)
+
     def test_jc_samples(self):
         samples = sample_model("jc", [0.0, 0.1, 0.2])
         assert len(samples) == 3
-        np.testing.assert_allclose(samples[0].rho, np.diag([1, 0]))
+        np.testing.assert_allclose(samples.rhos[0], np.diag([1, 0]))
 
     @pytest.mark.parametrize(
         "name, closed_form, params",
@@ -185,11 +194,8 @@ class TestCatalogue:
         grid = np.arange(0, 3.0 + 5e-4, 1e-3)
         samples = sample_model(name, grid, params)
         arg = params.omega if name == "jc" else params.gamma
-        assert [s.time for s in samples] == grid.tolist()
-        assert np.array_equal(
-            np.stack([s.rho for s in samples]),
-            np.stack([closed_form(arg, t) for t in grid]),
-        )
+        assert np.array_equal(samples.times, grid)
+        assert np.array_equal(samples.rhos, np.stack([closed_form(arg, t) for t in grid]))
 
     @pytest.mark.parametrize("name", ["jc", "amplitude-damping"])
     def test_negative_grid_time_rejected(self, name):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from probunitary.decomposition import (
-    TrajectorySample,
+    Trajectory,
     build_tilde_unitaries,
     decompose_trajectory,
 )
@@ -153,6 +153,13 @@ class TestStep:
         with pytest.raises(StepTooLarge):
             step(np.eye(2) / 2, np.zeros((2, 2)), us, np.array([20.0, 20.0]), 0.1, 0.5)
 
+    @pytest.mark.parametrize("dt", [-0.1, 0.0, np.nan, np.inf])
+    def test_dt_must_be_finite_and_positive(self, dt):
+        # dt = -0.1 would evolve backwards and dt = nan would apply jump 1
+        rho, h = np.diag([0.7, 0.3]).astype(complex), np.array([[0, 1], [1, 0]], dtype=complex)
+        with pytest.raises(ValidationError, match="finite positive dt"):
+            step(rho, h, build_tilde_unitaries(np.eye(2)), [1.0, 1.0], dt, 0.5)
+
 
 class TestEnsemble:
     def test_deterministic_limit(self, rng):
@@ -203,7 +210,7 @@ class TestEnsemble:
         dec, samples = damping_problem(1e-3, horizon=0.4)
         config = SimConfig(n_traj=10000, seed=5, horizon=0.4)
         result = run_ensemble(config, dec, exact=samples)
-        diff = np.abs(result.mean_rho - np.stack([s.rho for s in samples[: len(result.times)]]))
+        diff = np.abs(result.mean_rho - samples.rhos[: len(result.times)])
         z = diff / np.maximum(result.stderr, 1e-12)
         # bias is O(dt); on this horizon it is far below one stderr
         assert np.quantile(z[result.stderr > 1e-6], 0.99) <= 4.0
@@ -260,7 +267,7 @@ class TestEnsemble:
         dec, samples = damping_problem(1e-3, horizon=0.2)
         config = SimConfig(n_traj=10, seed=1, horizon=0.2)
         with pytest.raises(ValidationError, match="exact has 200 samples"):
-            run_ensemble(config, dec, exact=samples[:-1])
+            run_ensemble(config, dec, exact=Trajectory(samples.times[:-1], samples.rhos[:-1]))
 
     def test_exact_on_another_grid_rejected(self):
         # same number of samples, spaced over twice the decomposition's span
@@ -271,8 +278,7 @@ class TestEnsemble:
         with pytest.raises(ValidationError, match=r"exact sample 1 at t=0\.02 is off the grid time 0\.01"):
             run_ensemble(config, dec, exact=exact)
         # a sample time within rounding of the grid is on it
-        nudged = [TrajectorySample(s.time * (1 + 1e-12), s.rho)
-                  for s in sample_model("amplitude-damping", grid)]
+        nudged = Trajectory(grid * (1 + 1e-12), sample_model("amplitude-damping", grid).rhos)
         assert run_ensemble(config, dec, exact=nudged).trace_distance_to_exact.shape == (51,)
 
     @pytest.mark.parametrize("seed", [0, 1, 9])
@@ -283,8 +289,8 @@ class TestEnsemble:
         sigma = np.linalg.norm(result.stderr.reshape(len(result.times), -1), axis=1)
         assert result.trace_distance_to_exact.max() <= 4 * sigma.max()
         per_time = [
-            0.5 * np.abs(np.linalg.eigvalsh(m - s.rho)).sum()
-            for m, s in zip(result.mean_rho, samples)
+            0.5 * np.abs(np.linalg.eigvalsh(m - rho)).sum()
+            for m, rho in zip(result.mean_rho, samples.rhos)
         ]
         np.testing.assert_allclose(result.trace_distance_to_exact, per_time, rtol=0, atol=1e-15)
 
@@ -345,7 +351,7 @@ class TestEnsemble:
 
     def test_one_level_system_never_jumps(self):
         grid = np.arange(0, 0.1 + 5e-4, 1e-3)
-        samples = [TrajectorySample(time=t, rho=np.eye(1, dtype=complex)) for t in grid]
+        samples = Trajectory(grid, np.ones((len(grid), 1, 1), dtype=complex))
         config = SimConfig(n_traj=10, seed=1, horizon=0.1)
         result = run_ensemble(config, decompose_trajectory(samples))
         assert np.array_equal(result.mean_rho, np.ones((len(grid), 1, 1)))

@@ -19,7 +19,7 @@ from scipy.linalg import polar
 
 import probunitary
 from probunitary import channel, decomposition, io
-from probunitary.decomposition import TrajectorySample, _polar, align_eigenframes
+from probunitary.decomposition import Trajectory, _polar, align_eigenframes
 
 from conftest import random_density_matrix, random_unitary
 
@@ -106,11 +106,10 @@ def crossing_samples(slope, rng):
     [0, 1]; slope 0.1 / 1.01 crosses the first two populations between
     t = 0.50 and t = 0.51."""
     u = random_unitary(rng, 3)
-    return [
-        TrajectorySample(time=t, rho=(u * [0.45 - slope * t, 0.35 + slope * t, 0.2])
-                         @ u.conj().T)
-        for t in np.linspace(0.0, 1.0, 101)
-    ]
+    times = np.linspace(0.0, 1.0, 101)
+    return Trajectory(times, np.stack([
+        (u * [0.45 - slope * t, 0.35 + slope * t, 0.2]) @ u.conj().T for t in times
+    ]))
 
 
 def test_branch_crossing_calls_the_alignment_assignment(assignment_calls, rng):
