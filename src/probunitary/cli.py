@@ -5,9 +5,10 @@ Subcommands write under the ``--out`` prefix: decompose writes
 condition estimate) and ``<out>.hamiltonians.json`` (H on every grid
 time); simulate writes ``<out>.ensemble.csv``; channel writes
 ``<out>.channel.json``; models prints the model catalogue.  ``--dt``
-only spaces the grid of a ``--model`` trajectory: simulate steps along
-the grid of the trajectory it decomposes, so an ``--input`` file is
-simulated on its own times, uniform or not.  Exit codes:
+and ``--horizon`` only space the grid of a ``--model`` trajectory:
+decompose and simulate cover the whole grid of the trajectory they
+decompose, so an ``--input`` file is decomposed and simulated on all of
+its own times, uniform or not.  Exit codes:
 0 success, 1 standard output closed early (nothing on stderr), 2 input or
 validation error (including a MemoryError from inputs too large to
 allocate), 3 all grid points singular (decompose) or a maximally mixed
@@ -141,10 +142,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    trajectory = _load_trajectory(args)
-    decomposition = decompose_trajectory(trajectory)
-    config = SimConfig(n_traj=args.trajectories, seed=args.seed, horizon=args.horizon)
-    result = run_ensemble(config, decomposition, exact=trajectory)
+    decomposition = decompose_trajectory(_load_trajectory(args))
+    result = run_ensemble(SimConfig(n_traj=args.trajectories, seed=args.seed), decomposition)
     io.write_ensemble_csv(f"{args.out}.ensemble.csv", result)
     return EXIT_OK
 
@@ -174,8 +173,9 @@ def _add_model_options(parser):
     parser.add_argument("--omega", type=float, default=1.0)
     parser.add_argument("--gamma", type=float, default=1.0)
     parser.add_argument("--lindblad-spec", help="Lindblad spec JSON file")
-    parser.add_argument("--dt", type=float, default=1e-3)
-    parser.add_argument("--horizon", type=float, default=1.0)
+    parser.add_argument("--dt", type=float, default=1e-3, help="--model grid spacing")
+    parser.add_argument("--horizon", type=float, default=1.0,
+                        help="--model grid end; an --input file runs on all its times")
     parser.add_argument("--out", required=True, help="output file prefix")
 
 

@@ -24,7 +24,7 @@ class StepTooLarge(ProbUnitaryError):
 
 
 class RefusesToSimulate(ProbUnitaryError):
-    """The requested horizon contains flagged (negative/singular) intervals."""
+    """The decomposition to simulate has flagged (negative/singular) intervals."""
 
     def __init__(self, message, t_start=None, t_end=None):
         super().__init__(message)

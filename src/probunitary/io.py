@@ -236,23 +236,18 @@ def write_hamiltonians(path, times, hamiltonians) -> None:
 
 
 def write_ensemble_csv(path, result) -> None:
-    """CSV: time, mean rho entries (re/im), standard errors, trace distance."""
+    """CSV: time, mean rho entries (re/im), standard errors, and the trace
+    distance to the decomposed state, one row per grid time."""
     n, d = result.mean_rho.shape[:2]
     entries = [f"{i}{j}" for i in range(d) for j in range(d)]
     mean = np.ascontiguousarray(result.mean_rho, dtype=complex).view(float)
-    columns = [result.times, mean.reshape(n, -1), result.stderr.reshape(n, -1)]
-    fmt = ["%.17g"] * (1 + 3 * d * d)
-    if result.trace_distance_to_exact is None:
-        fmt[-1] += ","  # rows leave trace_distance_to_exact blank
-    else:
-        columns.append(result.trace_distance_to_exact)
-        fmt.append("%.17g")
     _write_csv(
         path,
         ["time", *(f"mean_{e}_{part}" for e in entries for part in ("re", "im")),
          *(f"stderr_{e}" for e in entries), "trace_distance_to_exact"],
-        np.column_stack(columns),
-        fmt,
+        np.column_stack((result.times, mean.reshape(n, -1), result.stderr.reshape(n, -1),
+                         result.trace_distance_to_exact)),
+        ["%.17g"] * (2 + 3 * d * d),
     )
 
 

@@ -13,6 +13,7 @@ through the integrator.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,14 +50,21 @@ class LindbladSpec:
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonian, dtype=complex)
+        if not (h.ndim == 2 and 0 < h.shape[0] == h.shape[1] and np.isfinite(h).all()):
+            raise ValidationError(
+                f"Lindblad Hamiltonian must be a finite square matrix, got shape {h.shape}")
         if np.max(np.abs(h - h.conj().T)) > HERMITICITY:
             raise ValidationError("Lindblad Hamiltonian must be Hermitian")
-        d = h.shape[0]
         for op, gamma in self.jump_ops:
-            if np.asarray(op).shape != (d, d):
+            op = np.asarray(op, dtype=complex)
+            if op.shape != h.shape:
                 raise ValidationError("jump operator dimension mismatch")
-            if gamma < 0:
-                raise ValidationError("jump rates must be nonnegative")
+            if not np.isfinite(op).all():
+                raise ValidationError("jump operators must be finite")
+            real = isinstance(gamma, numbers.Real) and not isinstance(gamma, bool)
+            if not (real and 0 <= gamma < math.inf):
+                raise ValidationError(
+                    f"jump rates must be finite nonnegative numbers, got {gamma!r}")
 
 
 @dataclass(frozen=True)
@@ -116,12 +124,16 @@ def jc_reduced_state(omega: float, t: float) -> np.ndarray:
     """Reduced atom state diag(cos^2(omega t / 2), sin^2(omega t / 2))."""
     return _jc_states(omega, [t])[0]
 
+
 def jc_rate(omega: float, t: float) -> float:
     """Closed-form jump rate (omega/2) tan(omega t).
 
     Returns inf at the singular times omega*t = pi/2 mod pi, where the
-    rate blows up but the dynamics stays finite.
+    rate blows up but the dynamics stays finite.  ``omega`` must be
+    finite and positive and ``t`` finite and nonnegative.
     """
+    if not (0 < omega < math.inf and 0 <= t < math.inf):
+        raise ValidationError(f"jc_rate needs finite omega > 0 and t >= 0, got {omega}, {t}")
     if abs(math.cos(omega * t)) < 1e-12:
         return math.inf
     return 0.5 * omega * math.tan(omega * t)

@@ -13,7 +13,10 @@ jump by the shift W_i permutes the eigenvalues inside the frame.  So
 run_ensemble applies no Hamiltonian: each trajectory holds d indices
 into lam0, a jump cyclically shifts them, and the mean state and its
 standard error follow from the mean and covariance of lam0[labels] over
-the trajectories.
+the trajectories.  The ensemble spans the decomposition's whole grid,
+and its error is measured in the frame: the mean V_k diag(xbar_k)
+V_k^dag and the decomposed state V_k diag(lam_k) V_k^dag are at trace
+distance 1/2 sum_i |xbar_k,i - lam_k,i|.
 
 The rates q_i(t) do not depend on a trajectory's labels, so its jump
 steps form a Bernoulli process with per-step probability p_k = sum_i
@@ -59,7 +62,6 @@ __all__ = ["SimConfig", "EnsembleResult", "step", "run_ensemble", "convergence_s
 class SimConfig:
     n_traj: int
     seed: int
-    horizon: float
 
     def __post_init__(self):
         for name in ("n_traj", "seed"):
@@ -68,8 +70,6 @@ class SimConfig:
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.n_traj < 1:
             raise ValidationError("n_traj must be at least 1")
-        if not 0 < self.horizon < np.inf:
-            raise ValidationError("horizon must be positive and finite")
         if not 0 <= self.seed < 2**64:
             raise ValidationError(f"seed {self.seed} outside [0, 2**64)")
 
@@ -79,7 +79,7 @@ class EnsembleResult:
     times: np.ndarray
     mean_rho: np.ndarray                  # (n, d, d) complex
     stderr: np.ndarray                    # (n, d, d) real, per-entry
-    trace_distance_to_exact: np.ndarray | None
+    trace_distance_to_exact: np.ndarray   # (n,) to the decomposed states
 
 
 def _hermitian_propagator(h, dt: float) -> np.ndarray:
@@ -158,44 +158,31 @@ def step(state, h, unitaries, q, dt, draw):
     return u @ np.asarray(state, dtype=complex) @ u.conj().T
 
 
-def _flagged_intervals(decomposition: DecompositionSeries, n_steps: int):
+def _flagged_intervals(decomposition: DecompositionSeries):
     """(first, last) grid time of every contiguous run of flagged
-    (negative or singular) grid points among the first n_steps + 1."""
-    mask = (decomposition.negative_flags | decomposition.singular_flags)[: n_steps + 1]
+    (negative or singular) grid points."""
+    mask = decomposition.negative_flags | decomposition.singular_flags
     edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
     times = decomposition.times
     return [(float(times[a]), float(times[b - 1])) for a, b in edges.reshape(-1, 2)]
 
 
-def run_ensemble(config: SimConfig, decomposition: DecompositionSeries,
-                 exact=None) -> EnsembleResult:
+def run_ensemble(config: SimConfig, decomposition: DecompositionSeries) -> EnsembleResult:
     """Average an ensemble of stochastic trajectories of the scheme.
 
     The scheme is built for one initial state on one grid, and both come
     from the decomposition: every trajectory starts at V_0 diag(lam0)
     V_0^dag from ``decomposition.frames``, and step k runs from times[k]
-    to times[k + 1] with its own spacing, so a non-uniform grid is
-    simulated as given and StepTooLarge is judged step by step.
-    ``exact`` is an optional Trajectory on the same grid, at least up to
-    the horizon, used for the per-time trace distance; a time of it off
-    the grid (relative 1e-9) raises ValidationError.
+    to times[k + 1] with its own spacing, over the whole grid, so a
+    non-uniform grid is simulated as given and StepTooLarge is judged
+    step by step.  The mean at step k, V_k diag(xbar_k) V_k^dag, and the
+    decomposed state V_k diag(lam_k) V_k^dag share the frame V_k, so the
+    trace distance between them is 1/2 sum_i |xbar_k,i - lam_k,i|.
     """
     times = decomposition.times
-    n_steps = int(np.searchsorted(times, config.horizon + 1e-12)) - 1
-    if n_steps < 1:
-        raise ValidationError("horizon shorter than one decomposition step")
-    if exact is not None:
-        if len(exact) < n_steps + 1:
-            raise ValidationError(f"exact has {len(exact)} samples, the horizon needs {n_steps + 1}")
-        given = np.asarray(exact.times[: n_steps + 1], dtype=float)
-        off = ~(np.abs(given - times[: n_steps + 1]) <= 1e-9 * np.maximum(1.0, np.abs(given)))
-        k = int(np.argmax(off))
-        if off[k]:
-            raise ValidationError(
-                f"exact sample {k} at t={given[k]} is off the grid time {times[k]}")
     frames = decomposition.frames
     lam0 = frames.eigenvalues[0]
-    flagged = _flagged_intervals(decomposition, n_steps)
+    flagged = _flagged_intervals(decomposition)
     if flagged:
         spans = ", ".join(f"[{a:g}, {b:g}]" for a, b in flagged)
         raise RefusesToSimulate(
@@ -206,9 +193,8 @@ def run_ensemble(config: SimConfig, decomposition: DecompositionSeries,
 
     d, n = decomposition.dim, config.n_traj
     # midpoint rates of every interval, shared by all trajectories
-    q_mid = 0.5 * (decomposition.rates[:n_steps] + decomposition.rates[1 : n_steps + 1])
-    spacing = np.diff(times[: n_steps + 1])
-    edges = _jump_edges(q_mid, spacing[:, None])   # (n_steps, d-1)
+    q_mid = 0.5 * (decomposition.rates[:-1] + decomposition.rates[1:])
+    edges = _jump_edges(q_mid, np.diff(times)[:, None])   # (n_steps, d-1)
 
     # labels[b, j]: the index into lam0 of the eigenvalue trajectory j
     # holds on frame branch b; a jump by shift i permutes trajectory j's
@@ -220,7 +206,7 @@ def run_ensemble(config: SimConfig, decomposition: DecompositionSeries,
     labels = np.repeat(np.arange(d)[:, None], n, axis=1)
     # per step: the d sums of y, then the d * d entries of sum y y^T
     width = d + d * d
-    deltas = np.zeros((n_steps + 1) * width)
+    deltas = np.zeros(len(times) * width)
     for lanes, k, branch in _waiting_time_jumps(edges, config.seed, n):
         flat = lanes + n * np.arange(d)[:, None]       # labels[:, lanes]
         old = labels.take(flat)
@@ -231,7 +217,7 @@ def run_ensemble(config: SimConfig, decomposition: DecompositionSeries,
         delta = np.concatenate((y_new - y_old, square.reshape(d * d, -1)))
         at = (k + 1) * width + np.arange(width)[:, None]
         deltas += np.bincount(at.ravel(), delta.ravel(), deltas.size)
-    moments = np.cumsum(deltas.reshape(n_steps + 1, width), axis=0)
+    moments = np.cumsum(deltas.reshape(-1, width), axis=0)
     y_sum = moments[:, :d]
     # complex, so that sums / n is numpy's complex division: the means of
     # the amplitude-damping model then equal counts / n bit for bit
@@ -240,39 +226,33 @@ def run_ensemble(config: SimConfig, decomposition: DecompositionSeries,
 
     # entry (a, b) of V diag(x) V^dag is linear in x with coefficients
     # c_i = V[a, i] conj(V[b, i]), so its variance is c^T cov(x) conj(c)
-    v = frames.eigenvectors[: n_steps + 1]
-    mean = np.einsum("kai,ki,kbi->kab", v, sums / n, v.conj())
+    xbar = sums / n
+    v = frames.eigenvectors
+    mean = np.einsum("kai,ki,kbi->kab", v, xbar, v.conj())
     outer = v[..., :, None] * v.conj()[..., None, :]     # V[a, i] conj(V[a, j])
     var = np.einsum("kaij,kij,kbij->kab", outer, scatter, outer.conj()).real
     err = np.sqrt(np.clip(var, 0.0, None) / (n * max(n - 1, 1)))
 
-    tdist = None
-    if exact is not None:
-        tdist = 0.5 * np.abs(np.linalg.eigvalsh(mean - exact.rhos[: n_steps + 1])).sum(axis=1)
-
     return EnsembleResult(
-        times=times[: n_steps + 1].copy(),
+        times=times.copy(),
         mean_rho=mean,
         stderr=err,
-        trace_distance_to_exact=tdist,
+        trace_distance_to_exact=0.5 * np.abs(xbar - frames.eigenvalues).sum(axis=1),
     )
 
 
-def convergence_sweep(make_problem, seed: int, horizon: float, dts, n_trajs):
+def convergence_sweep(make_problem, seed: int, dts, n_trajs):
     """Empirical bias/noise table over step sizes and ensemble sizes.
 
-    ``make_problem(dt)`` must return (decomposition, exact): the
-    decomposition on a grid with spacing dt covering the horizon, and the
-    exact Trajectory on that grid (see run_ensemble).  Returns a list of
-    row dicts with the max trace distance and the max aggregate standard
-    error for every (dt, n_traj) pair.
+    ``make_problem(dt)`` must return the decomposition on a grid with
+    spacing dt.  Returns a list of row dicts with the max trace distance
+    and the max aggregate standard error for every (dt, n_traj) pair.
     """
     rows = []
     for dt in dts:
-        decomposition, exact = make_problem(dt)
+        decomposition = make_problem(dt)
         for n in n_trajs:
-            config = SimConfig(n_traj=n, seed=seed, horizon=horizon)
-            result = run_ensemble(config, decomposition, exact=exact)
+            result = run_ensemble(SimConfig(n_traj=n, seed=seed), decomposition)
             rows.append(
                 {
                     "dt": dt,

@@ -155,33 +155,31 @@ def test_bad_trajectory_file_exits_2(tmp_path, capsys, edit, expected):
 
 
 def test_simulate_input_runs_on_the_file_grid(tmp_path):
-    # the file's 0.01 spacing, not the default --dt of 1e-3, sets the steps
+    # the file's 0.01 spacing and [0, 2] span, not the default --dt of 1e-3
+    # and --horizon of 1.0, set the steps and the rows
+    grid = np.linspace(0, 2, 201)
     path = tmp_path / "traj.json"
-    io.write_trajectory(path, models.sample_model("amplitude-damping", np.linspace(0, 0.5, 51)))
-    argv = ["simulate", "--input", str(path), "--horizon", "0.5", "--trajectories", "50",
+    io.write_trajectory(path, models.sample_model("amplitude-damping", grid,
+                                                  models.ModelParams(gamma=0.3)))
+    argv = ["simulate", "--input", str(path), "--trajectories", "50",
             "--out", str(tmp_path / "run")]
     assert main(argv) == EXIT_OK
     table = np.loadtxt(tmp_path / "run.ensemble.csv", delimiter=",", skiprows=1)
-    np.testing.assert_allclose(table[:, 0], np.linspace(0, 0.5, 51), rtol=0, atol=1e-15)
+    assert table.shape[0] == 201
+    np.testing.assert_allclose(table[:, 0], grid, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("command, extra", [
     ("decompose", ["--dt", "0"]),
     ("simulate", ["--dt", "nan", "--horizon", "0.5", "--trajectories", "20"]),
+    ("simulate", ["--horizon", "nan", "--trajectories", "20"]),
 ])
 def test_input_ignores_unused_dt(tmp_path, command, extra):
-    # --dt only spaces a --model grid; an --input file brings its own times
+    # --dt and --horizon only space a --model grid; an --input file brings
+    # its own times
     path = tmp_path / "traj.json"
     io.write_trajectory(path, models.sample_model("amplitude-damping", np.linspace(0, 0.5, 51)))
     assert main([command, "--input", str(path), *extra, "--out", str(tmp_path / "run")]) == EXIT_OK
-
-
-def test_input_simulate_checks_horizon(tmp_path, capsys):
-    path = tmp_path / "traj.json"
-    io.write_trajectory(path, models.sample_model("amplitude-damping", np.linspace(0, 0.5, 51)))
-    argv = ["simulate", "--input", str(path), "--horizon", "nan", "--out", str(tmp_path / "run")]
-    assert main(argv) == EXIT_VALIDATION
-    assert capsys.readouterr().err == "error: horizon must be positive and finite\n"
 
 
 def test_nan_hamiltonian_exits_2(tmp_path, capsys):

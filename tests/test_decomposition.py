@@ -197,6 +197,12 @@ def rotating_samples(populations, times, seed=4):
     ]))
 
 
+def rebuilt_states(frames):
+    """V_k diag(lam_k) V_k^dag on every grid time."""
+    v = frames.eigenvectors
+    return np.einsum("kai,ki,kbi->kab", v, frames.eigenvalues, v.conj())
+
+
 class TestAlignmentSplice:
     """A frame is aligned on its own only where a raw diagonal overlap with
     the frame before is below the floor, or where it or the frame before
@@ -216,6 +222,7 @@ class TestAlignmentSplice:
         vals, vecs = sequential_alignment(samples)
         assert np.abs(frames.eigenvalues - vals).max() <= 1e-13
         assert np.abs(frames.eigenvectors - vecs).max() <= 1e-13
+        assert np.abs(rebuilt_states(frames) - samples.rhos).max() <= 1e-13
         if assignments is not None:
             assert len(calls) == assignments
         return frames
@@ -255,6 +262,24 @@ class TestAlignmentSplice:
         frames = self.check(monkeypatch, rotating_samples(
             lambda t: [0.45 - x(t), 0.35 + x(t), 0.2], self.times), assignments=1)
         np.testing.assert_allclose(frames.eigenvalues[-1], [0.2, 0.6, 0.2], atol=1e-12)
+
+
+class TestFramesRebuildStates:
+    """The aligned frames rebuild the states they decompose, so the
+    ensemble's mean and the decomposed state share the frame V_k."""
+
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_random_lindblad(self, rng, d):
+        spec = random_lindblad_spec(rng, d)
+        rho0 = random_density_matrix(rng, d)
+        samples = integrate(spec, rho0, np.arange(0, 0.5 + 5e-4, 1e-3))
+        frames = align_eigenframes(samples)
+        assert np.abs(rebuilt_states(frames) - samples.rhos).max() <= 1e-13
+
+    def test_jc_through_its_degenerate_crossing(self):
+        samples = sample_model("jc", np.arange(0, 3.0 + 5e-4, 1e-3))
+        frames = align_eigenframes(samples)
+        assert np.abs(rebuilt_states(frames) - samples.rhos).max() <= 1e-13
 
 
 class TestHamiltonian:

@@ -58,6 +58,14 @@ class TestClosedForms:
         with pytest.raises(ValidationError):
             jc_reduced_state(1.0, -0.1)
 
+    @pytest.mark.parametrize("omega, t", [
+        (1.0, math.nan), (1.0, math.inf), (1.0, -1.0), (-1.0, 1.0), (0.0, 1.0),
+        (math.nan, 1.0), (math.inf, 1.0),
+    ])
+    def test_jc_rate_rejects_bad_arguments(self, omega, t):
+        with pytest.raises(ValidationError, match="jc_rate"):
+            jc_rate(omega, t)
+
     def test_params_validation(self):
         with pytest.raises(ValidationError):
             ModelParams(omega=-1.0)
@@ -94,6 +102,28 @@ class TestLindbladRhs:
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValidationError):
             LindbladSpec(hamiltonian=np.eye(2), jump_ops=((SIGMA_MINUS, -0.5),))
+
+    @pytest.mark.parametrize("hamiltonian, jump_ops, expected", [
+        (np.diag([math.nan, 0.0]), (), "finite square"),
+        (np.diag([math.inf, 0.0]), (), "finite square"),
+        (np.ones((2, 3)), (), r"shape \(2, 3\)"),
+        (np.ones(2), (), r"shape \(2,\)"),
+        (np.eye(2), ((SIGMA_MINUS, math.nan),), "jump rates"),
+        (np.eye(2), ((SIGMA_MINUS, math.inf),), "jump rates"),
+        (np.eye(2), ((SIGMA_MINUS, "1"),), "jump rates"),
+        (np.eye(2), ((SIGMA_MINUS, 1j),), "jump rates"),
+        (np.eye(2), ((SIGMA_MINUS, True),), "jump rates"),
+        (np.eye(2), ((SIGMA_MINUS * math.nan, 1.0),), "jump operators must be finite"),
+        (np.eye(2), ((np.eye(3), 1.0),), "dimension mismatch"),
+    ])
+    def test_malformed_spec_rejected(self, hamiltonian, jump_ops, expected):
+        with pytest.raises(ValidationError, match=expected):
+            LindbladSpec(hamiltonian=hamiltonian, jump_ops=jump_ops)
+
+    def test_numpy_scalar_gamma_accepted(self):
+        spec = LindbladSpec(hamiltonian=np.eye(2),
+                            jump_ops=((SIGMA_MINUS, np.float64(0.5)), (SIGMA_MINUS, np.int64(1))))
+        assert len(spec.jump_ops) == 2
 
 
 class TestIntegrator:

@@ -170,19 +170,19 @@ class TestEnsemble:
         rho0 = random_density_matrix(rng, 2, min_gap=0.2)
         samples = integrate(spec, rho0, grid)
         dec = decompose_trajectory(samples)
-        config = SimConfig(n_traj=1, seed=7, horizon=0.2)
-        result = run_ensemble(config, dec, exact=samples)
+        config = SimConfig(n_traj=1, seed=7)
+        result = run_ensemble(config, dec)
         assert result.trace_distance_to_exact.max() <= dt**2 * len(grid) * 50
 
     def test_damping_accuracy(self):
         dec, samples = damping_problem(1e-3)
-        config = SimConfig(n_traj=4000, seed=42, horizon=0.5)
-        result = run_ensemble(config, dec, exact=samples)
+        config = SimConfig(n_traj=4000, seed=42)
+        result = run_ensemble(config, dec)
         assert result.trace_distance_to_exact.max() <= 0.03
 
     def test_trace_exactly_one(self):
         dec, samples = damping_problem(1e-3, horizon=0.3)
-        config = SimConfig(n_traj=200, seed=3, horizon=0.3)
+        config = SimConfig(n_traj=200, seed=3)
         result = run_ensemble(config, dec)
         traces = np.einsum("kii->k", result.mean_rho)
         np.testing.assert_allclose(traces.real, 1.0, atol=1e-10)
@@ -190,7 +190,7 @@ class TestEnsemble:
 
     def test_ensemble_purity_nonincreasing(self):
         dec, samples = damping_problem(1e-3, horizon=0.5)
-        config = SimConfig(n_traj=20000, seed=11, horizon=0.5)
+        config = SimConfig(n_traj=20000, seed=11)
         result = run_ensemble(config, dec)
         purity = np.einsum("kij,kji->k", result.mean_rho, result.mean_rho).real
         # statistical fluctuations allowed at the ensemble noise scale
@@ -198,7 +198,7 @@ class TestEnsemble:
 
     def test_seed_determinism(self):
         dec, samples = damping_problem(1e-3, horizon=0.2)
-        config = SimConfig(n_traj=500, seed=99, horizon=0.2)
+        config = SimConfig(n_traj=500, seed=99)
         a = run_ensemble(config, dec)
         b = run_ensemble(config, dec)
         assert np.array_equal(a.mean_rho, b.mean_rho)
@@ -208,8 +208,8 @@ class TestEnsemble:
         # deviations from the exact two-branch expectation should be
         # statistically consistent
         dec, samples = damping_problem(1e-3, horizon=0.4)
-        config = SimConfig(n_traj=10000, seed=5, horizon=0.4)
-        result = run_ensemble(config, dec, exact=samples)
+        config = SimConfig(n_traj=10000, seed=5)
+        result = run_ensemble(config, dec)
         diff = np.abs(result.mean_rho - samples.rhos[: len(result.times)])
         z = diff / np.maximum(result.stderr, 1e-12)
         # bias is O(dt); on this horizon it is far below one stderr
@@ -219,7 +219,7 @@ class TestEnsemble:
         grid = np.arange(0, 2.0 + 5e-4, 1e-3)
         samples = sample_model("jc", grid)
         dec = decompose_trajectory(samples)
-        config = SimConfig(n_traj=10, seed=1, horizon=2.0)
+        config = SimConfig(n_traj=10, seed=1)
         with pytest.raises(RefusesToSimulate) as exc:
             run_ensemble(config, dec)
         assert exc.value.t_start is not None
@@ -241,7 +241,7 @@ class TestEnsemble:
             worst, jumps = 0.0, 0
             for seed in range(n_seeds):
                 # a one-trajectory ensemble's mean is that trajectory's state
-                config = SimConfig(n_traj=1, seed=seed, horizon=grid[-1])
+                config = SimConfig(n_traj=1, seed=seed)
                 labelled = run_ensemble(config, dec).mean_rho
                 # per-step draws for step: the sampler's branch draw at a
                 # jump step, and the no-jump edge p_k at every other step
@@ -263,36 +263,25 @@ class TestEnsemble:
         assert coarse <= 0.5 * 1e-2
         assert fine <= 0.6 * coarse
 
-    def test_short_exact_rejected(self):
-        dec, samples = damping_problem(1e-3, horizon=0.2)
-        config = SimConfig(n_traj=10, seed=1, horizon=0.2)
-        with pytest.raises(ValidationError, match="exact has 200 samples"):
-            run_ensemble(config, dec, exact=Trajectory(samples.times[:-1], samples.rhos[:-1]))
-
-    def test_exact_on_another_grid_rejected(self):
-        # same number of samples, spaced over twice the decomposition's span
-        grid = np.linspace(0.0, 0.5, 51)
-        dec = decompose_trajectory(sample_model("amplitude-damping", grid))
-        exact = sample_model("amplitude-damping", np.linspace(0.0, 1.0, 51))
-        config = SimConfig(n_traj=100, seed=1, horizon=0.5)
-        with pytest.raises(ValidationError, match=r"exact sample 1 at t=0\.02 is off the grid time 0\.01"):
-            run_ensemble(config, dec, exact=exact)
-        # a sample time within rounding of the grid is on it
-        nudged = Trajectory(grid * (1 + 1e-12), sample_model("amplitude-damping", grid).rhos)
-        assert run_ensemble(config, dec, exact=nudged).trace_distance_to_exact.shape == (51,)
-
     @pytest.mark.parametrize("seed", [0, 1, 9])
     def test_qutrit_ensemble_matches_integrator(self, seed):
         dec, samples = unital_problem(3, seed)
-        config = SimConfig(n_traj=5000, seed=seed, horizon=UNITAL_HORIZON)
-        result = run_ensemble(config, dec, exact=samples)
+        config = SimConfig(n_traj=5000, seed=seed)
+        result = run_ensemble(config, dec)
         sigma = np.linalg.norm(result.stderr.reshape(len(result.times), -1), axis=1)
         assert result.trace_distance_to_exact.max() <= 4 * sigma.max()
-        per_time = [
-            0.5 * np.abs(np.linalg.eigvalsh(m - rho)).sum()
-            for m, rho in zip(result.mean_rho, samples.rhos)
-        ]
-        np.testing.assert_allclose(result.trace_distance_to_exact, per_time, rtol=0, atol=1e-15)
+
+        def distances(states):
+            return [0.5 * np.abs(np.linalg.eigvalsh(m - rho)).sum()
+                    for m, rho in zip(result.mean_rho, states)]
+
+        # the distance is to the decomposed state V diag(lam) V^dag, which
+        # is the integrator's state to rounding
+        v, lam = dec.frames.eigenvectors, dec.frames.eigenvalues
+        decomposed = np.einsum("kai,ki,kbi->kab", v, lam, v.conj())
+        tdist = result.trace_distance_to_exact
+        np.testing.assert_allclose(tdist, distances(decomposed), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(tdist, distances(samples.rhos), rtol=0, atol=1e-13)
 
     def test_refusal_lists_every_flagged_interval(self):
         # JC up to t = 7 is flagged on two separate windows, (pi/2, pi) and
@@ -300,7 +289,7 @@ class TestEnsemble:
         grid = np.arange(0, 7.0 + 5e-4, 1e-3)
         samples = sample_model("jc", grid)
         dec = decompose_trajectory(samples)
-        config = SimConfig(n_traj=10, seed=1, horizon=7.0)
+        config = SimConfig(n_traj=10, seed=1)
         with pytest.raises(RefusesToSimulate) as exc:
             run_ensemble(config, dec)
         assert np.pi / 2 - 1e-3 <= exc.value.t_start <= np.pi / 2 + 1e-3
@@ -318,7 +307,7 @@ class TestEnsemble:
         dec, samples = damping_problem(dt, horizon=horizon)
         n_steps = len(samples) - 1
         assert not np.any(dec.hamiltonians)
-        config = SimConfig(n_traj=n_traj, seed=seed, horizon=horizon)
+        config = SimConfig(n_traj=n_traj, seed=seed)
         result = run_ensemble(config, dec)
 
         p = 0.5 * (dec.rates[:-1, 1] + dec.rates[1:, 1]) * dt
@@ -340,7 +329,7 @@ class TestEnsemble:
         dt, horizon, n_traj = 1e-3, 0.5, 20000
         dec, samples = damping_problem(dt, horizon=horizon)
         n_steps = len(samples) - 1
-        config = SimConfig(n_traj=n_traj, seed=3, horizon=horizon)
+        config = SimConfig(n_traj=n_traj, seed=3)
         tracemalloc.start()
         try:
             run_ensemble(config, dec)
@@ -352,7 +341,7 @@ class TestEnsemble:
     def test_one_level_system_never_jumps(self):
         grid = np.arange(0, 0.1 + 5e-4, 1e-3)
         samples = Trajectory(grid, np.ones((len(grid), 1, 1), dtype=complex))
-        config = SimConfig(n_traj=10, seed=1, horizon=0.1)
+        config = SimConfig(n_traj=10, seed=1)
         result = run_ensemble(config, decompose_trajectory(samples))
         assert np.array_equal(result.mean_rho, np.ones((len(grid), 1, 1)))
         assert not result.stderr.any()
@@ -366,8 +355,8 @@ class TestEnsemble:
         grid = np.concatenate(([0.0], np.cumsum(np.geomspace(0.5e-3, 4e-3, 250))))
         samples = sample_model("amplitude-damping", grid, ModelParams(gamma=gamma))
         dec = decompose_trajectory(samples)
-        config = SimConfig(n_traj=n_traj, seed=4, horizon=grid[-1])
-        result = run_ensemble(config, dec, exact=samples)
+        config = SimConfig(n_traj=n_traj, seed=4)
+        result = run_ensemble(config, dec)
         assert len(result.times) == len(grid)
         sigma = np.linalg.norm(result.stderr.reshape(len(grid), -1), axis=1)
         bound = 4 * sigma + 2 * gamma * np.diff(grid).max()
@@ -379,7 +368,7 @@ class TestEnsemble:
         # every q dt is below 0.3 (max q times max dt would be 3.4)
         def simulate(grid):
             samples = sample_model("amplitude-damping", grid, ModelParams(gamma=60.0))
-            config = SimConfig(n_traj=10, seed=1, horizon=0.011)
+            config = SimConfig(n_traj=10, seed=1)
             return run_ensemble(config, decompose_trajectory(samples))
 
         grid = np.concatenate(([0.0], np.arange(0.004, 0.011 - 5e-5, 1e-4), [0.011]))
@@ -394,7 +383,7 @@ class TestEnsemble:
         # the deviations are pure noise: a jump through the wrong shift or
         # at the wrong step shows at many stderr
         dec, _ = unital_problem(d, seed)
-        config = SimConfig(n_traj=20000, seed=seed, horizon=UNITAL_HORIZON)
+        config = SimConfig(n_traj=20000, seed=seed)
         result = run_ensemble(config, dec)
         expected = scheme_mean(dec, len(result.times) - 1)
         z = np.abs(result.mean_rho - expected) / np.maximum(result.stderr, 1e-12)
@@ -402,19 +391,15 @@ class TestEnsemble:
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
-            SimConfig(n_traj=0, seed=0, horizon=1.0)
-        # a NaN horizon would pass no grid time to the flagged-interval scan
-        for horizon in (0.0, np.nan, np.inf):
-            with pytest.raises(ValidationError, match="horizon"):
-                SimConfig(n_traj=1, seed=0, horizon=horizon)
+            SimConfig(n_traj=0, seed=0)
         # both feed numpy as integers; a float or a bool is refused by name
         for n_traj in (2.5, 2.0, True, "3", None):
             with pytest.raises(ValidationError, match="n_traj"):
-                SimConfig(n_traj=n_traj, seed=0, horizon=1.0)
+                SimConfig(n_traj=n_traj, seed=0)
         for seed in (1.5, 1.0, False, "1", np.float64(2.0)):
             with pytest.raises(ValidationError, match="seed"):
-                SimConfig(n_traj=1, seed=seed, horizon=1.0)
-        SimConfig(n_traj=np.int64(3), seed=np.uint64(2**64 - 1), horizon=1.0)
+                SimConfig(n_traj=1, seed=seed)
+        SimConfig(n_traj=np.int64(3), seed=np.uint64(2**64 - 1))
 
 
 class TestSampler:
@@ -449,9 +434,9 @@ class TestSampler:
 class TestConvergenceSweep:
     def test_bias_and_noise_scaling(self):
         def make_problem(dt):
-            return damping_problem(dt, horizon=0.4)
+            return damping_problem(dt, horizon=0.4)[0]
 
-        rows = convergence_sweep(make_problem, 21, 0.4, [2e-2, 1e-2], [2500, 10000])
+        rows = convergence_sweep(make_problem, 21, [2e-2, 1e-2], [2500, 10000])
         table = {(r["dt"], r["n_traj"]): r for r in rows}
         # quadrupling the ensemble halves the stochastic error (within 25%)
         ratio = (
@@ -464,9 +449,8 @@ class TestConvergenceSweep:
         rho0 = random_density_matrix(rng, 2, min_gap=0.2)
         def make_problem(dt):
             grid = np.arange(0, 0.1 + dt / 2, dt)
-            samples = integrate(spec, rho0, grid)
-            return decompose_trajectory(samples), samples
+            return decompose_trajectory(integrate(spec, rho0, grid))
 
-        rows = convergence_sweep(make_problem, 8, 0.1, [1e-3], [10, 100])
+        rows = convergence_sweep(make_problem, 8, [1e-3], [10, 100])
         errs = [r["max_trace_distance"] for r in rows]
         assert abs(errs[0] - errs[1]) <= 1e-10
