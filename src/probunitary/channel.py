@@ -28,6 +28,7 @@ from .linalg import (
     _validated_eigh,
     conjugated_permutations,
     cyclic_shift_rows,
+    min_cost_assignment,
     solve_circulant_rates,
 )
 
@@ -197,11 +198,11 @@ def _reconstruct(split, rho_in, rho_out):
 
 
 def linear_sum_assignment(cost):
-    """scipy.optimize.linear_sum_assignment, imported on the first call, so
-    that a process which never solves an assignment never loads scipy."""
-    import scipy.optimize
-
-    return scipy.optimize.linear_sum_assignment(cost)
+    """(rows, cols) of linalg.min_cost_assignment, the package's own
+    assignment kernel, so no assignment loads scipy; only --model lindblad's
+    matrix exponential does.  Defined here, so that each caller's
+    assignments are counted under its own name."""
+    return min_cost_assignment(cost)
 
 
 def _is_probability(q) -> bool:

@@ -21,12 +21,12 @@ as it was and returns a new namespace each time.  ``build_parser()``
 itself returns a fresh parser on every call.  ``python -m probunitary``
 runs ``main``.
 
-Importing this module loads no scipy, because only two computations need
-it and each imports it when first called: ``--model lindblad`` loads
-``scipy.linalg`` for the matrix exponential of ``models.integrate``, and
-``channel``, or an alignment whose eigenframes swap order, loads
-``scipy.optimize`` for ``linear_sum_assignment``; every other
-``simulate``, ``decompose`` and ``models`` call runs on numpy alone.
+Importing this module loads no scipy, because only one computation needs
+it and imports it when first called: ``--model lindblad`` loads
+``scipy.linalg`` for the matrix exponential of ``models.integrate``.  Every
+other call, ``channel`` and an alignment whose eigenframes swap order
+included, runs on numpy alone: their assignments are solved by
+``linalg.min_cost_assignment``.
 """
 
 from __future__ import annotations

@@ -3,11 +3,13 @@
 Density-matrix validation with the package's one eigendecomposition
 convention (descending eigenvalues, phase-fixed eigenvectors), the index
 rows of the cyclic shifts and the conjugated permutations that every jump
-unitary is built from, and the circulant rate solver.
+unitary is built from, the circulant rate solver, and the minimum-cost
+assignment that pairs eigenbranches.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +24,7 @@ __all__ = [
     "conjugated_permutations",
     "rate_system_matrix",
     "solve_circulant_rates",
+    "min_cost_assignment",
 ]
 
 
@@ -184,3 +187,57 @@ def solve_circulant_rates(p, f) -> RateSolveResult:
     return RateSolveResult(
         q=q[0], singular=bool(singular[0]), condition_estimate=float(condition[0])
     )
+
+
+def min_cost_assignment(cost):
+    """Exact minimum-cost assignment of a finite square cost matrix (d, d):
+    returns (rows, cols), rows = arange(d), minimising sum(cost[rows, cols]),
+    as scipy's linear_sum_assignment does.
+
+    The O(d^3) shortest-augmenting-path method of Jonker & Volgenant
+    (Computing 38, 1987) in Crouse's form (IEEE TAES 52, 2016), the one
+    scipy follows, with the same dual updates: row r adds one Dijkstra search
+    over reduced costs from r to a free column.  A tie in that search goes
+    to the first column in index order.  Plain Python over cost.tolist():
+    the callers solve d <= 16, where numpy's per-call cost would dominate.
+    Raises ValidationError for a non-square or non-finite cost.
+    """
+    c = np.asarray(cost, dtype=float)
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise ValidationError(f"assignment cost must be a square matrix, got shape {c.shape}")
+    if not np.isfinite(c).all():
+        raise ValidationError("assignment cost contains NaN or Inf entries")
+    rows, d = c.tolist(), c.shape[0]
+    u, v = [0.0] * d, [0.0] * d
+    col4row, row4col = [-1] * d, [-1] * d
+    for first in range(d):
+        dist, path = [math.inf] * d, [-1] * d
+        free, seen_rows, seen_cols = list(range(d)), [], []
+        i, low = first, 0.0
+        while True:
+            seen_rows.append(i)
+            ui, ci, best, at = u[i], rows[i], math.inf, -1
+            for n, j in enumerate(free):
+                r = low + ci[j] - ui - v[j]
+                if r < dist[j]:
+                    dist[j], path[j] = r, i
+                if dist[j] < best:
+                    best, at = dist[j], n
+            low = best
+            j = free.pop(at)
+            seen_cols.append(j)
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+        u[first] += low
+        for row in seen_rows[1:]:
+            u[row] += low - dist[col4row[row]]
+        for col in seen_cols:
+            v[col] -= low - dist[col]
+        while True:  # flip the path from the free column j back to row first
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == first:
+                break
+    return np.arange(d), np.array(col4row, dtype=np.intp)

@@ -55,7 +55,10 @@ class LindbladSpec:
                 f"Lindblad Hamiltonian must be a finite square matrix, got shape {h.shape}")
         if np.max(np.abs(h - h.conj().T)) > HERMITICITY:
             raise ValidationError("Lindblad Hamiltonian must be Hermitian")
-        for op, gamma in self.jump_ops:
+        for entry in self.jump_ops:
+            if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
+                raise ValidationError("jump_ops entries must be (operator, gamma) pairs")
+            op, gamma = entry
             op = np.asarray(op, dtype=complex)
             if op.shape != h.shape:
                 raise ValidationError("jump operator dimension mismatch")

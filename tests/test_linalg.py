@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from probunitary.decomposition import Trajectory, align_eigenframes, build_tilde_unitaries
 from probunitary.errors import ValidationError
 from probunitary.linalg import (
     _phase_fix,
     _validated_eigh,
+    min_cost_assignment,
     rate_system_matrix,
     solve_circulant_rates,
     validate_density_matrix,
@@ -267,3 +269,56 @@ class TestCirculantSolver:
     def test_bad_probability_vector(self):
         with pytest.raises(ValidationError):
             solve_circulant_rates([0.9, 0.3], [0.0, 0.0])
+
+
+def assignment_costs(rng, count):
+    """count costs at d = 1..16 in turn: real Gaussian, then -|U|^2 of a Haar
+    unitary U, the overlap cost the channel pairing and the alignment solve."""
+    for k in range(count):
+        d = 1 + (k // 2) % 16
+        yield rng.normal(size=(d, d)) if k % 2 else -np.abs(random_unitary(rng, d)) ** 2
+
+
+class TestMinCostAssignment:
+    """The in-package kernel against scipy's solver, used here as the oracle."""
+
+    def test_random_costs_match_scipy(self, rng):
+        # continuous random costs have a unique optimum, so the columns agree
+        for cost in assignment_costs(rng, 1200):
+            rows, cols = min_cost_assignment(cost)
+            ref_rows, ref_cols = linear_sum_assignment(cost)
+            np.testing.assert_array_equal(rows, ref_rows)
+            np.testing.assert_array_equal(cols, ref_cols)
+
+    @pytest.mark.parametrize("cost", [
+        np.full((5, 5), 0.3),                                   # constant
+        np.ones((4, 4)) * [1.0, 2.0, 0.5, 3.0],                 # equal rows
+        np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.0, 5.0, 1.0]]),  # one row duplicated
+        -np.eye(6)[[2, 0, 1, 5, 4, 3]],                         # negated permutation
+        np.eye(4)[[3, 1, 0, 2]],                                # many zero-cost matchings
+        np.zeros((1, 1)),
+    ])
+    def test_ties_reach_the_optimal_cost(self, cost):
+        rows, cols = min_cost_assignment(cost)
+        assert sorted(cols.tolist()) == list(range(len(cost)))
+        ref = linear_sum_assignment(cost)
+        assert cost[rows, cols].sum() == pytest.approx(cost[ref].sum(), abs=1e-12)
+
+    def test_tie_goes_to_first_column(self):
+        np.testing.assert_array_equal(min_cost_assignment(np.ones((4, 4)))[1], np.arange(4))
+
+    def test_empty_cost(self):
+        rows, cols = min_cost_assignment(np.zeros((0, 0)))
+        assert rows.size == cols.size == 0
+
+    @pytest.mark.parametrize("cost, message", [
+        (np.ones((2, 3)), "square"),
+        (np.ones(3), "square"),
+        (np.ones((2, 2, 2)), "square"),
+        (np.array([[0.0, np.nan], [1.0, 0.0]]), "NaN or Inf"),
+        (np.array([[0.0, np.inf], [1.0, 0.0]]), "NaN or Inf"),
+        (np.array([[0.0, -np.inf], [1.0, 0.0]]), "NaN or Inf"),
+    ])
+    def test_rejects_bad_cost(self, cost, message):
+        with pytest.raises(ValidationError, match=message):
+            min_cost_assignment(cost)

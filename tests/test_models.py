@@ -115,6 +115,9 @@ class TestLindbladRhs:
         (np.eye(2), ((SIGMA_MINUS, True),), "jump rates"),
         (np.eye(2), ((SIGMA_MINUS * math.nan, 1.0),), "jump operators must be finite"),
         (np.eye(2), ((np.eye(3), 1.0),), "dimension mismatch"),
+        (np.eye(3), (np.eye(3),), r"\(operator, gamma\) pairs"),
+        (np.eye(2), ((np.eye(2),),), r"\(operator, gamma\) pairs"),
+        (np.eye(2), (np.eye(2),), r"\(operator, gamma\) pairs"),
     ])
     def test_malformed_spec_rejected(self, hamiltonian, jump_ops, expected):
         with pytest.raises(ValidationError, match=expected):

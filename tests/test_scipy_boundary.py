@@ -1,10 +1,11 @@
 """Where the package meets scipy.
 
-The CLI imports scipy only in the calls that use it: the matrix
-exponential of a Lindblad run and the assignment solver.  Each calling
-module reaches the solver through its own module-level
-``linear_sum_assignment``, one call per assignment, and the polar factor
-of a degenerate cluster comes from numpy's SVD.
+The CLI loads scipy only for the matrix exponential of ``--model
+lindblad``.  The assignment that pairs channel branches and matches
+branches at a crossing is the package's own kernel, which each calling
+module reaches through its own module-level ``linear_sum_assignment``,
+one call per assignment; the polar factor of a degenerate cluster comes
+from numpy's SVD.  scipy is the oracle here, on the test side only.
 """
 
 import json
@@ -51,6 +52,21 @@ def test_closed_form_models_load_no_scipy(tmp_path):
         ["simulate", "--model", "amplitude-damping", "--horizon", "0.05",
          "--trajectories", "5", "--out", out],
         ["decompose", "--model", "jc", "--horizon", "0.1", "--out", out],
+    ) == []
+
+
+def test_assignments_load_no_scipy(tmp_path, rng):
+    # the channel pairing and a crossing's alignment each solve an assignment
+    rho_in, rho_out = tmp_path / "in.json", tmp_path / "out.json"
+    io.write_matrix_file(rho_in, random_density_matrix(rng, 3))
+    io.write_matrix_file(rho_out, random_density_matrix(rng, 3))
+    trajectory = tmp_path / "crossing.json"
+    io.write_trajectory(trajectory, crossing_samples(0.1 / 1.01, rng))
+    out = str(tmp_path / "run")
+    assert scipy_modules_after(
+        tmp_path,
+        ["channel", "--rho-in", str(rho_in), "--rho-out", str(rho_out), "--out", out],
+        ["decompose", "--input", str(trajectory), "--out", out],
     ) == []
 
 
