@@ -54,21 +54,17 @@ class ChannelDecomposition:
     ``quasi_probability`` (some q_i < 0).
 
     ``unitaries`` are the d conjugated cyclic shifts V_out W_i V_in^dag
-    on the cyclic construction, with V_out's columns ordered by
-    ``pairing``.  On the majorization and tree constructions they are
+    on the cyclic construction, with V_out's columns matched to V_in's by
+    their overlap.  On the majorization and tree constructions they are
     conjugated permutations V_out P_i V_in^dag, eigenvectors in descending
     order; slots a split does not need carry weight 0 and the identity
-    permutation.  ``pairing[i]`` is the output eigenbranch matched to
-    input branch i, both in descending eigenvalue order: the overlap
-    assignment on the cyclic construction, the identity (equal rank)
-    otherwise.
+    permutation.
     """
 
     probabilities: np.ndarray       # (d,), q[0] = 1 - sum(q[1:])
     unitaries: np.ndarray           # (d, d, d)
     classification: str
     reconstruction_residual: float
-    pairing: np.ndarray             # (d,) output index matched to input i
 
 
 @dataclass
@@ -174,8 +170,8 @@ def _mix(q, unitaries, rho) -> np.ndarray:
 
 def _sorted_split(y, v_in, x, v_out):
     """Split over conjugated permutations of the descending spectra y of
-    rho_in and x of rho_out as the record (q, V_out, V_in, index rows,
-    pairing) that decompose_channel finishes: the Hardy-Littlewood-Polya
+    rho_in and x of rho_out as the record (q, V_out, V_in, index rows)
+    that decompose_channel finishes: the Hardy-Littlewood-Polya
     chain when x is majorized by y, else the transposition tree."""
     # x is majorized by y: every leading partial sum of x is at most y's
     if np.all(np.cumsum(x)[:-1] <= np.cumsum(y)[:-1] + RATE_NEGATIVITY):
@@ -186,15 +182,15 @@ def _sorted_split(y, v_in, x, v_out):
         q, perms = _transposition_tree(y, x)
     # U_n = V_out P_n V_in^dag maps descending input branch perms[n, k]
     # to descending output branch k
-    return q, v_out, v_in, perms, np.arange(y.shape[0])
+    return q, v_out, v_in, perms
 
 
 def _reconstruct(split, rho_in, rho_out):
-    """The split record's q, unitaries, pairing and reconstruction residual."""
-    q, v_out, v_in, perms, pairing = split
+    """The split record's q, unitaries and reconstruction residual."""
+    q, v_out, v_in, perms = split
     unitaries = conjugated_permutations(v_out, v_in, perms)
     residual = float(np.max(np.abs(_mix(q, unitaries, rho_in) - rho_out)))
-    return q, unitaries, pairing, residual
+    return q, unitaries, residual
 
 
 def linear_sum_assignment(cost):
@@ -203,6 +199,14 @@ def linear_sum_assignment(cost):
     matrix exponential does.  Defined here, so that each caller's
     assignments are counted under its own name."""
     return min_cost_assignment(cost)
+
+
+def _named_eigh(name, rho):
+    """_validated_eigh, its ValidationError prefixed with ``name``."""
+    try:
+        return _validated_eigh(rho)
+    except ValidationError as exc:
+        raise ValidationError(f"{name}: {exc}") from exc
 
 
 def _is_probability(q) -> bool:
@@ -224,8 +228,8 @@ def decompose_channel(rho_in, rho_out) -> ChannelDecomposition:
     mixed-unitary).  Raises SingularChannel only for a maximally mixed
     rho_in with a different rho_out, which no mixture of unitaries reaches.
     """
-    rho_in, p_in, v_in = _validated_eigh(rho_in)
-    rho_out, p_out, v_out = _validated_eigh(rho_out)
+    rho_in, p_in, v_in = _named_eigh("rho_in", rho_in)
+    rho_out, p_out, v_out = _named_eigh("rho_out", rho_out)
     if rho_in.shape != rho_out.shape:
         raise ValidationError("input and output dimensions differ")
 
@@ -234,14 +238,13 @@ def decompose_channel(rho_in, rho_out) -> ChannelDecomposition:
     q = solve_circulant_rates(p_in, p_out[cols] - p_in).q
     # the solve returns q0 = -v0, and v0 is the stay probability less 1
     q[0] = 1.0 - q[0]
-    split = _reconstruct((q, v_out[:, cols], v_in, cyclic_shift_rows(len(q)), cols),
-                         rho_in, rho_out)
-    fits = split[3] <= RECONSTRUCTION
+    split = _reconstruct((q, v_out[:, cols], v_in, cyclic_shift_rows(len(q))), rho_in, rho_out)
+    fits = split[2] <= RECONSTRUCTION
     if not (fits and _is_probability(q)):
         alt = _reconstruct(_sorted_split(p_in, v_in, p_out, v_out), rho_in, rho_out)
         if not fits or np.abs(alt[0]).sum() < np.abs(q).sum():
             split = alt
-    q, unitaries, pairing, residual = split
+    q, unitaries, residual = split
     if residual > RECONSTRUCTION:
         raise RuntimeError(
             f"internal error: reconstruction residual {residual:.3e} exceeds "
@@ -252,7 +255,6 @@ def decompose_channel(rho_in, rho_out) -> ChannelDecomposition:
         unitaries=unitaries,
         classification=MIXED_UNITARY if _is_probability(q) else QUASI_PROBABILITY,
         reconstruction_residual=residual,
-        pairing=pairing,
     )
 
 

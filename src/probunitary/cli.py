@@ -4,7 +4,11 @@ Subcommands write under the ``--out`` prefix: decompose writes
 ``<out>.rates.csv`` (time, q_0..q_{d-1}, negative and singular flags,
 condition estimate) and ``<out>.hamiltonians.json`` (H on every grid
 time); simulate writes ``<out>.ensemble.csv``; channel writes
-``<out>.channel.json``; models prints the model catalogue.  ``--dt``
+``<out>.channel.json``; models prints the model catalogue.  ``--model
+lindblad`` reads its ``--lindblad-spec`` JSON file, keys ``hamiltonian``,
+``rho0`` and optional ``jump_ops``, a list of ``{"operator", "gamma"}``
+objects whose ``gamma`` is 1 when absent, and propagates it with
+``models.integrate``; LindbladSpec checks every entry.  ``--dt``
 and ``--horizon`` only space the grid of a ``--model`` trajectory:
 decompose and simulate cover the whole grid of the trajectory they
 decompose, so an ``--input`` file is decomposed and simulated on all of
@@ -73,18 +77,9 @@ def _read_lindblad_spec(path):
         where = f"{path}: jump_ops[{k}]"
         if not isinstance(item, dict) or "operator" not in item:
             raise ValidationError(f"{where}: not an object with key 'operator'")
-        op = io.matrix_from_json(item["operator"], where=where)
-        gamma = item.get("gamma", 1.0)
-        # float() would also take a numeric string or a bool
-        try:
-            gamma = float(gamma) if type(gamma) in (int, float) else math.nan
-        except OverflowError:  # an integer beyond the float range
-            gamma = math.nan
-        if not math.isfinite(gamma):
-            raise ValidationError(f"{where}: gamma is not a finite JSON number")
-        jumps.append((op, gamma))
+        jumps.append((io.matrix_from_json(item["operator"], where=where), item.get("gamma", 1.0)))
     try:
-        spec = LindbladSpec(hamiltonian=h, jump_ops=tuple(jumps))
+        spec = LindbladSpec(hamiltonian=h, jump_ops=jumps)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
     where = f"{path}: rho0"
@@ -120,13 +115,12 @@ def _load_trajectory(args):
             f"--horizon {args.horizon} / --dt {args.dt} gives {grid.size} grid "
             "point(s); need at least two"
         )
-    params = ModelParams(omega=args.omega, gamma=args.gamma)
     if args.model == "lindblad":
         if args.lindblad_spec is None:
             raise ValidationError("--model lindblad requires --lindblad-spec")
         spec, rho0 = _read_lindblad_spec(args.lindblad_spec)
-        return models.sample_model("lindblad", grid, params, spec=spec, rho0=rho0)
-    return models.sample_model(args.model, grid, params)
+        return models.integrate(spec, rho0, grid)
+    return models.sample_model(args.model, grid, ModelParams(omega=args.omega, gamma=args.gamma))
 
 
 def cmd_decompose(args) -> int:
@@ -172,7 +166,9 @@ def _add_model_options(parser):
                         "written by probunitary.io.write_trajectory")
     parser.add_argument("--omega", type=float, default=1.0)
     parser.add_argument("--gamma", type=float, default=1.0)
-    parser.add_argument("--lindblad-spec", help="Lindblad spec JSON file")
+    parser.add_argument("--lindblad-spec", help="Lindblad spec JSON file: keys hamiltonian, "
+                        "rho0 and optional jump_ops, a list of {\"operator\", \"gamma\"} "
+                        "objects (gamma 1 when absent)")
     parser.add_argument("--dt", type=float, default=1e-3, help="--model grid spacing")
     parser.add_argument("--horizon", type=float, default=1.0,
                         help="--model grid end; an --input file runs on all its times")

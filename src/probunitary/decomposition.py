@@ -64,10 +64,6 @@ class EigenframeSeries:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[1]
-
     def index_of(self, t: float) -> int:
         k = int(np.argmin(np.abs(self.times - t)))
         if not (np.isfinite(t) and abs(self.times[k] - t) <= 1e-9 * max(1.0, abs(t))):

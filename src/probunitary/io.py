@@ -252,6 +252,10 @@ def write_ensemble_csv(path, result) -> None:
 
 
 def write_channel_json(path, decomp, kraus) -> None:
+    """JSON keys "probabilities" (d numbers), "unitaries" (d matrices),
+    "classification", "reconstruction_residual" and "kraus_like", a list
+    of d objects {"k", "kbar", "sign"}: K_i, Kbar_i and the sign of q_i
+    as +1 or -1.  Matrices are encoded as matrix_to_json encodes them."""
     # the (k, kbar) pairs as one stack: kbar = sign k^dagger has k's
     # magnitudes, so it costs no repr
     matrix = _matrix_template(kraus.operators.shape[2:])
@@ -260,7 +264,6 @@ def write_channel_json(path, decomp, kraus) -> None:
         "unitaries": np.asarray(decomp.unitaries),
         "classification": decomp.classification,
         "reconstruction_residual": float(decomp.reconstruction_residual),
-        "pairing": np.asarray(decomp.pairing, dtype=int).tolist(),
         "kraus_like": _Items(
             np.asarray(kraus.operators, dtype=complex),
             f'{{"k": {matrix}, "kbar": {matrix}, "sign": %d}}',

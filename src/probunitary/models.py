@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +45,8 @@ SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)
 
 @dataclass(frozen=True)
 class LindbladSpec:
-    """Hamiltonian plus jump operators (L_i, gamma_i), hbar = 1."""
+    """Hamiltonian plus jump operators (L_i, gamma_i), hbar = 1.  Any
+    iterable of pairs is stored as a tuple; a bad entry is named jump_ops[k]."""
 
     hamiltonian: np.ndarray
     jump_ops: tuple = ()
@@ -55,19 +58,34 @@ class LindbladSpec:
                 f"Lindblad Hamiltonian must be a finite square matrix, got shape {h.shape}")
         if np.max(np.abs(h - h.conj().T)) > HERMITICITY:
             raise ValidationError("Lindblad Hamiltonian must be Hermitian")
-        for entry in self.jump_ops:
+        if not isinstance(self.jump_ops, Iterable):
+            raise ValidationError(f"jump_ops must hold (operator, gamma) pairs, got {self.jump_ops!r}")
+        object.__setattr__(self, "jump_ops", tuple(self.jump_ops))
+        for k, entry in enumerate(self.jump_ops):
+            where = f"jump_ops[{k}]"
             if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
-                raise ValidationError("jump_ops entries must be (operator, gamma) pairs")
+                raise ValidationError(f"{where}: entries must be (operator, gamma) pairs")
             op, gamma = entry
             op = np.asarray(op, dtype=complex)
             if op.shape != h.shape:
-                raise ValidationError("jump operator dimension mismatch")
+                raise ValidationError(f"{where}: jump operator dimension mismatch")
             if not np.isfinite(op).all():
-                raise ValidationError("jump operators must be finite")
+                raise ValidationError(f"{where}: jump operators must be finite")
+            # an int beyond the float range is below inf but not below the largest float
             real = isinstance(gamma, numbers.Real) and not isinstance(gamma, bool)
-            if not (real and 0 <= gamma < math.inf):
-                raise ValidationError(
-                    f"jump rates must be finite nonnegative numbers, got {gamma!r}")
+            if not (real and 0 <= gamma <= sys.float_info.max):
+                # repr refuses ints of more than 4300 digits
+                big = isinstance(gamma, numbers.Integral) and abs(gamma) > sys.float_info.max
+                raise ValidationError(f"{where}: jump rates must be finite nonnegative numbers, "
+                                      f"got gamma {'beyond the float range' if big else repr(gamma)}")
+
+
+def _check_positive(what: str, *values) -> None:
+    """ValidationError "<what> must be finite and positive" unless every
+    value lies in (0, inf)."""
+    if not all(0 < v < math.inf for v in values):
+        raise ValidationError(f"{what} must be finite and positive, got "
+                              + ", ".join(map(repr, values)))
 
 
 @dataclass(frozen=True)
@@ -78,8 +96,7 @@ class ModelParams:
     gamma: float = 1.0           # vacuum decay rate
 
     def __post_init__(self):
-        if not (0 < self.omega < math.inf and 0 < self.gamma < math.inf):
-            raise ValidationError("omega and gamma must be finite and positive")
+        _check_positive("omega and gamma", self.omega, self.gamma)
 
 
 MODEL_CATALOGUE = {
@@ -94,8 +111,8 @@ MODEL_CATALOGUE = {
         "params": ["gamma"],
     },
     "lindblad": {
-        "description": "generic Lindblad equation, propagated exactly on "
-        "the grid by its Liouvillian exponential (spec supplied as JSON)",
+        "description": "generic Lindblad equation (spec supplied as JSON), "
+        "propagated exactly on the grid by integrate, its Liouvillian exponential",
         "params": ["spec-file"],
     },
 }
@@ -116,10 +133,12 @@ def _diagonal_qubit_states(upper, times) -> np.ndarray:
 
 
 def _jc_states(omega: float, times) -> np.ndarray:
+    _check_positive("omega", omega)
     return _diagonal_qubit_states(lambda t: math.cos(omega * t / 2) ** 2, times)
 
 
 def _amplitude_damping_states(gamma: float, times) -> np.ndarray:
+    _check_positive("gamma", gamma)
     return _diagonal_qubit_states(lambda t: math.exp(-gamma * t), times)
 
 
@@ -135,8 +154,9 @@ def jc_rate(omega: float, t: float) -> float:
     rate blows up but the dynamics stays finite.  ``omega`` must be
     finite and positive and ``t`` finite and nonnegative.
     """
-    if not (0 < omega < math.inf and 0 <= t < math.inf):
-        raise ValidationError(f"jc_rate needs finite omega > 0 and t >= 0, got {omega}, {t}")
+    _check_positive("jc_rate omega", omega)
+    if not 0 <= t < math.inf:
+        raise ValidationError(f"jc_rate needs a finite time t >= 0, got {t}")
     if abs(math.cos(omega * t)) < 1e-12:
         return math.inf
     return 0.5 * omega * math.tan(omega * t)
@@ -205,14 +225,10 @@ def integrate(spec: LindbladSpec, rho0, grid) -> Trajectory:
     return Trajectory(times=grid, rhos=rhos)
 
 
-def sample_model(
-    name: str,
-    grid,
-    params: ModelParams | None = None,
-    spec: LindbladSpec | None = None,
-    rho0=None,
-) -> Trajectory:
-    """The trajectory of a catalogue model on a time grid."""
+def sample_model(name: str, grid, params: ModelParams | None = None) -> Trajectory:
+    """The trajectory of a closed-form catalogue model, "jc" or
+    "amplitude-damping", on a time grid.  A Lindblad spec runs through
+    integrate(spec, rho0, grid) instead."""
     grid = _checked_grid(grid)
     params = params or ModelParams()
     if name == "jc":
@@ -220,7 +236,6 @@ def sample_model(
     if name == "amplitude-damping":
         return Trajectory(times=grid, rhos=_amplitude_damping_states(params.gamma, grid))
     if name == "lindblad":
-        if spec is None or rho0 is None:
-            raise ValidationError("lindblad model needs a spec and initial state")
-        return integrate(spec, rho0, grid)
+        raise ValidationError("the lindblad model has no closed form; run its spec "
+                              "through integrate(spec, rho0, grid)")
     raise ValidationError(f"unknown model {name!r}")

@@ -43,6 +43,7 @@ SIGMA_X = io.matrix_to_json(np.array([[0, 1], [1, 0]]))
         ([SIGMA_X, 1.0], "'operator'"),
         ({"operator": SIGMA_X, "gamma": "0.5"}, "gamma"),
         ({"operator": SIGMA_X, "gamma": True}, "gamma"),
+        ({"operator": SIGMA_X, "gamma": 10**400}, "gamma"),
     ],
 )
 def test_bad_jump_op_entry_exits_2(tmp_path, capsys, entry, expected):
@@ -319,6 +320,16 @@ def test_matrix_file_dim_must_match_exits_2(tmp_path, capsys, dim):
     assert main(argv) == EXIT_VALIDATION
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: dim ")
+    assert not (tmp_path / "run.channel.json").exists()
+
+
+@pytest.mark.parametrize("side", ["rho_in", "rho_out"])
+def test_non_hermitian_channel_input_exits_2(tmp_path, capsys, side):
+    bad = np.array([[0.7, 0.2], [0.0, 0.3]])
+    pair = {"rho_in": np.diag([0.7, 0.3]), "rho_out": np.diag([0.6, 0.4]), side: bad}
+    assert main(channel_argv(tmp_path, pair["rho_in"], pair["rho_out"])) == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and f"{side}: " in err and "not Hermitian" in err
     assert not (tmp_path / "run.channel.json").exists()
 
 

@@ -53,7 +53,6 @@ CHANNEL = ChannelDecomposition(
     unitaries=np.stack([np.eye(2, dtype=complex), SIGMA_X * np.exp(0.3j)]),
     classification="quasi_probability",
     reconstruction_residual=2.220446049250313e-16,
-    pairing=np.array([1, 0]),
 )
 
 CHANNEL_JSON = (
@@ -61,7 +60,7 @@ CHANNEL_JSON = (
     b'[[0.0, 0.0], [1.0, 0.0]]], [[[0.0, 0.0], [0.955336489125606, '
     b'0.29552020666133955]], [[0.955336489125606, 0.29552020666133955], '
     b'[0.0, 0.0]]]], "classification": "quasi_probability", '
-    b'"reconstruction_residual": 2.220446049250313e-16, "pairing": [1, 0]'
+    b'"reconstruction_residual": 2.220446049250313e-16'
 )
 
 
@@ -274,7 +273,6 @@ class TestAgainstReferenceEncoder:
             "unitaries": io.matrix_to_json(decomp.unitaries),
             "classification": decomp.classification,
             "reconstruction_residual": float(decomp.reconstruction_residual),
-            "pairing": np.asarray(decomp.pairing).tolist(),
             "kraus_like": [
                 {"k": io.matrix_to_json(k), "kbar": io.matrix_to_json(kbar), "sign": int(s)}
                 for (k, kbar), s in zip(kraus.operators, kraus.signs)

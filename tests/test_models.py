@@ -70,6 +70,14 @@ class TestClosedForms:
         with pytest.raises(ValidationError):
             ModelParams(omega=-1.0)
 
+    @pytest.mark.parametrize("rate", [-1.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("closed_form, name", [
+        (jc_reduced_state, "omega"), (amplitude_damping_exact, "gamma"),
+    ])
+    def test_closed_form_rejects_bad_rate(self, closed_form, name, rate):
+        with pytest.raises(ValidationError, match=f"{name} must be finite and positive"):
+            closed_form(rate, 1.0)
+
 
 class TestLindbladRhs:
     def test_commuting_hamiltonian_gives_zero(self):
@@ -83,6 +91,15 @@ class TestLindbladRhs:
         spec = amplitude_damping_spec(1.0)
         out = lindblad_rhs(spec, np.diag([1.0, 0.0]))
         np.testing.assert_allclose(out, np.diag([-1.0, 1.0]), atol=1e-15)
+
+    def test_generator_of_jump_ops_is_kept(self):
+        spec = LindbladSpec(hamiltonian=np.zeros((2, 2)),
+                            jump_ops=((SIGMA_MINUS, 1.0) for _ in range(1)))
+        out = lindblad_rhs(spec, np.diag([0.5, 0.5]))
+        np.testing.assert_allclose(out, np.diag([-0.5, 0.5]), atol=1e-15)
+        assert np.array_equal(out, lindblad_rhs(
+            LindbladSpec(hamiltonian=np.zeros((2, 2)), jump_ops=((SIGMA_MINUS, 1.0),)),
+            np.diag([0.5, 0.5])))
 
     def test_traceless_and_hermitian(self, rng):
         for d in (2, 3, 4):
@@ -118,6 +135,8 @@ class TestLindbladRhs:
         (np.eye(3), (np.eye(3),), r"\(operator, gamma\) pairs"),
         (np.eye(2), ((np.eye(2),),), r"\(operator, gamma\) pairs"),
         (np.eye(2), (np.eye(2),), r"\(operator, gamma\) pairs"),
+        (np.eye(2), None, r"\(operator, gamma\) pairs"),
+        (np.eye(2), ((SIGMA_MINUS, 10**400),), r"jump_ops\[0\]: jump rates"),
     ])
     def test_malformed_spec_rejected(self, hamiltonian, jump_ops, expected):
         with pytest.raises(ValidationError, match=expected):
@@ -240,5 +259,5 @@ class TestCatalogue:
             sample_model("nope", [0.0, 0.1])
 
     def test_lindblad_requires_spec(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="integrate"):
             sample_model("lindblad", [0.0, 0.1])
