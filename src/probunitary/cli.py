@@ -24,13 +24,6 @@ the first call and reused by every later one: parsing leaves the parser
 as it was and returns a new namespace each time.  ``build_parser()``
 itself returns a fresh parser on every call.  ``python -m probunitary``
 runs ``main``.
-
-Importing this module loads no scipy, because only one computation needs
-it and imports it when first called: ``--model lindblad`` loads
-``scipy.linalg`` for the matrix exponential of ``models.integrate``.  Every
-other call, ``channel`` and an alignment whose eigenframes swap order
-included, runs on numpy alone: their assignments are solved by
-``linalg.min_cost_assignment``.
 """
 
 from __future__ import annotations

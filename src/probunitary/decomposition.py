@@ -110,9 +110,7 @@ def _checked_grid(times) -> np.ndarray:
 
 
 def linear_sum_assignment(cost):
-    """(rows, cols) of linalg.min_cost_assignment, the package's own
-    assignment kernel, so no assignment loads scipy; only --model lindblad's
-    matrix exponential does.  Defined here, so that each caller's
+    """linalg.min_cost_assignment, defined here so that each caller's
     assignments are counted under its own name."""
     return min_cost_assignment(cost)
 

@@ -23,7 +23,7 @@ import numpy as np
 from .config import HERMITICITY
 from .decomposition import Trajectory, _checked_grid
 from .errors import ValidationError
-from .linalg import validate_density_matrix
+from .linalg import expm, validate_density_matrix
 
 __all__ = [
     "LindbladSpec",
@@ -52,7 +52,7 @@ class LindbladSpec:
     jump_ops: tuple = ()
 
     def __post_init__(self):
-        h = np.asarray(self.hamiltonian, dtype=complex)
+        h = _complex_array("hamiltonian", self.hamiltonian)
         if not (h.ndim == 2 and 0 < h.shape[0] == h.shape[1] and np.isfinite(h).all()):
             raise ValidationError(
                 f"Lindblad Hamiltonian must be a finite square matrix, got shape {h.shape}")
@@ -66,7 +66,7 @@ class LindbladSpec:
             if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
                 raise ValidationError(f"{where}: entries must be (operator, gamma) pairs")
             op, gamma = entry
-            op = np.asarray(op, dtype=complex)
+            op = _complex_array(where, op)
             if op.shape != h.shape:
                 raise ValidationError(f"{where}: jump operator dimension mismatch")
             if not np.isfinite(op).all():
@@ -78,6 +78,13 @@ class LindbladSpec:
                 big = isinstance(gamma, numbers.Integral) and abs(gamma) > sys.float_info.max
                 raise ValidationError(f"{where}: jump rates must be finite nonnegative numbers, "
                                       f"got gamma {'beyond the float range' if big else repr(gamma)}")
+
+
+def _complex_array(name: str, value) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name}: not a numeric matrix ({exc})") from exc
 
 
 def _check_positive(what: str, *values) -> None:
@@ -198,28 +205,22 @@ def _liouvillian(spec: LindbladSpec) -> np.ndarray:
 def integrate(spec: LindbladSpec, rho0, grid) -> Trajectory:
     """Propagate the Lindblad equation exactly on a time grid.
 
-    The state after each step is exp(L dt) applied to the state before,
-    with one matrix exponential of the Liouvillian L per distinct grid
-    spacing.  The propagated states are then rehermitized and their trace
-    renormalized; the first state is rho0 as given, which must be a
-    density matrix (ValidationError otherwise).
+    Each step applies exp(L dt) to the state before, from one exponential
+    of the stacked distinct spacings L dt, L the Liouvillian; the states
+    are then rehermitized and renormalized.  The first state is rho0 as
+    given, which must be a density matrix (ValidationError otherwise).
     """
     grid = _checked_grid(grid)
     rho0 = validate_density_matrix(rho0)
     if rho0.shape != np.shape(spec.hamiltonian):
         raise ValidationError("state and Hamiltonian dimensions differ")
-    d = rho0.shape[0]
     spacings, step_of = np.unique(np.diff(grid), return_inverse=True)
-    # imported here, so that only Lindblad runs load scipy
-    from scipy.linalg import expm
-
-    gen = _liouvillian(spec)
-    propagators = [expm(gen * dt) for dt in spacings]
-    vec = np.empty((grid.size, d * d), dtype=complex)
+    propagators = expm(_liouvillian(spec) * spacings[:, None, None])
+    vec = np.empty((grid.size, rho0.size), dtype=complex)
     vec[0] = rho0.reshape(-1)
     for k, j in enumerate(step_of):
         vec[k + 1] = propagators[j] @ vec[k]
-    rhos = vec.reshape(-1, d, d)
+    rhos = vec.reshape(-1, *rho0.shape)
     rhos[1:] = (rhos[1:] + rhos[1:].conj().transpose(0, 2, 1)) / 2
     rhos[1:] /= np.einsum("kii->k", rhos[1:]).real[:, None, None]
     return Trajectory(times=grid, rhos=rhos)

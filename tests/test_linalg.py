@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm as scipy_expm
 from scipy.optimize import linear_sum_assignment
 
 from probunitary.decomposition import Trajectory, align_eigenframes, build_tilde_unitaries
@@ -9,13 +10,14 @@ from probunitary.errors import ValidationError
 from probunitary.linalg import (
     _phase_fix,
     _validated_eigh,
+    expm,
     min_cost_assignment,
     rate_system_matrix,
     solve_circulant_rates,
     validate_density_matrix,
 )
 
-from conftest import random_density_matrix, random_unitary
+from conftest import random_density_matrix, random_hermitian, random_unitary
 
 
 class TestValidation:
@@ -322,3 +324,51 @@ class TestMinCostAssignment:
     def test_rejects_bad_cost(self, cost, message):
         with pytest.raises(ValidationError, match=message):
             min_cost_assignment(cost)
+
+
+def relative_error(a, ref):
+    """Largest absolute error over the largest absolute entry of ref."""
+    return np.abs(a - ref).max() / np.abs(ref).max()
+
+
+class TestExpm:
+    """The Padé-13 exponential against scipy's, used here as the oracle."""
+
+    NORMS = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 1e2)
+
+    def test_random_matrices_match_scipy(self, rng):
+        for n in range(1, 37):
+            stack = np.stack([rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                              for _ in self.NORMS])
+            stack *= (self.NORMS / np.abs(stack).sum(axis=1).max(axis=1))[:, None, None]
+            together = expm(stack)  # one stack, each matrix scaled for its own norm
+            for a, joint in zip(stack, together):
+                ref = scipy_expm(a)
+                assert relative_error(expm(a), ref) <= 1e-13, (n, a)
+                assert relative_error(joint, ref) <= 1e-13, (n, a)
+
+    def test_real_matrix_stays_real(self, rng):
+        a = rng.normal(size=(5, 5))
+        out = expm(a)
+        assert out.dtype == np.float64
+        assert relative_error(out, scipy_expm(a)) <= 1e-13
+
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 4), (3, 6, 6), (2, 2, 3, 3)])
+    def test_zero_is_identity_exactly(self, shape):
+        out = expm(np.zeros(shape, dtype=complex))
+        assert out.shape == shape
+        assert np.array_equal(out, np.broadcast_to(np.eye(shape[-1]), shape))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0, 300.0])
+    def test_hamiltonian_evolution_is_unitary(self, rng, scale):
+        h = random_hermitian(rng, 6)
+        u = expm(-1j * h * (scale / np.abs(h).sum(axis=0).max()))
+        assert np.abs(u.conj().T @ u - np.eye(6)).max() <= 1e-12
+
+    def test_empty_stack(self):
+        assert expm(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_norm(self, bad):
+        with pytest.raises(ValidationError, match="finite 1-norm"):
+            expm(np.full((2, 2), bad))

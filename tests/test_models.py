@@ -137,6 +137,9 @@ class TestLindbladRhs:
         (np.eye(2), (np.eye(2),), r"\(operator, gamma\) pairs"),
         (np.eye(2), None, r"\(operator, gamma\) pairs"),
         (np.eye(2), ((SIGMA_MINUS, 10**400),), r"jump_ops\[0\]: jump rates"),
+        ("abc", (), "hamiltonian: not a numeric matrix"),
+        ([[1, 2], [3]], (), "hamiltonian: not a numeric matrix"),
+        (np.eye(2), (([[1, 2], [3]], 1.0),), r"jump_ops\[0\]: not a numeric matrix"),
     ])
     def test_malformed_spec_rejected(self, hamiltonian, jump_ops, expected):
         with pytest.raises(ValidationError, match=expected):

@@ -1,11 +1,11 @@
-"""Where the package meets scipy.
+"""Where the package meets scipy: on the test side only.
 
-The CLI loads scipy only for the matrix exponential of ``--model
-lindblad``.  The assignment that pairs channel branches and matches
-branches at a crossing is the package's own kernel, which each calling
-module reaches through its own module-level ``linear_sum_assignment``,
-one call per assignment; the polar factor of a degenerate cluster comes
-from numpy's SVD.  scipy is the oracle here, on the test side only.
+No subcommand loads scipy.  The assignment that pairs channel branches
+and matches branches at a crossing is the package's own kernel, which
+each calling module reaches through its own module-level
+``linear_sum_assignment``, one call per assignment; the polar factor of a
+degenerate cluster comes from numpy's SVD, and ``--model lindblad``'s
+propagators from ``linalg.expm``.  scipy is the oracle here.
 """
 
 import json
@@ -45,32 +45,14 @@ def scipy_modules_after(tmp_path, *argvs):
     return loaded
 
 
-def test_closed_form_models_load_no_scipy(tmp_path):
-    out = str(tmp_path / "run")
-    assert scipy_modules_after(
-        tmp_path,
-        ["simulate", "--model", "amplitude-damping", "--horizon", "0.05",
-         "--trajectories", "5", "--out", out],
-        ["decompose", "--model", "jc", "--horizon", "0.1", "--out", out],
-    ) == []
-
-
-def test_assignments_load_no_scipy(tmp_path, rng):
-    # the channel pairing and a crossing's alignment each solve an assignment
+def test_no_subcommand_loads_scipy(tmp_path, rng):
+    # closed forms, the channel pairing, a crossing's alignment (both solve an
+    # assignment) and a Lindblad run's matrix exponential, in one interpreter
     rho_in, rho_out = tmp_path / "in.json", tmp_path / "out.json"
     io.write_matrix_file(rho_in, random_density_matrix(rng, 3))
     io.write_matrix_file(rho_out, random_density_matrix(rng, 3))
     trajectory = tmp_path / "crossing.json"
     io.write_trajectory(trajectory, crossing_samples(0.1 / 1.01, rng))
-    out = str(tmp_path / "run")
-    assert scipy_modules_after(
-        tmp_path,
-        ["channel", "--rho-in", str(rho_in), "--rho-out", str(rho_out), "--out", out],
-        ["decompose", "--input", str(trajectory), "--out", out],
-    ) == []
-
-
-def test_lindblad_loads_scipy_linalg_only(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
         "hamiltonian": io.matrix_to_json(np.diag([0.5, -0.5])),
@@ -78,13 +60,17 @@ def test_lindblad_loads_scipy_linalg_only(tmp_path):
                       "gamma": 0.5}],
         "rho0": io.matrix_to_json(np.diag([0.7, 0.3])),
     }))
-    loaded = scipy_modules_after(
+    out = str(tmp_path / "run")
+    assert scipy_modules_after(
         tmp_path,
+        ["simulate", "--model", "amplitude-damping", "--horizon", "0.05",
+         "--trajectories", "5", "--out", out],
+        ["decompose", "--model", "jc", "--horizon", "0.1", "--out", out],
+        ["channel", "--rho-in", str(rho_in), "--rho-out", str(rho_out), "--out", out],
+        ["decompose", "--input", str(trajectory), "--out", out],
         ["decompose", "--model", "lindblad", "--lindblad-spec", str(spec),
-         "--horizon", "0.05", "--out", str(tmp_path / "run")],
-    )
-    assert "scipy.linalg" in loaded
-    assert not [m for m in loaded if m.startswith("scipy.optimize")]
+         "--horizon", "0.05", "--out", out],
+    ) == []
 
 
 @pytest.fixture
