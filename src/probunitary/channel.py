@@ -25,6 +25,7 @@ from .config import DEGENERACY_GAP, RATE_NEGATIVITY, RECONSTRUCTION
 from .errors import SingularChannel, ValidationError
 from .linalg import (
     _phase_fix,
+    _unitary_mixture,
     _validated_eigh,
     conjugated_permutations,
     cyclic_shift_rows,
@@ -163,33 +164,23 @@ def _transposition_tree(y, x) -> tuple[np.ndarray, np.ndarray]:
     return w, perms
 
 
-def _mix(q, unitaries, rho) -> np.ndarray:
-    """sum_i q_i U_i rho U_i^dag."""
-    return np.einsum("i,iab,bc,idc->ad", q, unitaries, rho, unitaries.conj())
+def _sorted_split(y, x):
+    """Weights q and index rows of a split of the descending spectrum y of
+    rho_in onto the descending spectrum x of rho_out: the
+    Hardy-Littlewood-Polya chain when x is majorized by y, else the
+    transposition tree."""
+    # x is majorized by y when every leading partial sum of x is at most y's
+    if not np.all(np.cumsum(x)[:-1] <= np.cumsum(y)[:-1] + RATE_NEGATIVITY):
+        return _transposition_tree(y, x)
+    q, perms = _permutation_mixture(y, x)
+    q[q < RATE_NEGATIVITY] = 0.0
+    return q / q.sum(), perms
 
 
-def _sorted_split(y, v_in, x, v_out):
-    """Split over conjugated permutations of the descending spectra y of
-    rho_in and x of rho_out as the record (q, V_out, V_in, index rows)
-    that decompose_channel finishes: the Hardy-Littlewood-Polya
-    chain when x is majorized by y, else the transposition tree."""
-    # x is majorized by y: every leading partial sum of x is at most y's
-    if np.all(np.cumsum(x)[:-1] <= np.cumsum(y)[:-1] + RATE_NEGATIVITY):
-        q, perms = _permutation_mixture(y, x)
-        q[q < RATE_NEGATIVITY] = 0.0
-        q /= q.sum()
-    else:
-        q, perms = _transposition_tree(y, x)
-    # U_n = V_out P_n V_in^dag maps descending input branch perms[n, k]
-    # to descending output branch k
-    return q, v_out, v_in, perms
-
-
-def _reconstruct(split, rho_in, rho_out):
-    """The split record's q, unitaries and reconstruction residual."""
-    q, v_out, v_in, perms = split
+def _reconstruct(q, perms, v_out, v_in, rho_in, rho_out):
+    """q, the unitaries V_out P_n V_in^dag and their mixture's residual."""
     unitaries = conjugated_permutations(v_out, v_in, perms)
-    residual = float(np.max(np.abs(_mix(q, unitaries, rho_in) - rho_out)))
+    residual = float(np.max(np.abs(_unitary_mixture(q, unitaries, rho_in) - rho_out)))
     return q, unitaries, residual
 
 
@@ -236,10 +227,10 @@ def decompose_channel(rho_in, rho_out) -> ChannelDecomposition:
     q = solve_circulant_rates(p_in, p_out[cols] - p_in).q
     # the solve returns q0 = -v0, and v0 is the stay probability less 1
     q[0] = 1.0 - q[0]
-    split = _reconstruct((q, v_out[:, cols], v_in, cyclic_shift_rows(len(q))), rho_in, rho_out)
+    split = _reconstruct(q, cyclic_shift_rows(len(q)), v_out[:, cols], v_in, rho_in, rho_out)
     fits = split[2] <= RECONSTRUCTION
     if not (fits and _is_probability(q)):
-        alt = _reconstruct(_sorted_split(p_in, v_in, p_out, v_out), rho_in, rho_out)
+        alt = _reconstruct(*_sorted_split(p_in, p_out), v_out, v_in, rho_in, rho_out)
         if not fits or np.abs(alt[0]).sum() < np.abs(q).sum():
             split = alt
     q, unitaries, residual = split
@@ -272,4 +263,4 @@ def apply_decomposition(decomp: ChannelDecomposition, rho) -> np.ndarray:
     d = decomp.unitaries.shape[1]
     if rho.shape != (d, d):
         raise ValidationError("state dimension mismatch")
-    return _mix(decomp.probabilities, decomp.unitaries, rho)
+    return _unitary_mixture(decomp.probabilities, decomp.unitaries, rho)

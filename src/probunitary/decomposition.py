@@ -20,6 +20,7 @@ from .linalg import (
     _degenerate_clusters,
     _phase_fix,
     _solve_circulant_batch,
+    _unitary_mixture,
     _validated_eigh,
     conjugated_permutations,
     cyclic_shift_rows,
@@ -309,9 +310,8 @@ def reconstruct_rhs(rho, h, unitaries, q) -> np.ndarray:
         np.broadcast_shapes(rho.shape[:-2], h.shape[:-2], unitaries.shape[:-3], q.shape[:-1])
     except ValueError:
         raise ValidationError("dimension mismatch in reconstruction inputs") from None
-    jumps = unitaries[..., 1:, :, :]
     out = -1j * (h @ rho - rho @ h) - q[..., 1:].sum(axis=-1)[..., None, None] * rho
-    return out + np.einsum("...i,...iab,...bc,...idc->...ad", q[..., 1:], jumps, rho, jumps.conj())
+    return out + _unitary_mixture(q[..., 1:], unitaries[..., 1:, :, :], rho)
 
 
 def decompose_trajectory(trajectory: Trajectory) -> DecompositionSeries:

@@ -76,6 +76,8 @@ def read_json_object(path, keys) -> dict:
             raise ValidationError(f"{path}: not UTF-8 text") from exc
         except RecursionError as exc:
             raise ValidationError(f"{path}: JSON nested too deeply") from exc
+        except ValueError as exc:  # past int's string-conversion digit limit
+            raise ValidationError(f"{path}: JSON integer has too many digits") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: not a JSON object")
     for key in keys:

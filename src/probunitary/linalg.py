@@ -3,8 +3,8 @@
 Density-matrix validation with the package's one eigendecomposition
 convention (descending eigenvalues, phase-fixed eigenvectors), the index
 rows of the cyclic shifts and the conjugated permutations that every jump
-unitary is built from, the circulant rate solver, the minimum-cost
-assignment that pairs eigenbranches, and the matrix exponential.
+unitary is built from, the unitary mixture, the circulant rate solver, the
+minimum-cost assignment that pairs eigenbranches, and the matrix exponential.
 """
 
 from __future__ import annotations
@@ -126,6 +126,11 @@ def conjugated_permutations(v_out, v_in, perms) -> np.ndarray:
     """U_n = V_out P_n V_in^dag with P_n = sum_k |k><perms[n, k]|, stacked
     (n, d, d): U_n maps column perms[n, k] of V_in to column k of V_out."""
     return np.einsum("ak,bnk->nab", v_out, np.asarray(v_in)[:, perms].conj())
+
+
+def _unitary_mixture(q, unitaries, rho) -> np.ndarray:
+    """sum_i q_i U_i rho U_i^dag, broadcast over the leading axes of q, U and rho."""
+    return np.einsum("...i,...iab,...bc,...idc->...ad", q, unitaries, rho, unitaries.conj())
 
 
 def rate_system_matrix(p) -> np.ndarray:

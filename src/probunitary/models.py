@@ -38,7 +38,6 @@ __all__ = [
     "sample_model",
 ]
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)
 
@@ -139,9 +138,17 @@ def _diagonal_qubit_states(upper, times) -> np.ndarray:
     return rhos
 
 
+def _jc_angle(what: str, omega: float, t: float) -> float:
+    """omega * t; ValidationError when the product overflows to inf."""
+    angle = omega * t
+    if angle == math.inf:
+        raise ValidationError(f"{what} omega * t overflows: {omega!r} * {t!r}")
+    return angle
+
+
 def _jc_states(omega: float, times) -> np.ndarray:
     _check_positive("omega", omega)
-    return _diagonal_qubit_states(lambda t: math.cos(omega * t / 2) ** 2, times)
+    return _diagonal_qubit_states(lambda t: math.cos(_jc_angle("jc", omega, t) / 2) ** 2, times)
 
 
 def _amplitude_damping_states(gamma: float, times) -> np.ndarray:
@@ -164,9 +171,10 @@ def jc_rate(omega: float, t: float) -> float:
     _check_positive("jc_rate omega", omega)
     if not 0 <= t < math.inf:
         raise ValidationError(f"jc_rate needs a finite time t >= 0, got {t}")
-    if abs(math.cos(omega * t)) < 1e-12:
+    angle = _jc_angle("jc_rate", omega, t)
+    if abs(math.cos(angle)) < 1e-12:
         return math.inf
-    return 0.5 * omega * math.tan(omega * t)
+    return 0.5 * omega * math.tan(angle)
 
 
 def amplitude_damping_exact(gamma: float, t: float) -> np.ndarray:

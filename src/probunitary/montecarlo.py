@@ -53,7 +53,7 @@ from .errors import (
     StepTooLarge,
     ValidationError,
 )
-from .linalg import cyclic_shift_rows
+from .linalg import cyclic_shift_rows, expm
 
 __all__ = ["SimConfig", "EnsembleResult", "step", "run_ensemble", "convergence_sweep"]
 
@@ -80,14 +80,6 @@ class EnsembleResult:
     mean_rho: np.ndarray                  # (n, d, d) complex
     stderr: np.ndarray                    # (n, d, d) real, per-entry
     trace_distance_to_exact: np.ndarray   # (n,) to the decomposed states
-
-
-def _hermitian_propagator(h, dt: float) -> np.ndarray:
-    """exp(-i h dt) via eigendecomposition of the Hermitian generator;
-    ``h`` may be one (d, d) matrix or a stack of them."""
-    evals, vecs = np.linalg.eigh(h)
-    phases = np.exp(-1j * evals * dt)[..., None, :]
-    return (vecs * phases) @ vecs.conj().swapaxes(-1, -2)
 
 
 def _jump_edges(q, dt) -> np.ndarray:
@@ -141,8 +133,8 @@ def step(state, h, unitaries, q, dt, draw):
 
     The draw is partitioned into [0, q_1 dt), [q_1 dt, q_1 dt + q_2 dt),
     ...; a draw in the i-th interval applies unitaries[i], the remainder
-    applies the Hamiltonian propagator exp(-i h dt).  ``dt`` must be
-    finite and positive (ValidationError otherwise).
+    applies the Hamiltonian propagator exp(-i h dt), from linalg.expm.
+    ``dt`` must be finite and positive (ValidationError otherwise).
     """
     if not 0 < dt < np.inf:
         raise ValidationError(f"step needs a finite positive dt, got {dt}")
@@ -151,10 +143,8 @@ def step(state, h, unitaries, q, dt, draw):
         raise ValidationError("step needs one unitary per rate")
     edges = _jump_edges(np.asarray(q, dtype=float), dt)
     branch = int(np.searchsorted(edges, draw, side="right"))
-    if branch < edges.shape[0]:
-        u = unitaries[branch + 1]
-    else:
-        u = _hermitian_propagator(np.asarray(h, dtype=complex), dt)
+    jumped = branch < edges.shape[0]
+    u = unitaries[branch + 1] if jumped else expm(-1j * dt * np.asarray(h, dtype=complex))
     return u @ np.asarray(state, dtype=complex) @ u.conj().T
 
 

@@ -145,6 +145,9 @@ def test_trajectory_input_decomposes(tmp_path):
         (lambda doc: doc["rho"][2][0].__setitem__(1, [0.0, 0.0, 1.0]), "entry 2"),
         # checked against the entries before anything of dim's size exists
         (lambda doc: doc.update(dim=1_000_000), "entry 0 has shape"),
+        (lambda doc: doc.update(times=[]), "times is not a nonempty list"),
+        (lambda doc: doc["rho"].__setitem__(3, io.matrix_to_json(np.diag([0.7, 0.7]))),
+         "entry 3: density matrix trace"),
     ],
 )
 def test_bad_trajectory_file_exits_2(tmp_path, capsys, edit, expected):
@@ -202,6 +205,15 @@ def test_nonfinite_model_parameter_exits_2(tmp_path, capsys, option):
     assert len(err.splitlines()) == 1 and "omega and gamma" in err
 
 
+def test_jc_phase_overflow_exits_2(tmp_path, capsys):
+    # omega * t is inf at t = 2
+    argv = ["decompose", "--model", "jc", "--omega", "1e308", "--dt", "1", "--horizon", "10",
+            "--out", str(tmp_path / "run")]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "omega * t overflows" in err
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_out_of_range_seed_exits_2(tmp_path, capsys, seed):
     argv = ["simulate", "--model", "amplitude-damping", "--horizon", "0.01",
@@ -211,10 +223,13 @@ def test_out_of_range_seed_exits_2(tmp_path, capsys, seed):
     assert len(err.splitlines()) == 1 and "seed" in err
 
 
-@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000, None])
+@pytest.mark.parametrize(
+    "content", [b"\xff\xfe{}", b"[" * 100_000,
+                pytest.param(b'{"dim": ' + b"1" * 5000 + b"}", id="5000-digit-dim"), None])
 def test_unreadable_input_exits_2(tmp_path, capsys, content):
     # bytes that are not UTF-8, nesting deeper than the parser's recursion
-    # limit, or a directory in place of a file
+    # limit, an integer past int's string-conversion digit limit, or a
+    # directory in place of a file
     path = tmp_path / "rho.json"
     if content is None:
         path.mkdir()

@@ -8,6 +8,7 @@ from scipy.optimize import linear_sum_assignment
 from probunitary import decomposition
 from probunitary.config import DEGENERACY_GAP, OVERLAP_FLOOR
 from probunitary.decomposition import (
+    EigenframeSeries,
     Trajectory,
     _align,
     align_eigenframes,
@@ -130,6 +131,18 @@ class TestAlignment:
         v, lam = dec.frames.eigenvectors, dec.frames.eigenvalues
         np.testing.assert_allclose((v[0] * lam[0]) @ v[0].conj().T, rho0, atol=1e-12)
         assert np.abs(np.einsum("ai,ai->i", v[0].conj(), v[1])).min() > 1 - 1e-4
+
+    def test_times_must_match_the_states(self):
+        samples = rotating_qubit_samples(1.0, [0.0, 0.1, 0.2])
+        with pytest.raises(ValidationError, match=r"^3 times but states of shape \(2, 2, 2\)"):
+            align_eigenframes(Trajectory(samples.times, samples.rhos[:2]))
+
+    @pytest.mark.parametrize("per_time", [build_hamiltonian, compute_rates_at])
+    def test_derivative_needs_two_grid_points(self, per_time):
+        # the grid check sits in align_eigenframes; frames built by hand skip it
+        frames = EigenframeSeries(np.array([0.0]), np.array([[1.0, 0.0]]), np.eye(2)[None])
+        with pytest.raises(ValidationError, match="need at least two grid points"):
+            per_time(frames, 0.0)
 
     def test_nan_sample_rejected(self):
         samples = rotating_qubit_samples(1.0, [0.0, 0.1, 0.2])

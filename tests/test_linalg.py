@@ -272,6 +272,11 @@ class TestCirculantSolver:
         with pytest.raises(ValidationError):
             solve_circulant_rates([0.9, 0.3], [0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_f(self, bad):
+        with pytest.raises(ValidationError, match="f contains NaN or Inf"):
+            solve_circulant_rates([0.5, 0.5], [bad, 0.0])
+
 
 def assignment_costs(rng, count):
     """count costs at d = 1..16 in turn: real Gaussian, then -|U|^2 of a Haar

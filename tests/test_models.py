@@ -60,7 +60,7 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("omega, t", [
         (1.0, math.nan), (1.0, math.inf), (1.0, -1.0), (-1.0, 1.0), (0.0, 1.0),
-        (math.nan, 1.0), (math.inf, 1.0),
+        (math.nan, 1.0), (math.inf, 1.0), (1e308, 2.0),
     ])
     def test_jc_rate_rejects_bad_arguments(self, omega, t):
         with pytest.raises(ValidationError, match="jc_rate"):
@@ -191,6 +191,10 @@ class TestIntegrator:
         rhos = integrate(spec, np.diag([1.0, 0.0]).astype(complex), grid).rhos
         assert np.linalg.eigvalsh(rhos).min() >= -1e-15
         assert np.abs(rhos - np.stack([amplitude_damping_exact(50.0, t) for t in grid])).max() <= 1e-12
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValidationError, match="state and Hamiltonian dimensions differ"):
+            integrate(LindbladSpec(hamiltonian=np.eye(3)), np.eye(2) / 2, [0.0, 0.1])
 
     def test_non_positive_rho0_rejected(self):
         # the propagator preserves positivity, so rho0 is checked once

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from probunitary.decomposition import (
     Trajectory,
@@ -113,15 +114,13 @@ class TestStep:
 
     def test_single_step_expectation(self, rng):
         # oracle: the exact two-branch expectation
-        # (1 - q1 dt) U rho U^dag + q1 dt X rho X
+        # (1 - q1 dt) U rho U^dag + q1 dt X rho X, U = exp(-i h dt) by scipy
         rho = np.diag([0.7, 0.3]).astype(complex)
         h = np.array([[0, -0.5j], [0.5j, 0]])
         us = np.stack([np.eye(2), np.array([[0, 1], [1, 0]])]).astype(complex)
         q = np.array([2.0, 2.0])
         dt = 0.05
-        from probunitary.montecarlo import _hermitian_propagator
-
-        u = _hermitian_propagator(h, dt)
+        u = expm(-1j * h * dt)
         exact = (1 - q[1] * dt) * u @ rho @ u.conj().T + q[1] * dt * (
             us[1] @ rho @ us[1].conj().T
         )
