@@ -128,23 +128,24 @@ def _align(times, vals, vecs) -> EigenframeSeries:
 
     Takes _validated_eigh's output: eigenvalues (n, d) and eigenvectors
     (n, d, d), every frame in descending eigenvalue order.  Frame 0 keeps
-    that order with _phase_fix's gauge, except that the basis of each
-    numerically degenerate cluster is rotated onto frame 1's by the polar
-    part of their overlap block.  The polar part of a block
-    u diag(s) vh is u @ vh, taken from numpy's SVD of the block (_polar).
+    that order with _phase_fix's gauge; _polar gives a block's polar part.
 
     Frame k (k >= 1) is aligned on its own when one of its raw diagonal
-    overlaps with frame k - 1 is below OVERLAP_FLOOR (branches
-    may have crossed), or when it or frame k - 1 (k - 1 >= 1) holds a
-    degenerate cluster.  It keeps the branch order carried from before
-    when, in every cluster of the reordered frame, each column of the
+    overlaps with frame k - 1 is below OVERLAP_FLOOR (branches may have
+    crossed), or when it or frame k - 1 holds a degenerate cluster.  It
+    keeps the branch order carried from before when, in every cluster of
+    the reordered frame or held since frame 0, each column of the
     cluster's overlap block with the aligned frame k - 1 has a norm that
     reaches the floor (on a singleton, its diagonal overlap; inside a
     cluster the basis is arbitrary, so only the block's span is judged);
     otherwise an optimal assignment on squared overlaps matches them.
-    Each cluster, a singleton included, is then rotated by the polar part
-    of its overlap block with the aligned frame k - 1; on a singleton
-    that is the parallel-transport phase.
+    No frame before fixes the basis of a cluster held since frame 0, so
+    the frame k that splits it (fully, or into sub-clusters that stay
+    held) picks it: its columns on frames 0..k-1 are right-multiplied by
+    the polar part of its overlap block of frames k - 1 and k.  Each
+    cluster of frame k, a singleton included, is then rotated by the
+    polar part of its overlap block with the aligned frame k - 1; on a
+    singleton that is the parallel-transport phase.
 
     Every other frame keeps the carried order, and its phases are a
     running product restarted from the aligned frame before its run: a
@@ -160,21 +161,16 @@ def _align(times, vals, vecs) -> EigenframeSeries:
     evals = np.array(vals)
     evecs = np.array(vecs)
     evecs[0] = _phase_fix(vecs[0])
-    # frame 0's basis of a degenerate cluster is arbitrary; rotate it onto
-    # frame 1's, so that a cluster the dynamics splits stays aligned
-    for cluster in _degenerate_clusters(evals[0]):
-        if len(cluster) > 1:
-            w = _polar(evecs[0][:, cluster].conj().T @ vecs[1][:, cluster])
-            evecs[0][:, cluster] = evecs[0][:, cluster] @ w
+    # clusters held since frame 0, whose basis no earlier frame fixes
+    held = [c for c in _degenerate_clusters(evals[0]) if len(c) > 1]
 
     # overlaps[k - 1] is the raw diagonal overlap of frames k - 1 and k in
     # descending order; a frame aligned alone rewrites its own row from its
     # aligned vectors, where the running product of the next run starts
     overlaps = np.einsum("kai,kai->ki", evecs[:-1].conj(), evecs[1:])
     gaps = np.diff(np.sort(evals, axis=1), axis=1).min(axis=1, initial=np.inf)
-    clustered = gaps[1:] < DEGENERACY_GAP
-    alone = (np.abs(overlaps).min(axis=1) < OVERLAP_FLOOR) | clustered
-    alone[1:] |= clustered[:-1]
+    clustered = gaps < DEGENERACY_GAP
+    alone = (np.abs(overlaps).min(axis=1) < OVERLAP_FLOOR) | clustered[1:] | clustered[:-1]
     order = np.arange(d)
     start = 1
     for k in [*(np.flatnonzero(alone) + 1).tolist(), n]:
@@ -192,12 +188,16 @@ def _align(times, vals, vecs) -> EigenframeSeries:
         carried = vecs[k][:, order]
         clusters = _degenerate_clusters(vals[k][order])
         norms = np.abs(np.einsum("ai,ai->i", prev.conj(), carried))
-        for cluster in [c for c in clusters if len(c) > 1]:
+        for cluster in [c for c in clusters if len(c) > 1] + held:
             norms[cluster] = np.linalg.norm(prev[:, cluster].conj().T @ carried[:, cluster], axis=0)
         if norms.min() < OVERLAP_FLOOR:
             _, order = linear_sum_assignment(-np.abs(prev.conj().T @ vecs[k]) ** 2)
             clusters = _degenerate_clusters(vals[k][order])
         evals[k], evecs[k] = vals[k][order], vecs[k][:, order]
+        # the frame that splits a held cluster picks its basis on frames 0..k-1
+        for c in [c for c in held if not any(set(c) <= set(s) for s in clusters)]:
+            evecs[:k, :, c] = evecs[:k, :, c] @ _polar(prev[:, c].conj().T @ evecs[k][:, c])
+        held = [s for s in clusters if len(s) > 1 and any(set(s) <= set(c) for c in held)]
         for cluster in clusters:
             block = prev[:, cluster].conj().T @ evecs[k][:, cluster]
             evecs[k][:, cluster] = evecs[k][:, cluster] @ _polar(block).conj().T

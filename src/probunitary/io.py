@@ -47,12 +47,17 @@ def _numbers(data, where: str) -> np.ndarray:
         arr = np.asarray(data)
     except ValueError as exc:
         raise ValidationError(f"{where}: ragged rows (unequal length or depth)") from exc
-    # numpy casts true and false among numbers to 1 and 0; JSON
-    # booleans are not numbers
-    if arr.dtype.kind not in "iuf" or bool in set(map(type, np.asarray(data, dtype=object).flat)):
+    # numpy casts true and false among numbers to 1 and 0, and keeps an
+    # int past 64 bits as an object; JSON booleans are not numbers
+    types = set(map(type, np.asarray(data, dtype=object).flat))
+    if bool in types or not (arr.dtype.kind in "iuf" or types <= {int, float}):
         raise ValidationError(f"{where}: entries are not all numbers")
-    arr = arr.astype(float)
-    if not np.isfinite(arr).all():
+    try:
+        arr = arr.astype(float)
+        finite = np.isfinite(arr).all()
+    except OverflowError:  # an int past the float range
+        finite = False
+    if not finite:
         raise ValidationError(f"{where}: entries are not all finite")
     return arr
 

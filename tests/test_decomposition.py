@@ -121,7 +121,7 @@ class TestAlignment:
     @pytest.mark.parametrize("seed", [1, 3, 4])
     def test_degenerate_pair_split_at_start(self, seed):
         # rho0 has a degenerate pair that the dynamics splits at once;
-        # frame 0's basis of the pair is rotated onto frame 1's
+        # frame 1, which splits it, picks frame 0's basis of the pair
         rng = np.random.default_rng([seed, 6])
         spec = random_lindblad_spec(rng, 6)
         u = random_unitary(rng, 6)
@@ -222,7 +222,8 @@ class TestAlignmentSplice:
     holds a degenerate cluster; every other frame keeps the branch order
     carried through the crossings before it.  All frames agree with the
     sequential reference, each crossing costs one assignment, and a
-    degenerate cluster costs none."""
+    degenerate cluster costs none, nor does its split
+    (TestClusterSplitRefinement)."""
 
     times = np.linspace(0.0, 1.0, 101)
 
@@ -275,6 +276,62 @@ class TestAlignmentSplice:
         frames = self.check(monkeypatch, rotating_samples(
             lambda t: [0.45 - x(t), 0.35 + x(t), 0.2], self.times), assignments=1)
         np.testing.assert_allclose(frames.eigenvalues[-1], [0.2, 0.6, 0.2], atol=1e-12)
+
+
+class TestClusterSplitRefinement:
+    """A degenerate cluster held since frame 0 gets its basis from the
+    frame that splits it, so no grid refuses the split, max ||H|| agrees
+    within 10 % across grids and the split costs no assignment."""
+
+    def decompose(self, monkeypatch, populations, n):
+        calls = []
+        solve = decomposition.linear_sum_assignment
+        monkeypatch.setattr(decomposition, "linear_sum_assignment",
+                            lambda cost: calls.append(cost) or solve(cost))
+        samples = rotating_samples(populations, np.linspace(0.0, 1.0, n))
+        return samples, decompose_trajectory(samples), len(calls)
+
+    def max_h_norms(self, monkeypatch, populations, grids):
+        norms = [np.linalg.norm(self.decompose(monkeypatch, populations, n)[1].hamiltonians,
+                                2, axis=(1, 2)).max() for n in grids]
+        assert max(norms) <= 1.1 * min(norms), norms
+        return norms
+
+    def test_c1_split_of_a_pair(self, monkeypatch):
+        # the two lower populations are equal up to t = 0.5 and then part
+        # as a C^1, majorized flow
+        def populations(t):
+            s = 0.2 * max(t - 0.5, 0.0) ** 2
+            return [0.5 - 3 * s, 0.25 + 2 * s, 0.25 + s]
+        norms = []
+        for n in [1001, 2001, 4001, 8001]:
+            samples, dec, assignments = self.decompose(monkeypatch, populations, n)
+            assert assignments == 0
+            inner = ~(dec.negative_flags | dec.singular_flags)
+            inner[[0, -1]] = False
+            h = dec.hamiltonians
+            unitaries = np.stack([build_tilde_unitaries(v) for v in dec.frames.eigenvectors[inner]])
+            rhs = reconstruct_rhs(samples.rhos[inner], h[inner], unitaries, dec.rates[inner])
+            rho_dot = np.gradient(samples.rhos, samples.times, axis=0)[inner]
+            assert np.abs(rhs - rho_dot).max() <= 1e-4
+            norms.append(np.linalg.norm(h, 2, axis=(1, 2)).max())
+        assert max(norms) <= 1.1 * min(norms), norms
+
+    def test_three_fold_cluster_splits_in_two_stages(self, monkeypatch):
+        # one population leaves the triple at t = 0.3, and the remaining
+        # pair parts at t = 0.6
+        def populations(t):
+            s, r = 0.2 * max(t - 0.3, 0.0) ** 2, 0.2 * max(t - 0.6, 0.0) ** 2
+            return [1 / 3 + 2 * s, 1 / 3 - s + r, 1 / 3 - s - r]
+        self.max_h_norms(monkeypatch, populations, [201, 1001, 4001])
+
+    def test_crossing_on_a_grid_point_keeps_forward_transport(self, monkeypatch):
+        # the first two populations cross exactly at the grid point t = 0.5;
+        # a cluster that forms after frame 0 is not rotated by its split
+        c = lambda t: 0.05 * (t - 0.5)  # noqa: E731
+        norms = self.max_h_norms(monkeypatch, lambda t: [0.4 + c(t), 0.4 - c(t), 0.2],
+                                 [201, 1001, 4001])
+        assert max(norms) < 1.0
 
 
 class TestFramesRebuildStates:

@@ -210,11 +210,17 @@ class TestDecoder:
             ([[[None, 0.0]]], "numbers"),
             ([[[1.0, float("inf")]]], "finite"),
             ([[[1.0, 0.0], [0.0, 0.0]]], "shape"),
+            ([[[10**400, 0]]], "finite"),
         ],
     )
     def test_rejection_names_where(self, data, expected):
         with pytest.raises(ValidationError, match=f"^here: .*{expected}"):
             io.matrix_from_json(data, where="here")
+
+    def test_integer_past_64_bits_decodes(self):
+        # numpy holds 2**64 as an object, but a float holds it
+        m = io.matrix_from_json([[[2**64, 0]]])
+        assert m.tolist() == [[1.8446744073709552e19 + 0j]]
 
     def test_json_round_trip_of_a_stack(self):
         m = np.arange(8).reshape(2, 2, 2) * (1 - 0.5j)
