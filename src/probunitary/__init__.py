@@ -34,7 +34,6 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
-    RateSolveResult,
     solve_circulant_rates,
     validate_density_matrix,
 )

@@ -224,7 +224,7 @@ def decompose_channel(rho_in, rho_out) -> ChannelDecomposition:
 
     v_in, v_out = _phase_fix(v_in), _phase_fix(v_out)
     _, cols = linear_sum_assignment(-np.abs(v_in.conj().T @ v_out) ** 2)
-    q = solve_circulant_rates(p_in, p_out[cols] - p_in).q
+    q, _ = solve_circulant_rates(p_in, p_out[cols] - p_in)
     # the solve returns q0 = -v0, and v0 is the stay probability less 1
     q[0] = 1.0 - q[0]
     split = _reconstruct(q, cyclic_shift_rows(len(q)), v_out[:, cols], v_in, rho_in, rho_out)

@@ -16,15 +16,14 @@ import numpy as np
 from .config import DEGENERACY_GAP, OVERLAP_FLOOR, RATE_NEGATIVITY
 from .errors import TrajectoryTooCoarse, ValidationError
 from .linalg import (
-    RateSolveResult,
     _degenerate_clusters,
     _phase_fix,
-    _solve_circulant_batch,
     _unitary_mixture,
     _validated_eigh,
     conjugated_permutations,
     cyclic_shift_rows,
     min_cost_assignment,
+    solve_circulant_rates,
 )
 
 __all__ = [
@@ -103,7 +102,10 @@ class DecompositionSeries:
 
 def _checked_grid(times) -> np.ndarray:
     """``times`` as floats; ValidationError unless >= 2 finite, increasing times in 1-D."""
-    times = np.asarray(times, dtype=float)
+    try:
+        times = np.asarray(times, dtype=float)
+    except (TypeError, ValueError):
+        times = np.array([])  # not numbers: refused below
     ok = times.ndim == 1 and times.size >= 2 and np.isfinite(times).all()
     if not (ok and np.all(np.diff(times) > 0)):
         raise ValidationError("a time grid needs >= 2 finite, strictly increasing times in 1-D")
@@ -253,11 +255,11 @@ def _rate_rows(frames: EigenframeSeries):
     estimates (n,) on every grid time, as decompose_trajectory stores them:
     the rate system on the populations p and the eigenvalue derivatives f."""
     f = _d_dt(frames.eigenvalues, frames)
-    rates, singular, condition = _solve_circulant_batch(_populations(frames.eigenvalues), f)
-    # grid-aware flag: rates of order 1/dt are indistinguishable from
-    # a singular crossing at this resolution and break the scheme
+    rates, condition = solve_circulant_rates(_populations(frames.eigenvalues), f)
+    # grid-aware flag: rates of order 1/dt are indistinguishable from a
+    # singular crossing (condition inf) at this resolution and break the scheme
     spacings = np.diff(frames.times)
-    singular |= condition * np.append(spacings, spacings[-1]) >= 1.0
+    singular = condition * np.append(spacings, spacings[-1]) >= 1.0
     negative = np.any(rates[:, 1:] < -RATE_NEGATIVITY, axis=1)
     return rates, negative, singular, condition
 
@@ -269,15 +271,11 @@ def build_hamiltonian(frames: EigenframeSeries, t: float) -> np.ndarray:
     return _hamiltonians(frames)[k]
 
 
-def compute_rates_at(frames: EigenframeSeries, t: float) -> RateSolveResult:
-    """Jump rates at grid time t from the tracked eigenvalue branches: the
-    row that decompose_trajectory stores, with its singular flag and
-    condition estimate."""
+def compute_rates_at(frames: EigenframeSeries, t: float) -> np.ndarray:
+    """Jump rates q (d,) at grid time t from the tracked eigenvalue
+    branches: the row that decompose_trajectory stores."""
     k = frames.index_of(t)
-    rates, _, singular, condition = _rate_rows(frames)
-    return RateSolveResult(
-        q=rates[k], singular=bool(singular[k]), condition_estimate=float(condition[k])
-    )
+    return _rate_rows(frames)[0][k]
 
 
 def build_tilde_unitaries(frame) -> np.ndarray:
@@ -287,6 +285,8 @@ def build_tilde_unitaries(frame) -> np.ndarray:
     (d, d, d); index 0 is the identity.
     """
     v = np.asarray(frame)
+    if v.ndim != 2 or v.shape[0] != v.shape[1]:
+        raise ValidationError(f"a frame must be a square matrix, got shape {v.shape}")
     out = conjugated_permutations(v, v, cyclic_shift_rows(len(v)))
     out[0] = np.eye(len(v))
     return out

@@ -1,6 +1,6 @@
-"""Exception hierarchy shared across the package.  The rate solvers
-raise only ValidationError: a singular system is reported on their
-RateSolveResult, for the caller to raise its own error on."""
+"""Exception hierarchy shared across the package.  The rate solve
+raises only ValidationError: a singular row is reported as an infinite
+condition, for the caller to flag or raise its own error on."""
 
 
 class ProbUnitaryError(Exception):

@@ -3,14 +3,14 @@
 Density-matrix validation with the package's one eigendecomposition
 convention (descending eigenvalues, phase-fixed eigenvectors), the index
 rows of the cyclic shifts and the conjugated permutations that every jump
-unitary is built from, the unitary mixture, the circulant rate solver, the
-minimum-cost assignment that pairs eigenbranches, and the matrix exponential.
+unitary is built from, the unitary mixture, the circulant rate solve for
+one row or a whole time grid, the minimum-cost assignment that pairs
+eigenbranches, and the matrix exponential.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .config import DEGENERACY_GAP, HERMITICITY, PSD, SINGULAR_SYMBOL, TRACE
 from .errors import ValidationError
 
 __all__ = [
-    "RateSolveResult",
     "validate_density_matrix",
     "cyclic_shift_rows",
     "conjugated_permutations",
@@ -27,21 +26,6 @@ __all__ = [
     "min_cost_assignment",
     "expm",
 ]
-
-
-@dataclass
-class RateSolveResult:
-    """Solution of the rate system.
-
-    q[0] is the total rate and q[1:] belong to the nontrivial cyclic
-    shifts.  On a singular system ``q`` is the minimum-norm solution,
-    which drops any component of f outside the system's range; the caller
-    checks what q reconstructs.
-    """
-
-    q: np.ndarray
-    singular: bool
-    condition_estimate: float
 
 
 def validate_density_matrix(rho) -> np.ndarray:
@@ -144,55 +128,43 @@ def rate_system_matrix(p) -> np.ndarray:
     return p[cyclic_shift_rows(p.shape[0])]
 
 
-def _solve_circulant_batch(p, f):
-    """Solve M v = f with M[k, i] = p[(k + i) mod d] for every row of the
-    (n, d) arrays p and f by DFT diagonalization.
+def solve_circulant_rates(p, f):
+    """Solve the rate system M v = f, M[k, i] = p[(k + i) mod d] (see
+    rate_system_matrix), for one row p, f (d,) or for every row of a grid
+    (n, d), by DFT diagonalization on the last axis: M is the convolution
+    circulant of p up to an index reversal.
 
-    M (see rate_system_matrix) is the convolution circulant of p up to an
-    index reversal, so the DFT still diagonalizes the solve.  Returns
-    per-row arrays (q, singular, condition): q with v = (-q0, q1, ...) (see
-    solve_circulant_rates), minimum-norm on singular rows; condition inf on
-    singular rows.
+    The unknowns are v = (-q0, q1, ...), so q0 is the total rate.  Returns
+    (q, condition) with the input's leading shape: q (..., d) and the
+    condition number (...) of M, the ratio of the largest to the smallest
+    magnitude of its symbol.  A row whose symbol has a magnitude at or
+    below SINGULAR_SYMBOL times its largest is singular: its condition is
+    inf, and its q is the minimum-norm (pseudoinverse) solution, which
+    drops any component of f outside the range of M; it does not raise.
     """
     p = np.asarray(p, dtype=float)
     f = np.asarray(f, dtype=float)
-    if p.ndim != 2 or f.shape != p.shape:
+    if p.ndim not in (1, 2) or f.shape != p.shape or not p.size:
         raise ValidationError(f"inconsistent dimensions: p {p.shape}, f {f.shape}")
     if not np.all(np.isfinite(f)):
         raise ValidationError("f contains NaN or Inf entries")
-    if p.min() < -1e-8 or p.max() > 1 + 1e-8 or np.abs(p.sum(axis=1) - 1).max() > 1e-8:
+    if p.min() < -1e-8 or p.max() > 1 + 1e-8 or np.abs(p.sum(axis=-1) - 1).max() > 1e-8:
         raise ValidationError("p is not a probability vector within tolerance")
 
-    symbol = np.fft.fft(p, axis=1)
-    fhat = np.fft.fft(f, axis=1)
+    symbol = np.fft.fft(p, axis=-1)
+    fhat = np.fft.fft(f, axis=-1)
     mags = np.abs(symbol)
-    top = mags.max(axis=1)
-    alive = mags > SINGULAR_SYMBOL * top[:, None]
-    singular = ~alive.all(axis=1)
+    top = mags.max(axis=-1)
+    alive = mags > SINGULAR_SYMBOL * top[..., None]
     vhat = np.where(alive, fhat / np.where(alive, symbol, 1.0), 0.0)
-    condition = np.full(p.shape[0], np.inf)
-    np.divide(top, mags.min(axis=1), out=condition, where=~singular)
+    condition = np.full(top.shape, np.inf)
+    np.divide(top, mags.min(axis=-1), out=condition, where=alive.all(axis=-1))
 
-    w = np.fft.ifft(vhat, axis=1).real
+    w = np.fft.ifft(vhat, axis=-1).real
     # undo the index reversal (fixes index 0, swaps i and d-i)
-    q = w[:, (-np.arange(p.shape[1])) % p.shape[1]]
-    q[:, 0] = -q[:, 0]
-    return q, singular, condition
-
-
-def solve_circulant_rates(p, f) -> RateSolveResult:
-    """Solve the circulant rate system M v = f for one p, f by DFT
-    diagonalization; M[k, i] = p[(k + i) mod d] (see rate_system_matrix).
-
-    The unknowns are v = (-q0, q1, ...), so q0 is the total rate.  When M
-    is singular the minimum-norm (pseudoinverse) solution, which drops any
-    component of f outside the range of M, is returned with the singular
-    flag set; it does not raise.
-    """
-    q, singular, condition = _solve_circulant_batch([p], [f])
-    return RateSolveResult(
-        q=q[0], singular=bool(singular[0]), condition_estimate=float(condition[0])
-    )
+    q = w[..., (-np.arange(p.shape[-1])) % p.shape[-1]]
+    q[..., 0] = -q[..., 0]
+    return q, condition[()]
 
 
 def min_cost_assignment(cost):
@@ -258,8 +230,10 @@ def expm(a) -> np.ndarray:
     the degree-13 Padé approximant with scaling and squaring (Higham, SIAM
     J. Matrix Anal. Appl. 26, 1179, 2005, Algorithm 2.3), each matrix scaled
     by its own power of two to a 1-norm of at most theta_13 = 5.37 (its
-    Table 2.3).  Raises ValidationError on a non-finite 1-norm."""
+    Table 2.3).  Raises ValidationError on a non-square or non-finite input."""
     a = np.asarray(a)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValidationError(f"expm needs a square matrix or a stack of them, got shape {a.shape}")
     x = a.reshape(-1, *a.shape[-2:]).astype(np.result_type(a, float))
     norm = np.abs(x).sum(axis=1).max(axis=1, initial=0.0)
     if not np.isfinite(norm).all():

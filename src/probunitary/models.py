@@ -70,9 +70,7 @@ class LindbladSpec:
                 raise ValidationError(f"{where}: jump operator dimension mismatch")
             if not np.isfinite(op).all():
                 raise ValidationError(f"{where}: jump operators must be finite")
-            # an int beyond the float range is below inf but not below the largest float
-            real = isinstance(gamma, numbers.Real) and not isinstance(gamma, bool)
-            if not (real and 0 <= gamma <= sys.float_info.max):
+            if not (_finite_real(gamma) and gamma >= 0):
                 # repr refuses ints of more than 4300 digits
                 big = isinstance(gamma, numbers.Integral) and abs(gamma) > sys.float_info.max
                 raise ValidationError(f"{where}: jump rates must be finite nonnegative numbers, "
@@ -86,10 +84,17 @@ def _complex_array(name: str, value) -> np.ndarray:
         raise ValidationError(f"{name}: not a numeric matrix ({exc})") from exc
 
 
+def _finite_real(value) -> bool:
+    """A real number, not a bool, within the float range: an int beyond
+    it is below inf but not below the largest float."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and -sys.float_info.max <= value <= sys.float_info.max
+
+
 def _check_positive(what: str, *values) -> None:
     """ValidationError "<what> must be finite and positive" unless every
-    value lies in (0, inf)."""
-    if not all(0 < v < math.inf for v in values):
+    value is a real number (not a bool) in (0, inf)."""
+    if not all(_finite_real(v) and v > 0 for v in values):
         raise ValidationError(f"{what} must be finite and positive, got "
                               + ", ".join(map(repr, values)))
 
@@ -128,7 +133,10 @@ def _diagonal_qubit_states(upper, times) -> np.ndarray:
     """diag(upper(t), 1 - upper(t)) on every time, shape (n, 2, 2).  The
     population ``upper`` is evaluated on math scalars, one time at a
     time: numpy's exp and cos may differ from math's in the last ulp."""
-    times = np.asarray(times, dtype=float)
+    try:
+        times = np.asarray(times, dtype=float)
+    except (TypeError, ValueError):
+        times = np.array(np.nan)  # not numbers: refused below
     if not np.all((times >= 0) & (times < math.inf)):
         raise ValidationError("time must be finite and nonnegative")
     top = np.array([upper(t) for t in times.tolist()], dtype=float)
@@ -169,7 +177,7 @@ def jc_rate(omega: float, t: float) -> float:
     finite and positive and ``t`` finite and nonnegative.
     """
     _check_positive("jc_rate omega", omega)
-    if not 0 <= t < math.inf:
+    if not (_finite_real(t) and t >= 0):
         raise ValidationError(f"jc_rate needs a finite time t >= 0, got {t}")
     angle = _jc_angle("jc_rate", omega, t)
     if abs(math.cos(angle)) < 1e-12:

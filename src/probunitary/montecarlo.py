@@ -138,14 +138,17 @@ def step(state, h, unitaries, q, dt, draw):
     """
     if not 0 < dt < np.inf:
         raise ValidationError(f"step needs a finite positive dt, got {dt}")
-    unitaries = np.asarray(unitaries, dtype=complex)
-    if unitaries.shape[0] != np.shape(q)[0]:
-        raise ValidationError("step needs one unitary per rate")
-    edges = _jump_edges(np.asarray(q, dtype=float), dt)
+    state, h, unitaries = (np.asarray(a, dtype=complex) for a in (state, h, unitaries))
+    q = np.asarray(q, dtype=float)
+    d = state.shape[-1] if state.ndim else 0
+    if q.ndim != 1 or state.shape != (d, d) or h.shape != (d, d) or unitaries.shape != (q.size, d, d):
+        raise ValidationError("step needs a square state, an h of its shape "
+                              "and one unitary of that shape per rate")
+    edges = _jump_edges(q, dt)
     branch = int(np.searchsorted(edges, draw, side="right"))
     jumped = branch < edges.shape[0]
-    u = unitaries[branch + 1] if jumped else expm(-1j * dt * np.asarray(h, dtype=complex))
-    return u @ np.asarray(state, dtype=complex) @ u.conj().T
+    u = unitaries[branch + 1] if jumped else expm(-1j * dt * h)
+    return u @ state @ u.conj().T
 
 
 def _flagged_intervals(decomposition: DecompositionSeries):

@@ -9,6 +9,7 @@ from scipy.optimize import linprog
 from probunitary.channel import (
     MIXED_UNITARY,
     QUASI_PROBABILITY,
+    _sorted_split,
     apply_decomposition,
     decompose_channel,
     to_kraus_like,
@@ -275,6 +276,25 @@ class TestDecomposeChannel:
         assert np.abs(apply_decomposition(dec_a, rho_a) - channel(rho_a)).max() <= 1e-8
         assert np.abs(apply_decomposition(dec_b, rho_b) - channel(rho_b)).max() <= 1e-8
         assert not np.allclose(dec_a.probabilities, dec_b.probabilities, atol=1e-6)
+
+
+class TestPermutationMixture:
+    """The Hardy-Littlewood-Polya chain called directly: decompose_channel
+    takes the cyclic split on both pairs, so it never reaches these branches."""
+
+    @pytest.mark.parametrize("y, x", [
+        # the shift is used up before the last row that orders j above k
+        (np.array([2, 1, 1, 0]) / 4, np.array([1.5, 1.5, 0.5, 0.5]) / 4),
+        # a row that does not order j above k is skipped
+        (np.array([2, 1, 1, 0, 0, 0]) / 4, np.array([3, 2, 2, 2, 2, 1]) / 12),
+    ], ids=["shift-used-up", "row-skipped"])
+    def test_chain_reaches_x(self, y, x):
+        w, rows = _sorted_split(y, x)
+        d = len(y)
+        assert np.abs(w @ y[rows] - x).max() <= 1e-15
+        assert ((w >= 0) & (w <= 1)).all() and w.sum() == pytest.approx(1.0, abs=1e-15)
+        assert all(sorted(row) == list(range(d)) for row in rows.tolist())
+        assert np.count_nonzero(w) <= d
 
 
 class TestKrausLike:

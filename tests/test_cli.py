@@ -70,6 +70,26 @@ def test_grid_of_fewer_than_two_points_exits_2(tmp_path, capsys, option):
     assert len(err.splitlines()) == 1 and "--dt" in err and "--horizon" in err
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["decompose"], "either --model or --input is required"),
+    (["simulate", "--trajectories", "5"], "either --model or --input is required"),
+    (["decompose", "--model", "lindblad"], "--model lindblad requires --lindblad-spec"),
+])
+def test_missing_trajectory_source_exits_2(tmp_path, capsys, argv, expected):
+    assert main([*argv, "--out", str(tmp_path / "run")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and expected in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_models_lists_one_line_per_model(capsys):
+    assert main(["models"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(models.MODEL_CATALOGUE)
+    for line, (name, info) in zip(lines, models.MODEL_CATALOGUE.items()):
+        assert line == f"{name}: {info['description']} (params: {', '.join(info['params'])})"
+
+
 def test_level_splitting_option_removed(tmp_path):
     # the closed-form models never used it
     with pytest.raises(SystemExit) as exc:

@@ -203,36 +203,36 @@ class TestRealWeyl:
 
 class TestCirculantSolver:
     def test_stationary_spectrum(self):
-        res = solve_circulant_rates([0.7, 0.3], [0.0, 0.0])
-        np.testing.assert_allclose(res.q, [0.0, 0.0], atol=1e-14)
-        assert not res.singular
+        q, condition = solve_circulant_rates([0.7, 0.3], [0.0, 0.0])
+        np.testing.assert_allclose(q, [0.0, 0.0], atol=1e-14)
+        assert condition < np.inf
 
     def test_two_level_example(self):
         # oracle: dense 2x2 solve of [[p1, p2], [p2, p1]] v = f
-        res = solve_circulant_rates([0.7, 0.3], [-0.1, 0.1])
-        np.testing.assert_allclose(res.q, [0.25, 0.25], atol=1e-12)
+        q, _ = solve_circulant_rates([0.7, 0.3], [-0.1, 0.1])
+        np.testing.assert_allclose(q, [0.25, 0.25], atol=1e-12)
 
     def test_singular_inconsistent_is_reported(self):
-        res = solve_circulant_rates([0.5, 0.5], [-0.1, 0.2])
-        assert res.singular
+        _, condition = solve_circulant_rates([0.5, 0.5], [-0.1, 0.2])
+        assert condition == np.inf
 
     def test_jc_channel_instance(self):
         # mixed-unitary channel of the vacuum Rabi qubit
         for s in (0.3, 0.9, 1.4):
             c, sn = np.cos(s / 2) ** 2, np.sin(s / 2) ** 2
             # stay probability 1 + v0 = 1 - q0
-            res = solve_circulant_rates([1.0, 0.0], [c - 1.0, sn])
-            np.testing.assert_allclose([1.0 - res.q[0], res.q[1]], [c, sn], atol=1e-12)
+            q, _ = solve_circulant_rates([1.0, 0.0], [c - 1.0, sn])
+            np.testing.assert_allclose([1.0 - q[0], q[1]], [c, sn], atol=1e-12)
 
     def test_residual_invariant(self, rng):
         for _ in range(200):
             d = rng.integers(2, 9)
             p = rng.dirichlet(np.ones(d))
             f = rng.normal(size=d)
-            res = solve_circulant_rates(p, f)
-            if res.singular:
+            q, condition = solve_circulant_rates(p, f)
+            if condition == np.inf:
                 continue
-            v = res.q.copy()
+            v = q.copy()
             v[0] = -v[0]
             resid = np.abs(rate_system_matrix(p) @ v - f).max()
             assert resid <= 1e-8 * max(np.abs(f).max(), 1e-300)
@@ -244,11 +244,11 @@ class TestCirculantSolver:
             d = int(rng.integers(2, 9))
             p = rng.dirichlet(np.ones(d))
             f = rng.normal(size=d)
-            res = solve_circulant_rates(p, f)
-            if res.singular:
+            q, condition = solve_circulant_rates(p, f)
+            if condition == np.inf:
                 continue
             dense = np.linalg.solve(rate_system_matrix(p), f)
-            v = res.q.copy()
+            v = q.copy()
             v[0] = -v[0]
             np.testing.assert_allclose(v, dense, atol=1e-9)
             count += 1
@@ -259,10 +259,28 @@ class TestCirculantSolver:
             p = rng.dirichlet(np.ones(d) * 3)
             f = rng.normal(size=d)
             f -= f.mean()  # trace-conserving
-            res = solve_circulant_rates(p, f)
-            if res.singular:
+            q, condition = solve_circulant_rates(p, f)
+            if condition == np.inf:
                 continue
-            assert abs(-res.q[0] + res.q[1:].sum()) <= 1e-9
+            assert abs(-q[0] + q[1:].sum()) <= 1e-9
+
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_grid_equals_rows(self, rng, d):
+        # a grid solve is its rows' solves bit for bit, singular rows included
+        p = rng.dirichlet(np.ones(d), size=12)
+        p[:3] = np.ones(d) / d                 # flat: every nonzero mode vanishes
+        p[3] = np.roll(np.eye(d)[0], 1)        # a point mass: never singular
+        if d % 2 == 0:
+            p[4] = np.tile([2 / d, 0.0], d // 2)  # period 2: modes but 0 and d/2 vanish
+        f = rng.normal(size=(12, d))
+        q, condition = solve_circulant_rates(p, f)
+        assert q.shape == (12, d) and condition.shape == (12,)
+        if d > 1:
+            assert (condition[:3] == np.inf).all() and (condition[3:] < np.inf).any()
+        for k in range(12):
+            q_k, condition_k = solve_circulant_rates(p[k], f[k])
+            assert np.array_equal(q_k, q[k]) and condition_k == condition[k]
+            assert np.shape(condition_k) == ()
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
@@ -377,3 +395,8 @@ class TestExpm:
     def test_rejects_non_finite_norm(self, bad):
         with pytest.raises(ValidationError, match="finite 1-norm"):
             expm(np.full((2, 2), bad))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4, 2, 3), (3,), ()])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValidationError, match="square matrix"):
+            expm(np.ones(shape))

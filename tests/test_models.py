@@ -60,17 +60,23 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("omega, t", [
         (1.0, math.nan), (1.0, math.inf), (1.0, -1.0), (-1.0, 1.0), (0.0, 1.0),
-        (math.nan, 1.0), (math.inf, 1.0), (1e308, 2.0),
+        (math.nan, 1.0), (math.inf, 1.0), (1e308, 2.0), ("a", 1.0), (1.0, "a"),
     ])
     def test_jc_rate_rejects_bad_arguments(self, omega, t):
         with pytest.raises(ValidationError, match="jc_rate"):
             jc_rate(omega, t)
 
     def test_params_validation(self):
-        with pytest.raises(ValidationError):
-            ModelParams(omega=-1.0)
+        for params in ({"omega": -1.0}, {"gamma": None}, {"omega": True}):
+            with pytest.raises(ValidationError, match="omega and gamma must be finite and positive"):
+                ModelParams(**params)
 
-    @pytest.mark.parametrize("rate", [-1.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("closed_form", [jc_reduced_state, amplitude_damping_exact])
+    def test_closed_form_rejects_non_numeric_time(self, closed_form):
+        with pytest.raises(ValidationError, match="time must be finite and nonnegative"):
+            closed_form(1.0, "a")
+
+    @pytest.mark.parametrize("rate", [-1.0, 0.0, math.nan, math.inf, None, True, "a"])
     @pytest.mark.parametrize("closed_form, name", [
         (jc_reduced_state, "omega"), (amplitude_damping_exact, "gamma"),
     ])
@@ -260,6 +266,11 @@ class TestCatalogue:
     def test_negative_grid_time_rejected(self, name):
         with pytest.raises(ValidationError, match="nonnegative"):
             sample_model(name, [-0.1, 0.0])
+
+    @pytest.mark.parametrize("grid", [["a", "b"], [[0.0, 0.1], [0.2]], [0.0, 1j]])
+    def test_non_numeric_grid_rejected(self, grid):
+        with pytest.raises(ValidationError, match="a time grid needs"):
+            sample_model("jc", grid)
 
     def test_unknown_model(self):
         with pytest.raises(ValidationError):

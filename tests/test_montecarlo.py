@@ -144,8 +144,12 @@ class TestStep:
 
     def test_one_unitary_per_rate(self):
         us = np.stack([np.eye(2)] * 3).astype(complex)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="one unitary of that shape per rate"):
             step(np.eye(2) / 2, np.zeros((2, 2)), us, np.array([0.0, 0.5]), 0.1, 0.5)
+        # a 3x3 state against a 2x2 h and 2x2 unitaries, with and without a jump
+        for draw in (0.01, 0.5):
+            with pytest.raises(ValidationError, match="one unitary of that shape per rate"):
+                step(np.eye(3) / 3, np.zeros((2, 2)), us[:2], np.array([0.0, 0.5]), 0.1, draw)
 
     def test_step_too_large(self):
         us = np.stack([np.eye(2), np.eye(2)]).astype(complex)
