@@ -24,6 +24,7 @@ import numpy as np
 from .config import DEGENERACY_GAP, RATE_NEGATIVITY, RECONSTRUCTION
 from .errors import SingularChannel, ValidationError
 from .linalg import (
+    _numeric_array,
     _phase_fix,
     _unitary_mixture,
     _validated_eigh,
@@ -259,7 +260,7 @@ def to_kraus_like(decomp: ChannelDecomposition) -> KrausLikeForm:
 
 def apply_decomposition(decomp: ChannelDecomposition, rho) -> np.ndarray:
     """Evaluate sum_i q_i U~_i rho U~_i^dag on an arbitrary state."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = _numeric_array(rho, complex, "state is not a numeric matrix")
     d = decomp.unitaries.shape[1]
     if rho.shape != (d, d):
         raise ValidationError("state dimension mismatch")

@@ -17,6 +17,7 @@ from .config import DEGENERACY_GAP, OVERLAP_FLOOR, RATE_NEGATIVITY
 from .errors import TrajectoryTooCoarse, ValidationError
 from .linalg import (
     _degenerate_clusters,
+    _numeric_array,
     _phase_fix,
     _unitary_mixture,
     _validated_eigh,
@@ -65,6 +66,7 @@ class EigenframeSeries:
     eigenvectors: np.ndarray
 
     def index_of(self, t: float) -> int:
+        t = _numeric_array(t, float, "a grid time must be a real number")
         k = int(np.argmin(np.abs(self.times - t)))
         if not (np.isfinite(t) and abs(self.times[k] - t) <= 1e-9 * max(1.0, abs(t))):
             raise ValidationError(f"time {t} is not on the frame grid")
@@ -102,13 +104,11 @@ class DecompositionSeries:
 
 def _checked_grid(times) -> np.ndarray:
     """``times`` as floats; ValidationError unless >= 2 finite, increasing times in 1-D."""
-    try:
-        times = np.asarray(times, dtype=float)
-    except (TypeError, ValueError):
-        times = np.array([])  # not numbers: refused below
+    rule = "a time grid needs >= 2 finite, strictly increasing times in 1-D"
+    times = _numeric_array(times, float, rule)
     ok = times.ndim == 1 and times.size >= 2 and np.isfinite(times).all()
     if not (ok and np.all(np.diff(times) > 0)):
-        raise ValidationError("a time grid needs >= 2 finite, strictly increasing times in 1-D")
+        raise ValidationError(rule)
     return times
 
 
@@ -221,9 +221,10 @@ def _align(times, vals, vecs) -> EigenframeSeries:
 def align_eigenframes(trajectory: Trajectory) -> EigenframeSeries:
     """Diagonalize every state and align the frames along the grid."""
     times = _checked_grid(trajectory.times)
-    if np.ndim(trajectory.rhos) != 3 or len(trajectory.rhos) != len(times):
-        raise ValidationError(f"{len(times)} times but states of shape {np.shape(trajectory.rhos)}")
-    _, evals, evecs = _validated_eigh(trajectory.rhos)
+    rhos = _numeric_array(trajectory.rhos, complex, "trajectory states are not a numeric array")
+    if rhos.ndim != 3 or len(rhos) != len(times):
+        raise ValidationError(f"{len(times)} times but states of shape {rhos.shape}")
+    _, evals, evecs = _validated_eigh(rhos)
     return _align(times, evals, evecs)
 
 
@@ -284,7 +285,7 @@ def build_tilde_unitaries(frame) -> np.ndarray:
     ``frame`` is a unitary eigenvector matrix.  Returns an array of shape
     (d, d, d); index 0 is the identity.
     """
-    v = np.asarray(frame)
+    v = _numeric_array(frame, None, "a frame is not a numeric matrix")
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise ValidationError(f"a frame must be a square matrix, got shape {v.shape}")
     out = conjugated_permutations(v, v, cyclic_shift_rows(len(v)))
@@ -298,10 +299,10 @@ def reconstruct_rhs(rho, h, unitaries, q) -> np.ndarray:
     Broadcasts over leading axes: rho and h (..., d, d), unitaries
     (..., d, d, d), q (..., d).
     """
-    rho = np.asarray(rho, dtype=complex)
-    h = np.asarray(h, dtype=complex)
-    unitaries = np.asarray(unitaries, dtype=complex)
-    q = np.asarray(q, dtype=float)
+    rho = _numeric_array(rho, complex, "rho is not a numeric array")
+    h = _numeric_array(h, complex, "h is not a numeric array")
+    unitaries = _numeric_array(unitaries, complex, "unitaries are not a numeric array")
+    q = _numeric_array(q, float, "q is not a numeric array")
     d = rho.shape[-1] if rho.ndim else 0
     cores = (rho.shape[-2:], h.shape[-2:], unitaries.shape[-3:], q.shape[-1:])
     try:

@@ -1,4 +1,10 @@
-"""Exception hierarchy shared across the package.  The rate solve
+"""Exception hierarchy shared across the package.
+
+Every public entry point raises ValidationError for a value that is not
+numeric: each array a caller passes is converted by one guard,
+linalg._numeric_array, before any other work, and the JSON readers in io
+refuse booleans, ragged rows and non-finite numbers.  Scalar arguments
+are refused when they are bools or not real numbers.  The rate solve
 raises only ValidationError: a singular row is reported as an infinite
 condition, for the caller to flag or raise its own error on."""
 

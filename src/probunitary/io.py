@@ -18,7 +18,7 @@ import numpy as np
 
 from .decomposition import DecompositionSeries, Trajectory
 from .errors import ValidationError
-from .linalg import validate_density_matrix
+from .linalg import _numeric_array, validate_density_matrix
 
 __all__ = [
     "matrix_to_json",
@@ -37,7 +37,7 @@ __all__ = [
 
 def matrix_to_json(m) -> list:
     """Nested lists of [re, im] pairs for a matrix or a stack (..., d, d)."""
-    m = np.asarray(m, dtype=complex)
+    m = _numeric_array(m, complex, "matrix is not a numeric array")
     return np.stack((m.real, m.imag), -1).tolist()
 
 
@@ -133,16 +133,20 @@ def _write_json(path, doc) -> None:
     lists are encoded in chunks of _CHUNK rows, so their whole text is
     never held at once: each float is its shortest round-trip repr,
     computed once per distinct magnitude in the chunk, and the chunk's
-    text is one printf template repeated per row."""
+    text is one printf template repeated per row.  Every value is
+    converted before the file is opened, so a refused value leaves none."""
+    items = []
+    for key, value in doc.items():
+        if isinstance(value, np.ndarray):
+            value = _Items(value.astype(complex, copy=False), _matrix_template(value.shape[1:]),
+                           np.empty((len(value), 0), int))
+        items.append((json.dumps(key), value if isinstance(value, _Items) else json.dumps(value)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("{")
-        for i, (key, value) in enumerate(doc.items()):
-            fh.write((", " if i else "") + json.dumps(key) + ": ")
-            if isinstance(value, np.ndarray):
-                value = _Items(value.astype(complex, copy=False), _matrix_template(value.shape[1:]),
-                               np.empty((len(value), 0), int))
+        for i, (key, value) in enumerate(items):
+            fh.write((", " if i else "") + key + ": ")
             if not isinstance(value, _Items):
-                fh.write(json.dumps(value))
+                fh.write(value)
                 continue
             fh.write("[")
             for j in range(0, len(value.stack), _CHUNK):
@@ -157,10 +161,10 @@ def _write_json(path, doc) -> None:
 def write_trajectory(path, trajectory: Trajectory) -> None:
     """JSON keys "dim" (d), "times" (n numbers) and "rho" (n matrices of d
     rows of d [re, im] pairs); read_trajectory reads it back bit-exactly."""
-    rhos = np.asarray(trajectory.rhos)
+    rhos = _numeric_array(trajectory.rhos, complex, "trajectory states are not a numeric array")
     _write_json(path, {
         "dim": rhos.shape[1],
-        "times": np.asarray(trajectory.times, dtype=float).tolist(),
+        "times": _numeric_array(trajectory.times, float, "times are not numbers").tolist(),
         "rho": rhos,
     })
 
@@ -205,7 +209,7 @@ def read_matrix_file(path) -> np.ndarray:
 
 
 def write_matrix_file(path, m) -> None:
-    m = np.asarray(m, dtype=complex)
+    m = _numeric_array(m, complex, "matrix is not a numeric array")
     _write_json(path, {"dim": m.shape[0], "matrix": m})
 
 
@@ -237,8 +241,8 @@ def write_hamiltonians(path, times, hamiltonians) -> None:
     """JSON: the grid ``times`` and the matrix stack ``hamiltonians``
     (n, d, d), encoded as given."""
     _write_json(path, {
-        "times": np.asarray(times, dtype=float).tolist(),
-        "hamiltonians": np.asarray(hamiltonians, dtype=complex),
+        "times": _numeric_array(times, float, "times are not numbers").tolist(),
+        "hamiltonians": _numeric_array(hamiltonians, complex, "hamiltonians are not a numeric array"),
     })
 
 

@@ -1,6 +1,7 @@
 """Dense complex linear algebra primitives.
 
-Density-matrix validation with the package's one eigendecomposition
+The one guard that turns a caller's value into a numeric array,
+density-matrix validation with the package's one eigendecomposition
 convention (descending eigenvalues, phase-fixed eigenvectors), the index
 rows of the cyclic shifts and the conjugated permutations that every jump
 unitary is built from, the unitary mixture, the circulant rate solve for
@@ -11,6 +12,8 @@ eigenbranches, and the matrix exponential.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 
 import numpy as np
 
@@ -26,6 +29,36 @@ __all__ = [
     "min_cost_assignment",
     "expm",
 ]
+
+
+def _numeric_array(value, dtype, message: str) -> np.ndarray:
+    """np.asarray(value, dtype), or ValidationError(message) when that
+    conversion raises or gives an array that is not of numbers (dtype
+    None keeps any bool, integer, float or complex dtype).  Every public
+    entry point that takes an array converts it here first; io's readers
+    keep their own JSON rules."""
+    try:
+        arr = np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(message) from exc
+    if arr.dtype.kind not in "biufc":
+        raise ValidationError(message)
+    return arr
+
+
+def _finite_real(value) -> bool:
+    """A real number, not a bool, within the float range: an int beyond
+    it is below inf but not below the largest float."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and -sys.float_info.max <= value <= sys.float_info.max
+
+
+def _shown(value) -> str:
+    """repr of a refused value for its message; an int beyond the float
+    range reads "beyond the float range", as repr refuses ints of more
+    than 4300 digits."""
+    big = isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max
+    return "beyond the float range" if big else repr(value)
 
 
 def validate_density_matrix(rho) -> np.ndarray:
@@ -48,7 +81,7 @@ def _validated_eigh(rho):
     This is the package's one eigen convention: equal eigenvalues keep
     eigh's order reversed, and consumers that emit eigenvectors apply
     _phase_fix to them."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = _numeric_array(rho, complex, "density matrix is not a numeric array")
     if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]:
         raise ValidationError(
             f"expected a square matrix or a stack of them, got shape {rho.shape}"
@@ -109,7 +142,10 @@ def cyclic_shift_rows(d: int) -> np.ndarray:
 def conjugated_permutations(v_out, v_in, perms) -> np.ndarray:
     """U_n = V_out P_n V_in^dag with P_n = sum_k |k><perms[n, k]|, stacked
     (n, d, d): U_n maps column perms[n, k] of V_in to column k of V_out."""
-    return np.einsum("ak,bnk->nab", v_out, np.asarray(v_in)[:, perms].conj())
+    v_out = _numeric_array(v_out, None, "v_out is not a numeric matrix")
+    v_in = _numeric_array(v_in, None, "v_in is not a numeric matrix")
+    perms = _numeric_array(perms, None, "perms is not a numeric array")
+    return np.einsum("ak,bnk->nab", v_out, v_in[:, perms].conj())
 
 
 def _unitary_mixture(q, unitaries, rho) -> np.ndarray:
@@ -124,7 +160,7 @@ def rate_system_matrix(p) -> np.ndarray:
     shift of p by i; M is the doubly stochastic circulant-type matrix
     the rates solve against.
     """
-    p = np.asarray(p, dtype=float)
+    p = _numeric_array(p, float, "p is not a numeric array")
     return p[cyclic_shift_rows(p.shape[0])]
 
 
@@ -142,8 +178,8 @@ def solve_circulant_rates(p, f):
     inf, and its q is the minimum-norm (pseudoinverse) solution, which
     drops any component of f outside the range of M; it does not raise.
     """
-    p = np.asarray(p, dtype=float)
-    f = np.asarray(f, dtype=float)
+    p = _numeric_array(p, float, "p is not a numeric array")
+    f = _numeric_array(f, float, "f is not a numeric array")
     if p.ndim not in (1, 2) or f.shape != p.shape or not p.size:
         raise ValidationError(f"inconsistent dimensions: p {p.shape}, f {f.shape}")
     if not np.all(np.isfinite(f)):
@@ -178,9 +214,9 @@ def min_cost_assignment(cost):
     over reduced costs from r to a free column.  A tie in that search goes
     to the first column in index order.  Plain Python over cost.tolist():
     the callers solve d <= 16, where numpy's per-call cost would dominate.
-    Raises ValidationError for a non-square or non-finite cost.
+    Raises ValidationError for a non-numeric, non-square or non-finite cost.
     """
-    c = np.asarray(cost, dtype=float)
+    c = _numeric_array(cost, float, "assignment cost is not a numeric matrix")
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValidationError(f"assignment cost must be a square matrix, got shape {c.shape}")
     if not np.isfinite(c).all():
@@ -230,8 +266,9 @@ def expm(a) -> np.ndarray:
     the degree-13 Padé approximant with scaling and squaring (Higham, SIAM
     J. Matrix Anal. Appl. 26, 1179, 2005, Algorithm 2.3), each matrix scaled
     by its own power of two to a 1-norm of at most theta_13 = 5.37 (its
-    Table 2.3).  Raises ValidationError on a non-square or non-finite input."""
-    a = np.asarray(a)
+    Table 2.3).  Raises ValidationError on a non-numeric, non-square or
+    non-finite input."""
+    a = _numeric_array(a, None, "expm needs a numeric matrix")
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValidationError(f"expm needs a square matrix or a stack of them, got shape {a.shape}")
     x = a.reshape(-1, *a.shape[-2:]).astype(np.result_type(a, float))

@@ -13,8 +13,6 @@ through the integrator.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -23,7 +21,7 @@ import numpy as np
 from .config import HERMITICITY
 from .decomposition import Trajectory, _checked_grid
 from .errors import ValidationError
-from .linalg import expm, validate_density_matrix
+from .linalg import _finite_real, _numeric_array, _shown, expm, validate_density_matrix
 
 __all__ = [
     "LindbladSpec",
@@ -51,7 +49,7 @@ class LindbladSpec:
     jump_ops: tuple = ()
 
     def __post_init__(self):
-        h = _complex_array("hamiltonian", self.hamiltonian)
+        h = _numeric_array(self.hamiltonian, complex, "hamiltonian: not a numeric matrix")
         if not (h.ndim == 2 and 0 < h.shape[0] == h.shape[1] and np.isfinite(h).all()):
             raise ValidationError(
                 f"Lindblad Hamiltonian must be a finite square matrix, got shape {h.shape}")
@@ -65,30 +63,14 @@ class LindbladSpec:
             if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
                 raise ValidationError(f"{where}: entries must be (operator, gamma) pairs")
             op, gamma = entry
-            op = _complex_array(where, op)
+            op = _numeric_array(op, complex, f"{where}: not a numeric matrix")
             if op.shape != h.shape:
                 raise ValidationError(f"{where}: jump operator dimension mismatch")
             if not np.isfinite(op).all():
                 raise ValidationError(f"{where}: jump operators must be finite")
             if not (_finite_real(gamma) and gamma >= 0):
-                # repr refuses ints of more than 4300 digits
-                big = isinstance(gamma, numbers.Integral) and abs(gamma) > sys.float_info.max
                 raise ValidationError(f"{where}: jump rates must be finite nonnegative numbers, "
-                                      f"got gamma {'beyond the float range' if big else repr(gamma)}")
-
-
-def _complex_array(name: str, value) -> np.ndarray:
-    try:
-        return np.asarray(value, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name}: not a numeric matrix ({exc})") from exc
-
-
-def _finite_real(value) -> bool:
-    """A real number, not a bool, within the float range: an int beyond
-    it is below inf but not below the largest float."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    return real and -sys.float_info.max <= value <= sys.float_info.max
+                                      f"got gamma {_shown(gamma)}")
 
 
 def _check_positive(what: str, *values) -> None:
@@ -96,7 +78,7 @@ def _check_positive(what: str, *values) -> None:
     value is a real number (not a bool) in (0, inf)."""
     if not all(_finite_real(v) and v > 0 for v in values):
         raise ValidationError(f"{what} must be finite and positive, got "
-                              + ", ".join(map(repr, values)))
+                              + ", ".join(map(_shown, values)))
 
 
 @dataclass(frozen=True)
@@ -133,12 +115,10 @@ def _diagonal_qubit_states(upper, times) -> np.ndarray:
     """diag(upper(t), 1 - upper(t)) on every time, shape (n, 2, 2).  The
     population ``upper`` is evaluated on math scalars, one time at a
     time: numpy's exp and cos may differ from math's in the last ulp."""
-    try:
-        times = np.asarray(times, dtype=float)
-    except (TypeError, ValueError):
-        times = np.array(np.nan)  # not numbers: refused below
+    rule = "time must be finite and nonnegative"
+    times = _numeric_array(times, float, rule)
     if not np.all((times >= 0) & (times < math.inf)):
-        raise ValidationError("time must be finite and nonnegative")
+        raise ValidationError(rule)
     top = np.array([upper(t) for t in times.tolist()], dtype=float)
     rhos = np.zeros((times.size, 2, 2), dtype=complex)
     rhos[:, 0, 0] = top
@@ -178,7 +158,7 @@ def jc_rate(omega: float, t: float) -> float:
     """
     _check_positive("jc_rate omega", omega)
     if not (_finite_real(t) and t >= 0):
-        raise ValidationError(f"jc_rate needs a finite time t >= 0, got {t}")
+        raise ValidationError(f"jc_rate needs a finite time t >= 0, got {_shown(t)}")
     angle = _jc_angle("jc_rate", omega, t)
     if abs(math.cos(angle)) < 1e-12:
         return math.inf
@@ -197,7 +177,7 @@ def amplitude_damping_spec(gamma: float) -> LindbladSpec:
 
 def lindblad_rhs(spec: LindbladSpec, rho) -> np.ndarray:
     """Right-hand side of the Lindblad equation (traceless, Hermitian)."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = _numeric_array(rho, complex, "state is not a numeric matrix")
     if rho.shape != np.shape(spec.hamiltonian):
         raise ValidationError("state and Hamiltonian dimensions differ")
     return (_liouvillian(spec) @ rho.reshape(-1)).reshape(rho.shape)

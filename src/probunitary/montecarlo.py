@@ -53,7 +53,7 @@ from .errors import (
     StepTooLarge,
     ValidationError,
 )
-from .linalg import cyclic_shift_rows, expm
+from .linalg import _finite_real, _numeric_array, _shown, cyclic_shift_rows, expm
 
 __all__ = ["SimConfig", "EnsembleResult", "step", "run_ensemble", "convergence_sweep"]
 
@@ -134,12 +134,16 @@ def step(state, h, unitaries, q, dt, draw):
     The draw is partitioned into [0, q_1 dt), [q_1 dt, q_1 dt + q_2 dt),
     ...; a draw in the i-th interval applies unitaries[i], the remainder
     applies the Hamiltonian propagator exp(-i h dt), from linalg.expm.
-    ``dt`` must be finite and positive (ValidationError otherwise).
+    ``dt`` must be a finite positive real number and ``draw`` a real
+    number in [0, 1), neither a bool (ValidationError otherwise).
     """
-    if not 0 < dt < np.inf:
-        raise ValidationError(f"step needs a finite positive dt, got {dt}")
-    state, h, unitaries = (np.asarray(a, dtype=complex) for a in (state, h, unitaries))
-    q = np.asarray(q, dtype=float)
+    if not (_finite_real(dt) and dt > 0):
+        raise ValidationError(f"step needs a finite positive dt, got {_shown(dt)}")
+    if not (_finite_real(draw) and 0 <= draw < 1):
+        raise ValidationError(f"step needs a uniform draw in [0, 1), got {_shown(draw)}")
+    state, h, unitaries = (_numeric_array(a, complex, f"step: {name} is not a numeric array")
+                           for a, name in ((state, "state"), (h, "h"), (unitaries, "unitaries")))
+    q = _numeric_array(q, float, "step: q is not a numeric array")
     d = state.shape[-1] if state.ndim else 0
     if q.ndim != 1 or state.shape != (d, d) or h.shape != (d, d) or unitaries.shape != (q.size, d, d):
         raise ValidationError("step needs a square state, an h of its shape "

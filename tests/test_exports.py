@@ -1,15 +1,47 @@
 """Every exported name resolves: each module's ``__all__`` and the package
 namespace, so a deleted function cannot leave a dangling export.  The
 numerical thresholds stay constants: no exported callable takes one as a
-parameter."""
+parameter.  Every exported entry point that takes an array refuses a
+value that is not numeric with ValidationError, and the table of such
+values has a row for each of them."""
 
 import importlib
 import inspect
 import pkgutil
 
+import numpy as np
 import pytest
 
 import probunitary
+from probunitary import (
+    LindbladSpec,
+    ModelParams,
+    Trajectory,
+    ValidationError,
+    align_eigenframes,
+    amplitude_damping_spec,
+    apply_decomposition,
+    build_hamiltonian,
+    build_tilde_unitaries,
+    compute_rates_at,
+    decompose_channel,
+    decompose_trajectory,
+    integrate,
+    lindblad_rhs,
+    reconstruct_rhs,
+    sample_model,
+    solve_circulant_rates,
+    step,
+    validate_density_matrix,
+)
+from probunitary.io import (
+    matrix_from_json,
+    matrix_to_json,
+    write_hamiltonians,
+    write_matrix_file,
+    write_trajectory,
+)
+from probunitary.linalg import conjugated_permutations, expm, min_cost_assignment, rate_system_matrix
 
 MODULES = sorted(
     info.name for info in pkgutil.iter_modules(probunitary.__path__, "probunitary.")
@@ -64,3 +96,93 @@ def test_config_defines_only_float_constants():
     names = {attr: type(value) for attr, value in vars(config).items() if not attr.startswith("__")}
     assert names and set(names.values()) == {float}
     assert all(attr.isupper() for attr in names)
+
+
+# One row per refused value: (entry point, call, pattern its message must
+# match).  Each raises exactly ValidationError, not a bare numpy error.
+I2 = np.eye(2) / 2
+SPEC = amplitude_damping_spec(1.0)
+BAD_INPUT = [
+    ("validate_density_matrix", lambda path: validate_density_matrix("abc"), "density matrix"),
+    ("validate_density_matrix", lambda path: validate_density_matrix([[1, 0], [0]]), "density matrix"),
+    ("solve_circulant_rates", lambda path: solve_circulant_rates(["a", "b"], [0, 0]), "^p "),
+    ("rate_system_matrix", lambda path: rate_system_matrix("ab"), "^p "),
+    ("conjugated_permutations", lambda path: conjugated_permutations([["a"]], np.eye(1), [[0]]), "v_out"),
+    ("min_cost_assignment", lambda path: min_cost_assignment([["a"]]), "assignment cost"),
+    ("expm", lambda path: expm([["a"]]), "expm"),
+    ("build_tilde_unitaries", lambda path: build_tilde_unitaries([["a"]]), "frame"),
+    ("reconstruct_rhs",
+     lambda path: reconstruct_rhs("a", I2, build_tilde_unitaries(np.eye(2)), [0, 0]), "^rho "),
+    ("build_hamiltonian", lambda path: build_hamiltonian(frames(), "a"), "grid time"),
+    ("compute_rates_at", lambda path: compute_rates_at(frames(), "a"), "grid time"),
+    ("apply_decomposition", lambda path: apply_decomposition(channel(), "ab"), "state"),
+    ("decompose_channel", lambda path: decompose_channel("ab", I2), "^rho_in: "),
+    ("LindbladSpec", lambda path: LindbladSpec("abc", ()), "hamiltonian"),
+    ("lindblad_rhs", lambda path: lindblad_rhs(SPEC, "ab"), "state"),
+    ("integrate", lambda path: integrate(SPEC, "ab", [0.0, 0.1]), "density matrix"),
+    ("sample_model", lambda path: sample_model("jc", ["a", "b"]), "time grid"),
+    ("decompose_trajectory",
+     lambda path: decompose_trajectory(Trajectory([0.0, 0.1], [[[1, 0], [0, 0]], [[1, 0]]])),
+     "trajectory states"),
+    ("align_eigenframes",
+     lambda path: align_eigenframes(Trajectory([0.0, 0.1], [[["a"]], [["b"]]])), "trajectory states"),
+    ("matrix_to_json", lambda path: matrix_to_json([["a"]]), "matrix"),
+    ("matrix_from_json", lambda path: matrix_from_json([[["a", 0]]]), "numbers"),
+    ("write_matrix_file", lambda path: write_matrix_file(path, [["a"]]), "matrix"),
+    ("write_hamiltonians", lambda path: write_hamiltonians(path, [0.0], [[["a"]]]), "hamiltonians"),
+    ("write_trajectory", lambda path: write_trajectory(path, Trajectory([0.0], [[["a"]]])),
+     "trajectory states"),
+    ("ModelParams", lambda path: ModelParams(omega=10**5000), "beyond the float range"),
+    ("step", lambda path: step(I2, I2, build_tilde_unitaries(np.eye(2)), [0, 0], "a", 0.5), "dt"),
+    ("step", lambda path: step(I2, I2, build_tilde_unitaries(np.eye(2)), [0, 0], 0.1, "a"), "draw"),
+]
+
+# Exported callables that take no array of their own, each with the reason
+# it has no row above.  A new export must join one of the two lists.
+SKIPPED = {
+    **dict.fromkeys(
+        ["Trajectory", "EigenframeSeries", "DecompositionSeries", "ChannelDecomposition",
+         "KrausLikeForm", "EnsembleResult"],
+        "a record: holds its arrays as given; the functions that take one convert them"),
+    **dict.fromkeys(
+        ["ProbUnitaryError", "ValidationError", "TrajectoryTooCoarse", "NegativeRate",
+         "StepTooLarge", "RefusesToSimulate", "SingularChannel"],
+        "an exception: takes a message"),
+    **dict.fromkeys(
+        ["to_kraus_like", "run_ensemble", "write_rate_report", "write_ensemble_csv",
+         "write_channel_json"],
+        "takes records made by the package"),
+    **dict.fromkeys(["read_json_object", "read_matrix_file", "read_trajectory"],
+                    "takes a path; the file's values pass matrix_from_json's rules"),
+    **dict.fromkeys(["cyclic_shift_rows", "SimConfig", "amplitude_damping_spec", "jc_rate",
+                     "jc_reduced_state", "amplitude_damping_exact"],
+                    "takes scalars, each checked as a real number"),
+    "convergence_sweep": "takes a problem factory; each dt reaches it as given",
+}
+
+
+def frames():
+    return align_eigenframes(sample_model("jc", [0.0, 0.1, 0.2]))
+
+
+def channel():
+    return decompose_channel(np.diag([0.7, 0.3]), np.diag([0.6, 0.4]))
+
+
+@pytest.mark.parametrize("entry, call, pattern", BAD_INPUT,
+                         ids=[f"{row[0]}-{i}" for i, row in enumerate(BAD_INPUT)])
+def test_bad_input_raises_validation_error(tmp_path, entry, call, pattern):
+    path = tmp_path / "out.json"
+    with pytest.raises(ValidationError, match=pattern) as info:
+        call(path)
+    assert type(info.value) is ValidationError
+    assert not path.exists()
+
+
+def test_every_array_entry_point_has_a_bad_input_row():
+    exported = {name.rpartition(".")[2] for name, value in exported_names()
+                if inspect.isfunction(value) or inspect.isclass(value)}
+    rows = {entry for entry, _, _ in BAD_INPUT}
+    assert rows & SKIPPED.keys() == set()
+    assert exported - rows - SKIPPED.keys() == set()
+    assert (rows | SKIPPED.keys()) - exported == set()

@@ -229,6 +229,21 @@ class TestDecoder:
         assert np.array_equal(back, m)
 
 
+class TestRefusedWrite:
+    def test_refused_trajectory_creates_no_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        with pytest.raises(ValidationError, match="trajectory states"):
+            io.write_trajectory(path, Trajectory([0.0], [[["a"]]]))
+        assert not path.exists()
+
+    def test_values_are_encoded_before_the_file_opens(self, tmp_path):
+        # a value json.dumps refuses, after a key that would be written first
+        path = tmp_path / "out.json"
+        with pytest.raises(TypeError):
+            io._write_json(path, {"dim": 1, "rho": np.eye(1), "bad": object()})
+        assert not path.exists()
+
+
 def reference_bytes(tmp_path, doc) -> bytes:
     """``doc`` as the streaming pure-Python ``json.dump`` writes it."""
     path = tmp_path / "reference"

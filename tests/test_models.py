@@ -61,13 +61,14 @@ class TestClosedForms:
     @pytest.mark.parametrize("omega, t", [
         (1.0, math.nan), (1.0, math.inf), (1.0, -1.0), (-1.0, 1.0), (0.0, 1.0),
         (math.nan, 1.0), (math.inf, 1.0), (1e308, 2.0), ("a", 1.0), (1.0, "a"),
+        pytest.param(10**5000, 1.0, id="huge-omega"), pytest.param(1.0, 10**5000, id="huge-t"),
     ])
     def test_jc_rate_rejects_bad_arguments(self, omega, t):
         with pytest.raises(ValidationError, match="jc_rate"):
             jc_rate(omega, t)
 
     def test_params_validation(self):
-        for params in ({"omega": -1.0}, {"gamma": None}, {"omega": True}):
+        for params in ({"omega": -1.0}, {"gamma": None}, {"omega": True}, {"omega": 10**5000}):
             with pytest.raises(ValidationError, match="omega and gamma must be finite and positive"):
                 ModelParams(**params)
 
@@ -146,6 +147,8 @@ class TestLindbladRhs:
         ("abc", (), "hamiltonian: not a numeric matrix"),
         ([[1, 2], [3]], (), "hamiltonian: not a numeric matrix"),
         (np.eye(2), (([[1, 2], [3]], 1.0),), r"jump_ops\[0\]: not a numeric matrix"),
+        pytest.param(np.eye(2), ((SIGMA_MINUS, 10**5000),), "gamma beyond the float range$",
+                     id="gamma-past-repr-limit"),
     ])
     def test_malformed_spec_rejected(self, hamiltonian, jump_ops, expected):
         with pytest.raises(ValidationError, match=expected):

@@ -156,12 +156,19 @@ class TestStep:
         with pytest.raises(StepTooLarge):
             step(np.eye(2) / 2, np.zeros((2, 2)), us, np.array([20.0, 20.0]), 0.1, 0.5)
 
-    @pytest.mark.parametrize("dt", [-0.1, 0.0, np.nan, np.inf])
+    @pytest.mark.parametrize("dt", [-0.1, 0.0, np.nan, np.inf, "a", True,
+                                    pytest.param(10**5000, id="past-repr-limit")])
     def test_dt_must_be_finite_and_positive(self, dt):
         # dt = -0.1 would evolve backwards and dt = nan would apply jump 1
         rho, h = np.diag([0.7, 0.3]).astype(complex), np.array([[0, 1], [1, 0]], dtype=complex)
         with pytest.raises(ValidationError, match="finite positive dt"):
             step(rho, h, build_tilde_unitaries(np.eye(2)), [1.0, 1.0], dt, 0.5)
+
+    @pytest.mark.parametrize("draw", ["a", False, 1.0, -0.25, np.nan])
+    def test_draw_must_be_a_uniform_draw(self, draw):
+        rho, h = np.diag([0.7, 0.3]).astype(complex), np.zeros((2, 2))
+        with pytest.raises(ValidationError, match=r"uniform draw in \[0, 1\), got "):
+            step(rho, h, build_tilde_unitaries(np.eye(2)), [1.0, 1.0], 0.1, draw)
 
 
 class TestEnsemble:
