@@ -24,10 +24,10 @@ import numpy as np
 from .config import DEGENERACY_GAP, RATE_NEGATIVITY, RECONSTRUCTION
 from .errors import SingularChannel, ValidationError
 from .linalg import (
+    _named_eigh,
     _numeric_array,
     _phase_fix,
     _unitary_mixture,
-    _validated_eigh,
     conjugated_permutations,
     cyclic_shift_rows,
     min_cost_assignment,
@@ -189,14 +189,6 @@ def linear_sum_assignment(cost):
     """linalg.min_cost_assignment, defined here so that each caller's
     assignments are counted under its own name."""
     return min_cost_assignment(cost)
-
-
-def _named_eigh(name, rho):
-    """_validated_eigh, its ValidationError prefixed with ``name``."""
-    try:
-        return _validated_eigh(rho)
-    except ValidationError as exc:
-        raise ValidationError(f"{name}: {exc}") from exc
 
 
 def _is_probability(q) -> bool:

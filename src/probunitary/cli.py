@@ -48,7 +48,6 @@ from .errors import (
     TrajectoryTooCoarse,
     ValidationError,
 )
-from .linalg import validate_density_matrix
 from .models import MODEL_CATALOGUE, LindbladSpec, ModelParams
 from .montecarlo import SimConfig, run_ensemble
 
@@ -59,7 +58,8 @@ EXIT_SINGULAR = 3
 EXIT_UNPHYSICAL = 4
 
 
-def _read_lindblad_spec(path):
+def _lindblad_trajectory(path, grid):
+    """The spec file's run on ``grid``; its ValidationErrors name ``path``."""
     doc = io.read_json_object(path, ("hamiltonian", "rho0"))
     h = io.matrix_from_json(doc["hamiltonian"], where=f"{path}: hamiltonian")
     items = doc.get("jump_ops", [])
@@ -71,19 +71,14 @@ def _read_lindblad_spec(path):
         if not isinstance(item, dict) or "operator" not in item:
             raise ValidationError(f"{where}: not an object with key 'operator'")
         jumps.append((io.matrix_from_json(item["operator"], where=where), item.get("gamma", 1.0)))
-    try:
-        spec = LindbladSpec(hamiltonian=h, jump_ops=jumps)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
     where = f"{path}: rho0"
     rho0 = io.matrix_from_json(doc["rho0"], where=where)
     if rho0.shape != h.shape:
         raise ValidationError(f"{where}: shape {rho0.shape} differs from hamiltonian {h.shape}")
     try:
-        validate_density_matrix(rho0)
+        return models.integrate(LindbladSpec(hamiltonian=h, jump_ops=jumps), rho0, grid)
     except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
-    return spec, rho0
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def _load_trajectory(args):
@@ -111,8 +106,7 @@ def _load_trajectory(args):
     if args.model == "lindblad":
         if args.lindblad_spec is None:
             raise ValidationError("--model lindblad requires --lindblad-spec")
-        spec, rho0 = _read_lindblad_spec(args.lindblad_spec)
-        return models.integrate(spec, rho0, grid)
+        return _lindblad_trajectory(args.lindblad_spec, grid)
     return models.sample_model(args.model, grid, ModelParams(omega=args.omega, gamma=args.gamma))
 
 

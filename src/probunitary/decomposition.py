@@ -40,13 +40,26 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
-    """``rhos[k]`` (n, d, d) is the state at ``times[k]`` (n,), held as given:
-    the computations that take a Trajectory check its grid."""
+    """``rhos[k]`` (n, d, d) is the state at ``times[k]`` (n,), checked once,
+    when built: times is kept as a float 1-D array of n >= 1 entries and rhos
+    as a complex (n, d, d) array with d >= 1, else ValidationError.  Time
+    order, finiteness and positivity are checked where they are used
+    (align_eigenframes); a trajectory file holds any order and any states."""
 
     times: np.ndarray
     rhos: np.ndarray
+
+    def __post_init__(self):
+        times = _numeric_array(self.times, float, "trajectory times are not numbers")
+        if times.ndim != 1 or not times.size:
+            raise ValidationError(f"trajectory times must be 1-D and nonempty, got shape {times.shape}")
+        rhos = _numeric_array(self.rhos, complex, "trajectory states are not a numeric array")
+        if rhos.ndim != 3 or rhos.shape[0] != times.size or not 0 < rhos.shape[1] == rhos.shape[2]:
+            raise ValidationError(f"{times.size} times but states of shape {rhos.shape}")
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "rhos", rhos)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -67,6 +80,8 @@ class EigenframeSeries:
 
     def index_of(self, t: float) -> int:
         t = _numeric_array(t, float, "a grid time must be a real number")
+        if t.ndim:
+            raise ValidationError(f"a grid time must be a real number, got shape {t.shape}")
         k = int(np.argmin(np.abs(self.times - t)))
         if not (np.isfinite(t) and abs(self.times[k] - t) <= 1e-9 * max(1.0, abs(t))):
             raise ValidationError(f"time {t} is not on the frame grid")
@@ -221,10 +236,7 @@ def _align(times, vals, vecs) -> EigenframeSeries:
 def align_eigenframes(trajectory: Trajectory) -> EigenframeSeries:
     """Diagonalize every state and align the frames along the grid."""
     times = _checked_grid(trajectory.times)
-    rhos = _numeric_array(trajectory.rhos, complex, "trajectory states are not a numeric array")
-    if rhos.ndim != 3 or len(rhos) != len(times):
-        raise ValidationError(f"{len(times)} times but states of shape {rhos.shape}")
-    _, evals, evecs = _validated_eigh(rhos)
+    _, evals, evecs = _validated_eigh(trajectory.rhos)
     return _align(times, evals, evecs)
 
 
@@ -286,8 +298,8 @@ def build_tilde_unitaries(frame) -> np.ndarray:
     (d, d, d); index 0 is the identity.
     """
     v = _numeric_array(frame, None, "a frame is not a numeric matrix")
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
-        raise ValidationError(f"a frame must be a square matrix, got shape {v.shape}")
+    if v.ndim != 2 or not 0 < v.shape[0] == v.shape[1]:
+        raise ValidationError(f"a frame must be a square matrix of size >= 1, got shape {v.shape}")
     out = conjugated_permutations(v, v, cyclic_shift_rows(len(v)))
     out[0] = np.eye(len(v))
     return out

@@ -1,12 +1,17 @@
 """Exception hierarchy shared across the package.
 
-Every public entry point raises ValidationError for a value that is not
-numeric: each array a caller passes is converted by one guard,
-linalg._numeric_array, before any other work, and the JSON readers in io
-refuse booleans, ragged rows and non-finite numbers.  Scalar arguments
-are refused when they are bools or not real numbers.  The rate solve
-raises only ValidationError: a singular row is reported as an infinite
-condition, for the caller to flag or raise its own error on."""
+Every public entry point raises ValidationError for an array that is not
+numeric or has the wrong rank or shape: each array a caller passes is
+converted by one guard, linalg._numeric_array, and its shape checked
+before any other work.  The records Trajectory and LindbladSpec convert
+and check their arrays once, when they are built, and keep the
+converted arrays, so the functions that take one read them as built.
+The JSON readers in io refuse booleans, ragged rows and non-finite
+numbers, and its writers refuse an array of a shape their format does
+not hold.  Scalar arguments are refused when they are bools or not real
+numbers.  The rate solve raises only ValidationError: a singular row is
+reported as an infinite condition, for the caller to flag or raise its
+own error on."""
 
 
 class ProbUnitaryError(Exception):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .decomposition import DecompositionSeries, Trajectory
 from .errors import ValidationError
-from .linalg import _numeric_array, validate_density_matrix
+from .linalg import _named_eigh, _numeric_array
 
 __all__ = [
     "matrix_to_json",
@@ -36,8 +36,11 @@ __all__ = [
 
 
 def matrix_to_json(m) -> list:
-    """Nested lists of [re, im] pairs for a matrix or a stack (..., d, d)."""
+    """Nested lists of [re, im] pairs for a matrix or a stack (..., d, d);
+    ValidationError for any other shape."""
     m = _numeric_array(m, complex, "matrix is not a numeric array")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValidationError(f"matrix must be square or a stack of them, got shape {m.shape}")
     return np.stack((m.real, m.imag), -1).tolist()
 
 
@@ -160,18 +163,22 @@ def _write_json(path, doc) -> None:
 
 def write_trajectory(path, trajectory: Trajectory) -> None:
     """JSON keys "dim" (d), "times" (n numbers) and "rho" (n matrices of d
-    rows of d [re, im] pairs); read_trajectory reads it back bit-exactly."""
-    rhos = _numeric_array(trajectory.rhos, complex, "trajectory states are not a numeric array")
+    rows of d [re, im] pairs), written as the Trajectory holds them: its
+    shapes were checked when it was built, and its time order and states
+    are written as given.  read_trajectory reads a file of finite times
+    and density matrices back bit-exactly."""
     _write_json(path, {
-        "dim": rhos.shape[1],
-        "times": _numeric_array(trajectory.times, float, "times are not numbers").tolist(),
-        "rho": rhos,
+        "dim": trajectory.rhos.shape[1],
+        "times": trajectory.times.tolist(),
+        "rho": trajectory.rhos,
     })
 
 
 def read_trajectory(path) -> Trajectory:
-    """The Trajectory of a write_trajectory file: integer dim >= 1, n finite
-    times and n d x d density matrices, in any time order (else ValidationError)."""
+    """The Trajectory of a write_trajectory file: integer dim >= 1, n >= 1
+    finite times and n d x d density matrices, else ValidationError.  The
+    times may come in any order: time order is checked where a grid is
+    needed (align_eigenframes)."""
     doc = read_json_object(path, ("dim", "times", "rho"))
     d, rho = doc["dim"], doc["rho"]
     if type(d) is not int or d < 1:
@@ -190,11 +197,7 @@ def read_trajectory(path) -> Trajectory:
         rhos.append(matrix_from_json(data, where=f"{path}: entry {k}"))
         if rhos[k].shape != (d, d):
             raise ValidationError(f"{path}: entry {k} has shape {rhos[k].shape}, want {d}x{d}")
-    rhos = np.stack(rhos)
-    try:
-        validate_density_matrix(rhos)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    rhos, _, _ = _named_eigh(path, np.stack(rhos))
     return Trajectory(times=times, rhos=rhos)
 
 
@@ -209,7 +212,12 @@ def read_matrix_file(path) -> np.ndarray:
 
 
 def write_matrix_file(path, m) -> None:
+    """JSON keys "dim" (d) and "matrix" (d rows of d [re, im] pairs), as
+    read_matrix_file reads them; ValidationError unless m is a square
+    matrix with d >= 1."""
     m = _numeric_array(m, complex, "matrix is not a numeric array")
+    if m.ndim != 2 or not 0 < m.shape[0] == m.shape[1]:
+        raise ValidationError(f"matrix must be a nonempty square matrix, got shape {m.shape}")
     _write_json(path, {"dim": m.shape[0], "matrix": m})
 
 
@@ -238,12 +246,15 @@ def write_rate_report(path, decomposition: DecompositionSeries) -> None:
 
 
 def write_hamiltonians(path, times, hamiltonians) -> None:
-    """JSON: the grid ``times`` and the matrix stack ``hamiltonians``
-    (n, d, d), encoded as given."""
-    _write_json(path, {
-        "times": _numeric_array(times, float, "times are not numbers").tolist(),
-        "hamiltonians": _numeric_array(hamiltonians, complex, "hamiltonians are not a numeric array"),
-    })
+    """JSON: the grid ``times`` (n,) and the matrix stack ``hamiltonians``
+    (n, d, d), encoded as given; ValidationError for any other shapes."""
+    times = _numeric_array(times, float, "times are not numbers")
+    hamiltonians = _numeric_array(hamiltonians, complex, "hamiltonians are not a numeric array")
+    if times.ndim != 1:
+        raise ValidationError(f"times must be a 1-D array, got shape {times.shape}")
+    if hamiltonians.shape != (times.size, *hamiltonians.shape[-1:] * 2):
+        raise ValidationError(f"{times.size} times but hamiltonians of shape {hamiltonians.shape}")
+    _write_json(path, {"times": times.tolist(), "hamiltonians": hamiltonians})
 
 
 def write_ensemble_csv(path, result) -> None:

@@ -108,6 +108,14 @@ def _validated_eigh(rho):
     return rho, evals[..., ::-1], evecs[..., ::-1]
 
 
+def _named_eigh(name, rho):
+    """_validated_eigh, its ValidationError prefixed with ``name``."""
+    try:
+        return _validated_eigh(rho)
+    except ValidationError as exc:
+        raise ValidationError(f"{name}: {exc}") from exc
+
+
 def _phase_fix(vecs: np.ndarray) -> np.ndarray:
     """Rotate each column so its first significant component (|v| > 1e-12)
     is real positive; a column with no significant component is returned
@@ -141,10 +149,21 @@ def cyclic_shift_rows(d: int) -> np.ndarray:
 
 def conjugated_permutations(v_out, v_in, perms) -> np.ndarray:
     """U_n = V_out P_n V_in^dag with P_n = sum_k |k><perms[n, k]|, stacked
-    (n, d, d): U_n maps column perms[n, k] of V_in to column k of V_out."""
+    (n, d, d): U_n maps column perms[n, k] of V_in to column k of V_out.
+    V_out and V_in are square (d, d) and perms holds integer rows (n, d)
+    of entries in [0, d); ValidationError otherwise."""
     v_out = _numeric_array(v_out, None, "v_out is not a numeric matrix")
     v_in = _numeric_array(v_in, None, "v_in is not a numeric matrix")
     perms = _numeric_array(perms, None, "perms is not a numeric array")
+    d = v_in.shape[-1] if v_in.ndim else 0
+    if v_in.shape != (d, d) or v_out.shape != (d, d):
+        raise ValidationError(f"v_out and v_in must be square matrices of one size, "
+                              f"got shapes {v_out.shape} and {v_in.shape}")
+    if perms.dtype.kind not in "iu" or perms.ndim != 2 or perms.shape[1] != d:
+        raise ValidationError(f"perms must be integer rows of {d} indices, "
+                              f"got {perms.dtype} of shape {perms.shape}")
+    if perms.min(initial=0) < 0 or perms.max(initial=-1) >= d:
+        raise ValidationError(f"perms entries must lie in [0, {d})")
     return np.einsum("ak,bnk->nab", v_out, v_in[:, perms].conj())
 
 
@@ -158,9 +177,11 @@ def rate_system_matrix(p) -> np.ndarray:
 
     Column i holds the diagonal of U_i diag(p) U_i^dag, the cyclic
     shift of p by i; M is the doubly stochastic circulant-type matrix
-    the rates solve against.
+    the rates solve against.  ``p`` must be 1-D (ValidationError otherwise).
     """
     p = _numeric_array(p, float, "p is not a numeric array")
+    if p.ndim != 1:
+        raise ValidationError(f"p must be a 1-D array, got shape {p.shape}")
     return p[cyclic_shift_rows(p.shape[0])]
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .config import HERMITICITY
 from .decomposition import Trajectory, _checked_grid
 from .errors import ValidationError
-from .linalg import _finite_real, _numeric_array, _shown, expm, validate_density_matrix
+from .linalg import _finite_real, _named_eigh, _numeric_array, _shown, expm
 
 __all__ = [
     "LindbladSpec",
@@ -42,8 +42,8 @@ SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)
 
 @dataclass(frozen=True)
 class LindbladSpec:
-    """Hamiltonian plus jump operators (L_i, gamma_i), hbar = 1.  Any
-    iterable of pairs is stored as a tuple; a bad entry is named jump_ops[k]."""
+    """Hamiltonian plus jump operators (L_i, gamma_i), hbar = 1, kept as complex
+    arrays; any iterable of pairs is kept as a tuple, a bad entry named jump_ops[k]."""
 
     hamiltonian: np.ndarray
     jump_ops: tuple = ()
@@ -57,7 +57,7 @@ class LindbladSpec:
             raise ValidationError("Lindblad Hamiltonian must be Hermitian")
         if not isinstance(self.jump_ops, Iterable):
             raise ValidationError(f"jump_ops must hold (operator, gamma) pairs, got {self.jump_ops!r}")
-        object.__setattr__(self, "jump_ops", tuple(self.jump_ops))
+        pairs = []
         for k, entry in enumerate(self.jump_ops):
             where = f"jump_ops[{k}]"
             if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
@@ -71,6 +71,9 @@ class LindbladSpec:
             if not (_finite_real(gamma) and gamma >= 0):
                 raise ValidationError(f"{where}: jump rates must be finite nonnegative numbers, "
                                       f"got gamma {_shown(gamma)}")
+            pairs.append((op, gamma))
+        object.__setattr__(self, "hamiltonian", h)
+        object.__setattr__(self, "jump_ops", tuple(pairs))
 
 
 def _check_positive(what: str, *values) -> None:
@@ -178,7 +181,7 @@ def amplitude_damping_spec(gamma: float) -> LindbladSpec:
 def lindblad_rhs(spec: LindbladSpec, rho) -> np.ndarray:
     """Right-hand side of the Lindblad equation (traceless, Hermitian)."""
     rho = _numeric_array(rho, complex, "state is not a numeric matrix")
-    if rho.shape != np.shape(spec.hamiltonian):
+    if rho.shape != spec.hamiltonian.shape:
         raise ValidationError("state and Hamiltonian dimensions differ")
     return (_liouvillian(spec) @ rho.reshape(-1)).reshape(rho.shape)
 
@@ -186,11 +189,10 @@ def lindblad_rhs(spec: LindbladSpec, rho) -> np.ndarray:
 def _liouvillian(spec: LindbladSpec) -> np.ndarray:
     """The d^2 x d^2 generator acting on row-major vec(rho), using
     vec(A rho B) = (A kron B^T) vec(rho)."""
-    h = np.asarray(spec.hamiltonian, dtype=complex)
+    h = spec.hamiltonian
     eye = np.eye(h.shape[0])
     gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
     for op, gamma in spec.jump_ops:
-        op = np.asarray(op, dtype=complex)
         anti = op.conj().T @ op
         gen += gamma * (
             np.kron(op, op.conj()) - 0.5 * np.kron(anti, eye) - 0.5 * np.kron(eye, anti.T)
@@ -204,12 +206,13 @@ def integrate(spec: LindbladSpec, rho0, grid) -> Trajectory:
     Each step applies exp(L dt) to the state before, from one exponential
     of the stacked distinct spacings L dt, L the Liouvillian; the states
     are then rehermitized and renormalized.  The first state is rho0 as
-    given, which must be a density matrix (ValidationError otherwise).
+    given, which must be a density matrix of the Hamiltonian's shape
+    (ValidationError otherwise, its message prefixed "rho0: ").
     """
     grid = _checked_grid(grid)
-    rho0 = validate_density_matrix(rho0)
-    if rho0.shape != np.shape(spec.hamiltonian):
-        raise ValidationError("state and Hamiltonian dimensions differ")
+    rho0 = _named_eigh("rho0", rho0)[0]
+    if rho0.shape != spec.hamiltonian.shape:
+        raise ValidationError("rho0: state and Hamiltonian dimensions differ")
     spacings, step_of = np.unique(np.diff(grid), return_inverse=True)
     propagators = expm(_liouvillian(spec) * spacings[:, None, None])
     vec = np.empty((grid.size, rho0.size), dtype=complex)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from probunitary import cli, io, models
+from probunitary import cli, io, linalg, models
 from probunitary.cli import EXIT_OK, EXIT_SINGULAR, EXIT_UNPHYSICAL, EXIT_VALIDATION, main
 from probunitary.decomposition import Trajectory, decompose_trajectory
 
@@ -178,6 +178,15 @@ def test_bad_trajectory_file_exits_2(tmp_path, capsys, edit, expected):
     assert err.startswith(f"error: {path}: ") and expected in err
 
 
+def test_unordered_input_times_exit_2(tmp_path, capsys):
+    # a trajectory file holds any time order; the grid rule refuses it
+    path = write_trajectory_doc(tmp_path, lambda doc: doc["times"].reverse())
+    assert main(["decompose", "--input", path, "--out", str(tmp_path / "run")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "strictly increasing times" in err
+
+
 def test_simulate_input_runs_on_the_file_grid(tmp_path):
     # the file's 0.01 spacing and [0, 2] span, not the default --dt of 1e-3
     # and --horizon of 1.0, set the steps and the rows
@@ -310,6 +319,25 @@ def test_bad_spec_matrix_exits_2_naming_file(tmp_path, capsys, key, value, expec
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: {spec}: ") and expected in err
+
+
+def test_lindblad_run_checks_rho0_once(tmp_path):
+    # one density check of rho0 (2-D) in integrate, then one of the
+    # integrated stack (3-D) in align_eigenframes
+    eigh, ndims = linalg._validated_eigh.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is eigh:
+            ndims.append(np.ndim(frame.f_locals["rho"]))
+
+    spec = write_spec(tmp_path / "spec.json", [{"operator": SIGMA_X}])
+    sys.setprofile(profile)
+    try:
+        status = main(decompose_argv(tmp_path, spec))
+    finally:
+        sys.setprofile(None)
+    assert status == EXIT_OK
+    assert ndims == [2, 3]
 
 
 def test_flagged_horizon_exits_4(tmp_path, capsys):

@@ -401,7 +401,7 @@ class TestRates:
 
 
 class TestTildeUnitaries:
-    @pytest.mark.parametrize("shape", [(2, 3), (3,), (), (2, 2, 2)])
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (), (2, 2, 2), (0, 0)])
     def test_rejects_non_square_frame(self, shape):
         with pytest.raises(ValidationError, match="a frame must be a square matrix"):
             build_tilde_unitaries(np.ones(shape))

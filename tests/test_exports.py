@@ -2,9 +2,10 @@
 namespace, so a deleted function cannot leave a dangling export.  The
 numerical thresholds stay constants: no exported callable takes one as a
 parameter.  Every exported entry point that takes an array refuses a
-value that is not numeric with ValidationError, and the table of such
-values has a row for each of them."""
+value that is not numeric, and one of the wrong rank or shape, with
+ValidationError; each table of such values has a row for each of them."""
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -135,15 +136,81 @@ BAD_INPUT = [
     ("ModelParams", lambda path: ModelParams(omega=10**5000), "beyond the float range"),
     ("step", lambda path: step(I2, I2, build_tilde_unitaries(np.eye(2)), [0, 0], "a", 0.5), "dt"),
     ("step", lambda path: step(I2, I2, build_tilde_unitaries(np.eye(2)), [0, 0], 0.1, "a"), "draw"),
+    ("Trajectory", lambda path: Trajectory([0.0], [[["a"]]]), "trajectory states"),
+    ("Trajectory", lambda path: Trajectory(["a"], [I2]), "trajectory times"),
+]
+
+# One row per array of the wrong rank or shape, the same entry points as
+# above: each raises exactly ValidationError naming the argument.
+WRONG_RANK = [
+    ("validate_density_matrix", lambda path: validate_density_matrix([1.0, 0.0]), "square matrix"),
+    ("solve_circulant_rates",
+     lambda path: solve_circulant_rates(np.ones((1, 1, 2)) / 2, np.zeros((1, 1, 2))),
+     "dimensions: p "),
+    ("rate_system_matrix", lambda path: rate_system_matrix(1.0), "^p must be a 1-D array"),
+    ("rate_system_matrix", lambda path: rate_system_matrix([[0.5, 0.5]]), "^p must be a 1-D array"),
+    ("conjugated_permutations", lambda path: conjugated_permutations([1.0, 0.0], I2, [[0, 1]]),
+     "^v_out and v_in "),
+    ("conjugated_permutations", lambda path: conjugated_permutations(I2, [1.0, 0.0], [[0, 1]]),
+     "^v_out and v_in "),
+    ("conjugated_permutations", lambda path: conjugated_permutations(I2, I2, [0, 1]),
+     "^perms must be integer rows"),
+    ("conjugated_permutations", lambda path: conjugated_permutations(I2, I2, [[0.5, 1]]),
+     "^perms must be integer rows"),
+    ("conjugated_permutations", lambda path: conjugated_permutations(I2, I2, [[0, 5]]),
+     r"^perms entries .* \[0, 2\)"),
+    ("conjugated_permutations", lambda path: conjugated_permutations(I2, I2, [[0, -1]]),
+     r"^perms entries .* \[0, 2\)"),
+    ("min_cost_assignment", lambda path: min_cost_assignment([1.0, 2.0]), "assignment cost"),
+    ("expm", lambda path: expm([1.0, 2.0]), "expm"),
+    ("build_tilde_unitaries", lambda path: build_tilde_unitaries([1.0, 0.0]), "frame"),
+    ("reconstruct_rhs",
+     lambda path: reconstruct_rhs([1.0, 0.0], I2, build_tilde_unitaries(np.eye(2)), [0, 0]),
+     "dimension mismatch"),
+    ("build_hamiltonian", lambda path: build_hamiltonian(frames(), [0.1, 0.2]), "grid time"),
+    ("compute_rates_at", lambda path: compute_rates_at(frames(), [0.1, 0.2]), "grid time"),
+    ("apply_decomposition", lambda path: apply_decomposition(channel(), [0.5, 0.5]), "state"),
+    ("decompose_channel", lambda path: decompose_channel([0.5, 0.5], I2), "^rho_in: "),
+    ("LindbladSpec", lambda path: LindbladSpec([1.0, 0.0], ()), "Hamiltonian"),
+    ("lindblad_rhs", lambda path: lindblad_rhs(SPEC, [0.5, 0.5]), "state"),
+    ("integrate", lambda path: integrate(SPEC, [0.5, 0.5], [0.0, 0.1]), "^rho0: "),
+    ("sample_model", lambda path: sample_model("jc", [[0.0, 0.1]]), "time grid"),
+    ("decompose_trajectory", lambda path: decompose_trajectory(Trajectory([0.0, 0.1], [1.0, 0.0])),
+     "states of shape"),
+    ("align_eigenframes", lambda path: align_eigenframes(Trajectory([[0.0, 0.1]], [I2, I2])),
+     "^trajectory times"),
+    ("Trajectory", lambda path: Trajectory(0.0, [I2]), "^trajectory times"),
+    ("Trajectory", lambda path: Trajectory([0.0], I2), r"^1 times but states of shape \(2, 2\)"),
+    ("Trajectory", lambda path: Trajectory([0.0], np.zeros((1, 0, 0))), "states of shape"),
+    ("matrix_to_json", lambda path: matrix_to_json(1.0), "^matrix "),
+    ("matrix_to_json", lambda path: matrix_to_json([1.0, 2.0]), "^matrix "),
+    ("matrix_to_json", lambda path: matrix_to_json(np.ones((2, 3))), "^matrix "),
+    ("matrix_from_json", lambda path: matrix_from_json([1.0, 0.0]), "^matrix: shape"),
+    ("write_matrix_file", lambda path: write_matrix_file(path, 1.0), "^matrix "),
+    ("write_matrix_file", lambda path: write_matrix_file(path, [1.0, 2.0]), "^matrix "),
+    ("write_matrix_file", lambda path: write_matrix_file(path, np.ones((2, 3))), "^matrix "),
+    ("write_matrix_file", lambda path: write_matrix_file(path, np.ones((2, 2, 2))), "^matrix "),
+    ("write_hamiltonians", lambda path: write_hamiltonians(path, [0.0], 1.0), "hamiltonians of shape"),
+    ("write_hamiltonians", lambda path: write_hamiltonians(path, [0.0], np.eye(2)),
+     "hamiltonians of shape"),
+    ("write_hamiltonians", lambda path: write_hamiltonians(path, [0.0, 1.0], np.ones((3, 2, 2))),
+     "hamiltonians of shape"),
+    ("write_hamiltonians", lambda path: write_hamiltonians(path, [[0.0, 1.0]], np.ones((2, 2, 2))),
+     "^times must be a 1-D array"),
+    ("write_trajectory", lambda path: write_trajectory(path, Trajectory([0.0], [1.0])),
+     "states of shape"),
+    ("ModelParams", lambda path: ModelParams(omega=[1.0, 2.0]), "omega"),
+    ("step", lambda path: step([0.5, 0.5], I2, build_tilde_unitaries(np.eye(2)), [0, 0], 0.1, 0.5),
+     "square state"),
 ]
 
 # Exported callables that take no array of their own, each with the reason
 # it has no row above.  A new export must join one of the two lists.
 SKIPPED = {
     **dict.fromkeys(
-        ["Trajectory", "EigenframeSeries", "DecompositionSeries", "ChannelDecomposition",
-         "KrausLikeForm", "EnsembleResult"],
-        "a record: holds its arrays as given; the functions that take one convert them"),
+        ["EigenframeSeries", "DecompositionSeries", "ChannelDecomposition", "KrausLikeForm",
+         "EnsembleResult"],
+        "a record of results: the package builds it from arrays it has checked"),
     **dict.fromkeys(
         ["ProbUnitaryError", "ValidationError", "TrajectoryTooCoarse", "NegativeRate",
          "StepTooLarge", "RefusesToSimulate", "SingularChannel"],
@@ -169,14 +236,25 @@ def channel():
     return decompose_channel(np.diag([0.7, 0.3]), np.diag([0.6, 0.4]))
 
 
-@pytest.mark.parametrize("entry, call, pattern", BAD_INPUT,
-                         ids=[f"{row[0]}-{i}" for i, row in enumerate(BAD_INPUT)])
-def test_bad_input_raises_validation_error(tmp_path, entry, call, pattern):
-    path = tmp_path / "out.json"
+def assert_refused(path, call, pattern):
+    """call(path) raises exactly ValidationError, its message matching
+    pattern, and leaves no file at path."""
     with pytest.raises(ValidationError, match=pattern) as info:
         call(path)
     assert type(info.value) is ValidationError
     assert not path.exists()
+
+
+@pytest.mark.parametrize("entry, call, pattern", BAD_INPUT,
+                         ids=[f"{row[0]}-{i}" for i, row in enumerate(BAD_INPUT)])
+def test_bad_input_raises_validation_error(tmp_path, entry, call, pattern):
+    assert_refused(tmp_path / "out.json", call, pattern)
+
+
+@pytest.mark.parametrize("entry, call, pattern", WRONG_RANK,
+                         ids=[f"{row[0]}-{i}" for i, row in enumerate(WRONG_RANK)])
+def test_wrong_rank_raises_validation_error(tmp_path, entry, call, pattern):
+    assert_refused(tmp_path / "out.json", call, pattern)
 
 
 def test_every_array_entry_point_has_a_bad_input_row():
@@ -186,3 +264,12 @@ def test_every_array_entry_point_has_a_bad_input_row():
     assert rows & SKIPPED.keys() == set()
     assert exported - rows - SKIPPED.keys() == set()
     assert (rows | SKIPPED.keys()) - exported == set()
+    # an entry point with a bad-input row has a wrong-rank row, and no other does
+    assert {entry for entry, _, _ in WRONG_RANK} == rows
+
+
+def test_trajectory_is_frozen():
+    trajectory = Trajectory([0.0], [I2])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trajectory.times = np.array([1.0])
+    assert trajectory.times.dtype == float and trajectory.rhos.dtype == complex
