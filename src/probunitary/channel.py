@@ -48,11 +48,13 @@ QUASI_PROBABILITY = "quasi_probability"
 
 @dataclass
 class ChannelDecomposition:
-    """Probabilities, unitaries and classification of one channel pair.
+    """One channel pair's split rho_out = sum_i q_i U~_i rho_in U~_i^dag.
 
-    ``classification`` describes the pair itself: ``mixed_unitary`` when
-    every probability lies in [0, 1], which a split reaches exactly when
-    spec(rho_out) is majorized by spec(rho_in); otherwise
+    Stored: ``probabilities`` q (d,), with q[0] = 1 - sum(q[1:]), the
+    ``unitaries`` (d, d, d) and the ``reconstruction_residual``.  Derived:
+    ``classification``, which describes the pair itself: ``mixed_unitary``
+    when every probability lies in [0, 1], which a split reaches exactly
+    when spec(rho_out) is majorized by spec(rho_in); otherwise
     ``quasi_probability`` (some q_i < 0).
 
     ``unitaries`` are the d conjugated cyclic shifts V_out W_i V_in^dag
@@ -63,10 +65,13 @@ class ChannelDecomposition:
     permutation.
     """
 
-    probabilities: np.ndarray       # (d,), q[0] = 1 - sum(q[1:])
-    unitaries: np.ndarray           # (d, d, d)
-    classification: str
+    probabilities: np.ndarray
+    unitaries: np.ndarray
     reconstruction_residual: float
+
+    @property
+    def classification(self) -> str:
+        return MIXED_UNITARY if _is_probability(self.probabilities) else QUASI_PROBABILITY
 
 
 @dataclass
@@ -232,12 +237,7 @@ def decompose_channel(rho_in, rho_out) -> ChannelDecomposition:
             f"internal error: reconstruction residual {residual:.3e} exceeds "
             f"{RECONSTRUCTION:.1e}"
         )
-    return ChannelDecomposition(
-        probabilities=q,
-        unitaries=unitaries,
-        classification=MIXED_UNITARY if _is_probability(q) else QUASI_PROBABILITY,
-        reconstruction_residual=residual,
-    )
+    return ChannelDecomposition(probabilities=q, unitaries=unitaries, reconstruction_residual=residual)
 
 
 def to_kraus_like(decomp: ChannelDecomposition) -> KrausLikeForm:

@@ -12,7 +12,8 @@ objects whose ``gamma`` is 1 when absent, and propagates it with
 and ``--horizon`` only space the grid of a ``--model`` trajectory:
 decompose and simulate cover the whole grid of the trajectory they
 decompose, so an ``--input`` file is decomposed and simulated on all of
-its own times, uniform or not.  Exit codes:
+its own times, uniform or not, and a ValidationError in reading or
+decomposing it names the file.  Exit codes:
 0 success, 1 standard output closed early (nothing on stderr), 2 input or
 validation error (including a MemoryError from inputs too large to
 allocate), 3 all grid points singular (decompose) or a maximally mixed
@@ -81,9 +82,15 @@ def _lindblad_trajectory(path, grid):
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def _load_trajectory(args):
+def _decompose(args):
+    """The decomposition of the --input file or of the --model run; a
+    ValidationError raised in decomposing an --input file names it."""
     if args.input is not None:
-        return io.read_trajectory(args.input)
+        trajectory = io.read_trajectory(args.input)
+        try:
+            return decompose_trajectory(trajectory)
+        except ValidationError as exc:
+            raise ValidationError(f"{args.input}: {exc}") from exc
     if args.model is None:
         raise ValidationError("either --model or --input is required")
     if not (math.isfinite(args.dt) and args.dt > 0 and math.isfinite(args.horizon)):
@@ -106,12 +113,13 @@ def _load_trajectory(args):
     if args.model == "lindblad":
         if args.lindblad_spec is None:
             raise ValidationError("--model lindblad requires --lindblad-spec")
-        return _lindblad_trajectory(args.lindblad_spec, grid)
-    return models.sample_model(args.model, grid, ModelParams(omega=args.omega, gamma=args.gamma))
+        return decompose_trajectory(_lindblad_trajectory(args.lindblad_spec, grid))
+    params = ModelParams(omega=args.omega, gamma=args.gamma)
+    return decompose_trajectory(models.sample_model(args.model, grid, params))
 
 
 def cmd_decompose(args) -> int:
-    decomposition = decompose_trajectory(_load_trajectory(args))
+    decomposition = _decompose(args)
     if decomposition.singular_flags.all():
         print("decomposition singular at every grid point", file=sys.stderr)
         return EXIT_SINGULAR
@@ -123,7 +131,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    decomposition = decompose_trajectory(_load_trajectory(args))
+    decomposition = _decompose(args)
     result = run_ensemble(SimConfig(n_traj=args.trajectories, seed=args.seed), decomposition)
     io.write_ensemble_csv(f"{args.out}.ensemble.csv", result)
     return EXIT_OK

@@ -90,30 +90,51 @@ class EigenframeSeries:
 
 @dataclass
 class DecompositionSeries:
-    """Per-time rates and flags, plus the aligned frames they come from.
+    """Per-time rates of a trajectory and the aligned frames they come from.
 
-    Only the rate solve's outputs and the frames are stored.  Everything
-    else follows from ``frames`` and is rebuilt when asked for: the
-    driving Hamiltonians by the ``hamiltonians`` property, and the
-    conjugated shift unitaries U~_i(t_k) = V_k W_i V_k^dag by
-    build_tilde_unitaries(frames.eigenvectors[k]).
+    Stored: the rate solve's ``rates`` (n, d), rates[:, 0] the total rate,
+    its ``condition_estimates`` (n,), and ``frames``.  Derived on each
+    access: ``times``, ``dim``, the flags (n,), ``flagged_intervals`` and
+    the driving ``hamiltonians``; the conjugated shift unitaries
+    U~_i(t_k) = V_k W_i V_k^dag are build_tilde_unitaries(frames.eigenvectors[k]).
     """
 
-    times: np.ndarray
-    rates: np.ndarray                  # (n, d); rates[:, 0] is the total rate
-    negative_flags: np.ndarray         # (n,) bool
-    singular_flags: np.ndarray         # (n,) bool
-    condition_estimates: np.ndarray    # (n,)
+    rates: np.ndarray
+    condition_estimates: np.ndarray
     frames: EigenframeSeries = field(repr=False)
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.frames.times
 
     @property
     def dim(self) -> int:
         return self.rates.shape[1]
 
     @property
+    def negative_flags(self) -> np.ndarray:
+        """Rows with a jump rate below -RATE_NEGATIVITY."""
+        return np.any(self.rates[:, 1:] < -RATE_NEGATIVITY, axis=1)
+
+    @property
+    def singular_flags(self) -> np.ndarray:
+        """Rows whose condition times their own spacing (the last row: the
+        last spacing) reaches 1: rates of order 1/dt are indistinguishable
+        from a singular crossing at this resolution and break the scheme."""
+        spacings = np.diff(self.times)
+        return self.condition_estimates * np.append(spacings, spacings[-1]) >= 1.0
+
+    @property
+    def flagged_intervals(self) -> list[tuple[float, float]]:
+        """(first, last) grid time of every contiguous run of flagged
+        (negative or singular) grid points."""
+        mask = self.negative_flags | self.singular_flags
+        edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
+        return [(float(self.times[a]), float(self.times[b - 1])) for a, b in edges.reshape(-1, 2)]
+
+    @property
     def hamiltonians(self) -> np.ndarray:
-        """Driving Hamiltonians (n, d, d) on every grid time, rebuilt from
-        ``frames`` on each access."""
+        """Driving Hamiltonians (n, d, d) on every grid time."""
         return _hamiltonians(self.frames)
 
 
@@ -264,17 +285,9 @@ def _populations(eigenvalues) -> np.ndarray:
 
 
 def _rate_rows(frames: EigenframeSeries):
-    """Rates (n, d), negative and singular flags (n,) and condition
-    estimates (n,) on every grid time, as decompose_trajectory stores them:
-    the rate system on the populations p and the eigenvalue derivatives f."""
-    f = _d_dt(frames.eigenvalues, frames)
-    rates, condition = solve_circulant_rates(_populations(frames.eigenvalues), f)
-    # grid-aware flag: rates of order 1/dt are indistinguishable from a
-    # singular crossing (condition inf) at this resolution and break the scheme
-    spacings = np.diff(frames.times)
-    singular = condition * np.append(spacings, spacings[-1]) >= 1.0
-    negative = np.any(rates[:, 1:] < -RATE_NEGATIVITY, axis=1)
-    return rates, negative, singular, condition
+    """decompose_trajectory's rates (n, d) and condition estimates (n,): the
+    rate system on the populations p and the eigenvalue derivatives f."""
+    return solve_circulant_rates(_populations(frames.eigenvalues), _d_dt(frames.eigenvalues, frames))
 
 
 def build_hamiltonian(frames: EigenframeSeries, t: float) -> np.ndarray:
@@ -328,15 +341,7 @@ def reconstruct_rhs(rho, h, unitaries, q) -> np.ndarray:
 
 
 def decompose_trajectory(trajectory: Trajectory) -> DecompositionSeries:
-    """Full pipeline: align frames, then solve q on every grid time; H
-    is rebuilt from the frames by DecompositionSeries.hamiltonians."""
+    """Full pipeline: align frames, then solve q on every grid time; the
+    flags and H follow from the stored solve and frames."""
     frames = align_eigenframes(trajectory)
-    rates, negative, singular, condition = _rate_rows(frames)
-    return DecompositionSeries(
-        times=frames.times,
-        rates=rates,
-        negative_flags=negative,
-        singular_flags=singular,
-        condition_estimates=condition,
-        frames=frames,
-    )
+    return DecompositionSeries(*_rate_rows(frames), frames=frames)

@@ -143,7 +143,10 @@ def _degenerate_clusters(evals) -> list[list[int]]:
 
 def cyclic_shift_rows(d: int) -> np.ndarray:
     """Index rows of the cyclic shifts: row i is (k + i) mod d over k, the
-    permutation of the shift sum_k |k><(k+i) mod d|."""
+    permutation of the shift sum_k |k><(k+i) mod d|.  ``d`` must be an
+    integer, not a bool, of at least 1 (ValidationError otherwise)."""
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+        raise ValidationError(f"d must be an integer of at least 1, got {d!r}")
     return (np.arange(d)[:, None] + np.arange(d)) % d
 
 
@@ -198,11 +201,15 @@ def solve_circulant_rates(p, f):
     below SINGULAR_SYMBOL times its largest is singular: its condition is
     inf, and its q is the minimum-norm (pseudoinverse) solution, which
     drops any component of f outside the range of M; it does not raise.
+    A non-finite p or f, or a p that is not a probability vector, raises
+    ValidationError.
     """
     p = _numeric_array(p, float, "p is not a numeric array")
     f = _numeric_array(f, float, "f is not a numeric array")
     if p.ndim not in (1, 2) or f.shape != p.shape or not p.size:
         raise ValidationError(f"inconsistent dimensions: p {p.shape}, f {f.shape}")
+    if not np.all(np.isfinite(p)):
+        raise ValidationError("p contains NaN or Inf entries")
     if not np.all(np.isfinite(f)):
         raise ValidationError("f contains NaN or Inf entries")
     if p.min() < -1e-8 or p.max() > 1 + 1e-8 or np.abs(p.sum(axis=-1) - 1).max() > 1e-8:

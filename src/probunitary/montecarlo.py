@@ -37,6 +37,12 @@ shards a single trajectory, and counter-based per-trajectory streams
 cost as much as the rest of the sampler.  On the same jumps, ``step``
 and the label process agree to O(dt) at a fixed horizon; the replay
 test checks this.
+
+run_ensemble refuses a decomposition with any flagged interval
+(DecompositionSeries.flagged_intervals) by RefusesToSimulate, naming
+them all.  The jump edges of ``step`` and of the ensemble refuse
+non-finite rates by ValidationError, negative ones by NegativeRate, and
+a step whose total jump probability reaches 1 by StepTooLarge.
 """
 
 from __future__ import annotations
@@ -84,10 +90,12 @@ class EnsembleResult:
 
 def _jump_edges(q, dt) -> np.ndarray:
     """Cumulative jump probabilities q_1 dt, q_1 dt + q_2 dt, ... along the
-    last axis of q, refusing negative rates and steps whose total
-    jump probability reaches 1.  ``dt`` is a scalar, or a column holding
-    each row's own spacing."""
+    last axis of q, refusing non-finite rates (ValidationError), negative
+    ones and steps whose total jump probability reaches 1.  ``dt`` is a
+    scalar, or a column holding each row's own spacing."""
     jump_rates = q[..., 1:]
+    if not np.isfinite(jump_rates).all():
+        raise ValidationError("jump rates contain NaN or Inf entries")
     if np.any(jump_rates < -RATE_NEGATIVITY):
         raise NegativeRate("negative rates cannot be realized by the scheme")
     probabilities = np.clip(jump_rates, 0.0, None) * dt
@@ -155,15 +163,6 @@ def step(state, h, unitaries, q, dt, draw):
     return u @ state @ u.conj().T
 
 
-def _flagged_intervals(decomposition: DecompositionSeries):
-    """(first, last) grid time of every contiguous run of flagged
-    (negative or singular) grid points."""
-    mask = decomposition.negative_flags | decomposition.singular_flags
-    edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
-    times = decomposition.times
-    return [(float(times[a]), float(times[b - 1])) for a, b in edges.reshape(-1, 2)]
-
-
 def run_ensemble(config: SimConfig, decomposition: DecompositionSeries) -> EnsembleResult:
     """Average an ensemble of stochastic trajectories of the scheme.
 
@@ -179,7 +178,7 @@ def run_ensemble(config: SimConfig, decomposition: DecompositionSeries) -> Ensem
     times = decomposition.times
     frames = decomposition.frames
     lam0 = frames.eigenvalues[0]
-    flagged = _flagged_intervals(decomposition)
+    flagged = decomposition.flagged_intervals
     if flagged:
         spans = ", ".join(f"[{a:g}, {b:g}]" for a, b in flagged)
         raise RefusesToSimulate(

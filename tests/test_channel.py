@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -14,7 +15,7 @@ from probunitary.channel import (
     decompose_channel,
     to_kraus_like,
 )
-from probunitary.config import RECONSTRUCTION
+from probunitary.config import RATE_NEGATIVITY, RECONSTRUCTION
 from probunitary.errors import SingularChannel, ValidationError
 
 from conftest import random_density_matrix, random_unitary
@@ -75,6 +76,23 @@ class TestDecomposeChannel:
         np.testing.assert_allclose(dec.probabilities, [1.25, -0.25], atol=1e-12)
         assert dec.classification == QUASI_PROBABILITY
         assert dec.reconstruction_residual <= 1e-10
+
+    def test_classification_follows_the_probabilities(self, rng):
+        # the label is read off the stored q on the mixed and quasi pairs above
+        pairs = [mixed_unitary_pair(rng, d) for d in (2, 3, 6)] + [
+            (np.diag([0.7, 0.3]), np.diag([0.8, 0.2])),
+            (np.diag([0.3, 0.3, 0.2, 0.2]), np.diag([0.45, 0.45, 0.05, 0.05])),
+        ]
+        labels = []
+        for rho_in, rho_out in pairs:
+            dec = decompose_channel(rho_in, rho_out)
+            q = dec.probabilities
+            inside = np.all((q >= -RATE_NEGATIVITY) & (q <= 1 + RATE_NEGATIVITY))
+            assert dec.classification == (MIXED_UNITARY if inside else QUASI_PROBABILITY)
+            labels.append(dec.classification)
+        assert labels == [MIXED_UNITARY] * 3 + [QUASI_PROBABILITY] * 2
+        assert [f.name for f in dataclasses.fields(dec)] == [
+            "probabilities", "unitaries", "reconstruction_residual"]
 
     def test_maximally_mixed_escape(self):
         with pytest.raises(SingularChannel, match="maximally mixed input"):

@@ -179,12 +179,19 @@ def test_bad_trajectory_file_exits_2(tmp_path, capsys, edit, expected):
 
 
 def test_unordered_input_times_exit_2(tmp_path, capsys):
-    # a trajectory file holds any time order; the grid rule refuses it
-    path = write_trajectory_doc(tmp_path, lambda doc: doc["times"].reverse())
-    assert main(["decompose", "--input", path, "--out", str(tmp_path / "run")]) == EXIT_VALIDATION
-    err = capsys.readouterr().err.strip()
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    assert "strictly increasing times" in err
+    # a trajectory file holds any time order and one time or more; the grid
+    # rule refuses a reversed or a one-time file, and the refusal names it
+    def one_time(doc):
+        doc["times"], doc["rho"] = doc["times"][:1], doc["rho"][:1]
+
+    for edit in (lambda doc: doc["times"].reverse(), one_time):
+        path = write_trajectory_doc(tmp_path, edit)
+        for command in ("decompose", "simulate"):
+            argv = [command, "--input", path, "--out", str(tmp_path / "run")]
+            assert main(argv) == EXIT_VALIDATION
+            err = capsys.readouterr().err.strip()
+            assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: ")
+            assert "strictly increasing times" in err
 
 
 def test_simulate_input_runs_on_the_file_grid(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +8,7 @@ from scipy.linalg import expm, polar
 from scipy.optimize import linear_sum_assignment
 
 from probunitary import decomposition
-from probunitary.config import DEGENERACY_GAP, OVERLAP_FLOOR
+from probunitary.config import DEGENERACY_GAP, OVERLAP_FLOOR, RATE_NEGATIVITY
 from probunitary.decomposition import (
     EigenframeSeries,
     Trajectory,
@@ -559,6 +561,27 @@ class TestPipeline:
             assert np.abs(
                 u_ref @ rho @ u_ref.conj().T - u_alt @ rho @ u_alt.conj().T
             ).max() <= 1e-8
+
+    def test_flags_and_intervals_follow_their_rules(self, rng):
+        # a strongly damped run on a grid of spacings up to 0.3: both flags
+        # take both values, the last row is singular on the last spacing and
+        # the flagged rows form three runs, one of a single row
+        spec = random_lindblad_spec(rng, 3, jump_scale=0.7)
+        times = np.cumsum(np.concatenate([[0.0], rng.uniform(5e-4, 0.3, 15)]))
+        rho0 = random_density_matrix(rng, 3, min_gap=0.1)
+        dec = decompose_trajectory(integrate(spec, rho0, times))
+        assert [f.name for f in dataclasses.fields(dec)] == ["rates", "condition_estimates", "frames"]
+        spacings = np.diff(times)
+        singular = dec.condition_estimates * np.append(spacings, spacings[-1]) >= 1
+        negative = (dec.rates[:, 1:] < -RATE_NEGATIVITY).any(axis=1)
+        assert np.array_equal(dec.singular_flags, singular) and singular[-1]
+        assert np.array_equal(dec.negative_flags, negative)
+        assert singular.any() and not singular.all() and negative.any() and not negative.all()
+        mask = negative | singular
+        runs = [list(rows) for flagged, rows in
+                itertools.groupby(range(len(times)), key=mask.__getitem__) if flagged]
+        assert dec.flagged_intervals == [(times[r[0]], times[r[-1]]) for r in runs]
+        assert len(runs) == 3 and min(map(len, runs)) == 1
 
     @pytest.mark.parametrize("k", [7, 0])
     def test_per_time_helpers_return_pipeline_rows(self, rng, k):

@@ -42,7 +42,13 @@ from probunitary.io import (
     write_matrix_file,
     write_trajectory,
 )
-from probunitary.linalg import conjugated_permutations, expm, min_cost_assignment, rate_system_matrix
+from probunitary.linalg import (
+    conjugated_permutations,
+    cyclic_shift_rows,
+    expm,
+    min_cost_assignment,
+    rate_system_matrix,
+)
 
 MODULES = sorted(
     info.name for info in pkgutil.iter_modules(probunitary.__path__, "probunitary.")
@@ -138,6 +144,14 @@ BAD_INPUT = [
     ("step", lambda path: step(I2, I2, build_tilde_unitaries(np.eye(2)), [0, 0], 0.1, "a"), "draw"),
     ("Trajectory", lambda path: Trajectory([0.0], [[["a"]]]), "trajectory states"),
     ("Trajectory", lambda path: Trajectory(["a"], [I2]), "trajectory times"),
+    ("solve_circulant_rates", lambda path: solve_circulant_rates([np.nan, 1.0], [0.0, 0.0]),
+     "^p contains NaN or Inf"),
+    # a NaN edge sorts last, so a NaN rate would take every draw
+    *[("step", lambda path, q=q: step(np.diag([1.0, 0.0]), np.zeros((2, 2)),
+                                      build_tilde_unitaries(np.eye(2)), q, 0.1, 0.5),
+       "^jump rates contain NaN or Inf") for q in ([0, np.nan], [0, np.inf])],
+    *[("cyclic_shift_rows", lambda path, d=d: cyclic_shift_rows(d),
+       rf"^d must be an integer .* {d!r}$") for d in ["a", None, 2.5, True, 0, -1]],
 ]
 
 # One row per array of the wrong rank or shape, the same entry points as
@@ -202,6 +216,7 @@ WRONG_RANK = [
     ("ModelParams", lambda path: ModelParams(omega=[1.0, 2.0]), "omega"),
     ("step", lambda path: step([0.5, 0.5], I2, build_tilde_unitaries(np.eye(2)), [0, 0], 0.1, 0.5),
      "square state"),
+    ("cyclic_shift_rows", lambda path: cyclic_shift_rows([2]), r"^d must be an integer .*\[2\]$"),
 ]
 
 # Exported callables that take no array of their own, each with the reason
@@ -221,7 +236,7 @@ SKIPPED = {
         "takes records made by the package"),
     **dict.fromkeys(["read_json_object", "read_matrix_file", "read_trajectory"],
                     "takes a path; the file's values pass matrix_from_json's rules"),
-    **dict.fromkeys(["cyclic_shift_rows", "SimConfig", "amplitude_damping_spec", "jc_rate",
+    **dict.fromkeys(["SimConfig", "amplitude_damping_spec", "jc_rate",
                      "jc_reduced_state", "amplitude_damping_exact"],
                     "takes scalars, each checked as a real number"),
     "convergence_sweep": "takes a problem factory; each dt reaches it as given",

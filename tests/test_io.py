@@ -17,20 +17,20 @@ from probunitary.channel import (
     decompose_channel,
     to_kraus_like,
 )
-from probunitary.decomposition import DecompositionSeries, Trajectory
+from probunitary.decomposition import DecompositionSeries, EigenframeSeries, Trajectory
 from probunitary.errors import ValidationError
 from probunitary.montecarlo import EnsembleResult
 
 from conftest import random_density_matrix, random_unitary
 
-# writers ignore the frames
+# the writers read the grid from the frames and judge the flags by their
+# rules: row 0 is negative (q_1 = -1/3), rows 1 and 2 are singular
+# (condition times the row's own spacing, 0.15 on the last row, reaches 1)
 DECOMPOSITION = DecompositionSeries(
-    times=np.array([0.0, 0.1, 0.25]),
-    rates=np.array([[0.5, 1 / 3], [np.nan, -0.0], [1e-310, 2.5e17]]),
-    negative_flags=np.array([False, True, False]),
-    singular_flags=np.array([False, False, True]),
+    rates=np.array([[0.5, -1 / 3], [np.nan, -0.0], [1e-310, 2.5e17]]),
     condition_estimates=np.array([1.0, 12345.678912, np.inf]),
-    frames=None,
+    frames=EigenframeSeries(np.array([0.0, 0.1, 0.25]), np.full((3, 2), 0.5),
+                            np.broadcast_to(np.eye(2), (3, 2, 2))),
 )
 
 # Hamiltonians on DECOMPOSITION's grid, as write_hamiltonians receives them
@@ -51,7 +51,6 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 CHANNEL = ChannelDecomposition(
     probabilities=np.array([1.25, -0.25]),
     unitaries=np.stack([np.eye(2, dtype=complex), SIGMA_X * np.exp(0.3j)]),
-    classification="quasi_probability",
     reconstruction_residual=2.220446049250313e-16,
 )
 
@@ -90,8 +89,8 @@ class TestGoldenBytes:
     def test_rate_report(self, tmp_path):
         assert written(tmp_path, io.write_rate_report, DECOMPOSITION) == (
             b"time,q_0,q_1,negative_flag,singular_flag,condition_estimate\r\n"
-            b"0,0.5,0.33333333333333331,0,0,1\r\n"
-            b"0.10000000000000001,nan,-0,1,0,12345.7\r\n"
+            b"0,0.5,-0.33333333333333331,1,0,1\r\n"
+            b"0.10000000000000001,nan,-0,0,1,12345.7\r\n"
             b"0.25,9.9999999999999694e-311,2.5e+17,0,1,inf\r\n"
         )
 
@@ -350,18 +349,20 @@ class TestEncoderProperties:
         tmp_path = tmp_path_factory.mktemp("table")
         n, d = m.shape[:2]
         rng = np.random.default_rng(n * d)
-        flags = rng.random((2, n)) < 0.5
-        condition = np.where(rng.random(n) < 0.3, np.inf, rng.lognormal(size=n))
-        rates = m.real[:, 0, :]
-        decomposition = DecompositionSeries(
-            times=m.imag[:, 0, 0], rates=rates, negative_flags=flags[0], singular_flags=flags[1],
-            condition_estimates=condition, frames=None,
-        )
+        # a decomposition grid holds at least two increasing times, so the
+        # table takes one row more than the stack: its last row's rates are
+        # the first row's imaginary parts
+        rates = np.concatenate((m.real[:, 0, :], m.imag[:1, 0, :]))
+        times = np.cumsum(rng.lognormal(size=n + 1))
+        condition = np.where(rng.random(n + 1) < 0.3, np.inf, rng.lognormal(size=n + 1))
+        frames = EigenframeSeries(times, np.zeros((n + 1, d)), np.zeros((n + 1, d, d)))
+        decomposition = DecompositionSeries(rates=rates, condition_estimates=condition, frames=frames)
+        flags = decomposition.negative_flags, decomposition.singular_flags
         assert written(tmp_path, io.write_rate_report, decomposition) == savetxt_bytes(
             tmp_path,
             ["time", *(f"q_{i}" for i in range(d)), "negative_flag", "singular_flag",
              "condition_estimate"],
-            np.column_stack((decomposition.times, rates, *flags, condition)),
+            np.column_stack((times, rates, *flags, condition)),
             ["%.17g"] * (d + 1) + ["%d", "%d", "%.6g"],
         )
 
