@@ -4,16 +4,17 @@ Subcommands write under the ``--out`` prefix: decompose writes
 ``<out>.rates.csv`` (time, q_0..q_{d-1}, negative and singular flags,
 condition estimate) and ``<out>.hamiltonians.json`` (H on every grid
 time); simulate writes ``<out>.ensemble.csv``; channel writes
-``<out>.channel.json``; models prints the model catalogue.  ``--model
-lindblad`` reads its ``--lindblad-spec`` JSON file, keys ``hamiltonian``,
+``<out>.channel.json``; models prints the model catalogue.  decompose and
+simulate take one trajectory source per run, an ``--input`` file or a
+``--model`` run, and refuse two.  ``--model lindblad``, and no other
+source, reads a ``--lindblad-spec`` JSON file, keys ``hamiltonian``,
 ``rho0`` and optional ``jump_ops``, a list of ``{"operator", "gamma"}``
 objects whose ``gamma`` is 1 when absent, and propagates it with
-``models.integrate``; LindbladSpec checks every entry.  ``--dt``
-and ``--horizon`` only space the grid of a ``--model`` trajectory:
-decompose and simulate cover the whole grid of the trajectory they
-decompose, so an ``--input`` file is decomposed and simulated on all of
-its own times, uniform or not, and a ValidationError in reading or
-decomposing it names the file.  Exit codes:
+``models.integrate``; LindbladSpec and integrate check every entry.
+``--dt`` and ``--horizon`` only space the grid of a ``--model`` run: an
+``--input`` file is decomposed and simulated on all of its own times,
+uniform or not, and a ValidationError in reading or decomposing it names
+the file.  Exit codes:
 0 success, 1 standard output closed early (nothing on stderr), 2 input or
 validation error (including a MemoryError from inputs too large to
 allocate), 3 all grid points singular (decompose) or a maximally mixed
@@ -39,7 +40,7 @@ import sys
 import numpy as np
 
 from . import io, models
-from .channel import decompose_channel, to_kraus_like
+from .channel import decompose_channel
 from .decomposition import decompose_trajectory
 from .errors import (
     NegativeRate,
@@ -72,10 +73,7 @@ def _lindblad_trajectory(path, grid):
         if not isinstance(item, dict) or "operator" not in item:
             raise ValidationError(f"{where}: not an object with key 'operator'")
         jumps.append((io.matrix_from_json(item["operator"], where=where), item.get("gamma", 1.0)))
-    where = f"{path}: rho0"
-    rho0 = io.matrix_from_json(doc["rho0"], where=where)
-    if rho0.shape != h.shape:
-        raise ValidationError(f"{where}: shape {rho0.shape} differs from hamiltonian {h.shape}")
+    rho0 = io.matrix_from_json(doc["rho0"], where=f"{path}: rho0")
     try:
         return models.integrate(LindbladSpec(hamiltonian=h, jump_ops=jumps), rho0, grid)
     except ValidationError as exc:
@@ -83,8 +81,13 @@ def _lindblad_trajectory(path, grid):
 
 
 def _decompose(args):
-    """The decomposition of the --input file or of the --model run; a
-    ValidationError raised in decomposing an --input file names it."""
+    """The decomposition of the --input file or of the --model run, the
+    run's one trajectory source; a ValidationError raised in decomposing
+    an --input file names it."""
+    if args.input is not None and (args.model, args.lindblad_spec) != (None, None):
+        raise ValidationError("--input takes no --model or --lindblad-spec: one trajectory source")
+    if (args.model == "lindblad") != (args.lindblad_spec is not None):
+        raise ValidationError("--model lindblad requires --lindblad-spec, and only it takes one")
     if args.input is not None:
         trajectory = io.read_trajectory(args.input)
         try:
@@ -111,8 +114,6 @@ def _decompose(args):
             "point(s); need at least two"
         )
     if args.model == "lindblad":
-        if args.lindblad_spec is None:
-            raise ValidationError("--model lindblad requires --lindblad-spec")
         return decompose_trajectory(_lindblad_trajectory(args.lindblad_spec, grid))
     params = ModelParams(omega=args.omega, gamma=args.gamma)
     return decompose_trajectory(models.sample_model(args.model, grid, params))
@@ -124,9 +125,7 @@ def cmd_decompose(args) -> int:
         print("decomposition singular at every grid point", file=sys.stderr)
         return EXIT_SINGULAR
     io.write_rate_report(f"{args.out}.rates.csv", decomposition)
-    io.write_hamiltonians(
-        f"{args.out}.hamiltonians.json", decomposition.times, decomposition.hamiltonians
-    )
+    io.write_hamiltonians(f"{args.out}.hamiltonians.json", decomposition)
     return EXIT_OK
 
 
@@ -141,7 +140,7 @@ def cmd_channel(args) -> int:
     rho_in = io.read_matrix_file(args.rho_in)
     rho_out = io.read_matrix_file(args.rho_out)
     decomp = decompose_channel(rho_in, rho_out)
-    io.write_channel_json(f"{args.out}.channel.json", decomp, to_kraus_like(decomp))
+    io.write_channel_json(f"{args.out}.channel.json", decomp)
     return EXIT_OK
 
 

@@ -121,7 +121,7 @@ class DecompositionSeries:
         """Rows whose condition times their own spacing (the last row: the
         last spacing) reaches 1: rates of order 1/dt are indistinguishable
         from a singular crossing at this resolution and break the scheme."""
-        spacings = np.diff(self.times)
+        spacings = np.diff(_two_point_grid(self.frames))
         return self.condition_estimates * np.append(spacings, spacings[-1]) >= 1.0
 
     @property
@@ -255,18 +255,22 @@ def _align(times, vals, vecs) -> EigenframeSeries:
 
 
 def align_eigenframes(trajectory: Trajectory) -> EigenframeSeries:
-    """Diagonalize every state and align the frames along the grid."""
-    times = _checked_grid(trajectory.times)
+    """Judge and diagonalize every state, then judge the grid and align on it."""
     _, evals, evecs = _validated_eigh(trajectory.rhos)
-    return _align(times, evals, evecs)
+    return _align(_checked_grid(trajectory.times), evals, evecs)
+
+
+def _two_point_grid(frames: EigenframeSeries) -> np.ndarray:
+    """The frames' grid; ValidationError on fewer than the two points a derivative needs."""
+    if len(frames.times) < 2:
+        raise ValidationError("need at least two grid points to differentiate")
+    return frames.times
 
 
 def _d_dt(values: np.ndarray, frames: EigenframeSeries) -> np.ndarray:
     """Time derivative along the grid by np.gradient's stencils: second
     order in the interior, one-sided at the endpoints."""
-    if len(frames.times) < 2:
-        raise ValidationError("need at least two grid points to differentiate")
-    return np.gradient(values, frames.times, axis=0)
+    return np.gradient(values, _two_point_grid(frames), axis=0)
 
 
 def _hamiltonians(frames: EigenframeSeries) -> np.ndarray:

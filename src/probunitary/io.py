@@ -6,7 +6,9 @@ trip is bit-exact; a matrix stack is written in chunks of rows, with the
 repr computed once per distinct magnitude in the chunk and the text laid
 out by one printf template.  CSV holds ``%.17g`` decimals with CRLF line
 ends, written as one ``%`` template over the whole table.  Every matrix
-stack and table crosses the file boundary as one array.
+stack and table crosses the file boundary as one array.  A reader checks
+only its file's format and returns the record the file holds; a writer
+takes the record it writes and derives the file's contents from it.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .channel import ChannelDecomposition, to_kraus_like
 from .decomposition import DecompositionSeries, Trajectory
 from .errors import ValidationError
-from .linalg import _named_eigh, _numeric_array
+from .linalg import _numeric_array
 
 __all__ = [
     "matrix_to_json",
@@ -166,7 +169,7 @@ def write_trajectory(path, trajectory: Trajectory) -> None:
     rows of d [re, im] pairs), written as the Trajectory holds them: its
     shapes were checked when it was built, and its time order and states
     are written as given.  read_trajectory reads a file of finite times
-    and density matrices back bit-exactly."""
+    and matrices back bit-exactly."""
     _write_json(path, {
         "dim": trajectory.rhos.shape[1],
         "times": trajectory.times.tolist(),
@@ -176,9 +179,9 @@ def write_trajectory(path, trajectory: Trajectory) -> None:
 
 def read_trajectory(path) -> Trajectory:
     """The Trajectory of a write_trajectory file: integer dim >= 1, n >= 1
-    finite times and n d x d density matrices, else ValidationError.  The
-    times may come in any order: time order is checked where a grid is
-    needed (align_eigenframes)."""
+    finite times and n finite d x d matrices, else ValidationError.  Only
+    the format is checked: the time order and the states are judged where
+    a grid of states is needed (align_eigenframes)."""
     doc = read_json_object(path, ("dim", "times", "rho"))
     d, rho = doc["dim"], doc["rho"]
     if type(d) is not int or d < 1:
@@ -197,8 +200,7 @@ def read_trajectory(path) -> Trajectory:
         rhos.append(matrix_from_json(data, where=f"{path}: entry {k}"))
         if rhos[k].shape != (d, d):
             raise ValidationError(f"{path}: entry {k} has shape {rhos[k].shape}, want {d}x{d}")
-    rhos, _, _ = _named_eigh(path, np.stack(rhos))
-    return Trajectory(times=times, rhos=rhos)
+    return Trajectory(times=times, rhos=np.stack(rhos))
 
 
 def read_matrix_file(path) -> np.ndarray:
@@ -245,16 +247,11 @@ def write_rate_report(path, decomposition: DecompositionSeries) -> None:
     )
 
 
-def write_hamiltonians(path, times, hamiltonians) -> None:
-    """JSON: the grid ``times`` (n,) and the matrix stack ``hamiltonians``
-    (n, d, d), encoded as given; ValidationError for any other shapes."""
-    times = _numeric_array(times, float, "times are not numbers")
-    hamiltonians = _numeric_array(hamiltonians, complex, "hamiltonians are not a numeric array")
-    if times.ndim != 1:
-        raise ValidationError(f"times must be a 1-D array, got shape {times.shape}")
-    if hamiltonians.shape != (times.size, *hamiltonians.shape[-1:] * 2):
-        raise ValidationError(f"{times.size} times but hamiltonians of shape {hamiltonians.shape}")
-    _write_json(path, {"times": times.tolist(), "hamiltonians": hamiltonians})
+def write_hamiltonians(path, decomposition: DecompositionSeries) -> None:
+    """JSON: the decomposition's grid "times" (n,) and its driving
+    "hamiltonians" (n, d, d), both derived from its frames."""
+    _write_json(path, {"times": decomposition.times.tolist(),
+                       "hamiltonians": decomposition.hamiltonians})
 
 
 def write_ensemble_csv(path, result) -> None:
@@ -273,11 +270,12 @@ def write_ensemble_csv(path, result) -> None:
     )
 
 
-def write_channel_json(path, decomp, kraus) -> None:
+def write_channel_json(path, decomp: ChannelDecomposition) -> None:
     """JSON keys "probabilities" (d numbers), "unitaries" (d matrices),
-    "classification", "reconstruction_residual" and "kraus_like", a list
-    of d objects {"k", "kbar", "sign"}: K_i, Kbar_i and the sign of q_i
-    as +1 or -1.  Matrices are encoded as matrix_to_json encodes them."""
+    "classification", "reconstruction_residual" and "kraus_like", d
+    objects {"k", "kbar", "sign"}: to_kraus_like's K_i and Kbar_i and the
+    sign of q_i as +1 or -1.  Matrices are encoded as matrix_to_json does."""
+    kraus = to_kraus_like(decomp)
     # the (k, kbar) pairs as one stack: kbar = sign k^dagger has k's
     # magnitudes, so it costs no repr
     matrix = _matrix_template(kraus.operators.shape[2:])
@@ -286,9 +284,6 @@ def write_channel_json(path, decomp, kraus) -> None:
         "unitaries": np.asarray(decomp.unitaries),
         "classification": decomp.classification,
         "reconstruction_residual": float(decomp.reconstruction_residual),
-        "kraus_like": _Items(
-            np.asarray(kraus.operators, dtype=complex),
-            f'{{"k": {matrix}, "kbar": {matrix}, "sign": %d}}',
-            np.asarray(kraus.signs, dtype=int)[:, None],
-        ),
+        "kraus_like": _Items(kraus.operators, f'{{"k": {matrix}, "kbar": {matrix}, "sign": %d}}',
+                             kraus.signs.astype(int)[:, None]),
     })

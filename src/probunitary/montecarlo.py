@@ -74,8 +74,8 @@ class SimConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
-        if self.n_traj < 1:
-            raise ValidationError("n_traj must be at least 1")
+        if not 1 <= self.n_traj <= np.iinfo(np.intp).max:
+            raise ValidationError(f"n_traj must be at least 1 and fit an intp, got {self.n_traj}")
         if not 0 <= self.seed < 2**64:
             raise ValidationError(f"seed {self.seed} outside [0, 2**64)")
 

@@ -74,12 +74,25 @@ def test_grid_of_fewer_than_two_points_exits_2(tmp_path, capsys, option):
     (["decompose"], "either --model or --input is required"),
     (["simulate", "--trajectories", "5"], "either --model or --input is required"),
     (["decompose", "--model", "lindblad"], "--model lindblad requires --lindblad-spec"),
+    # one trajectory source per run: a second one is refused, not dropped
+    (["decompose", "--model", "jc", "--input", "traj.json"], "--input takes no --model"),
+    (["simulate", "--input", "traj.json", "--lindblad-spec", "spec.json"],
+     "--input takes no --model or --lindblad-spec"),
+    (["decompose", "--model", "lindblad", "--lindblad-spec", "spec.json", "--input", "traj.json"],
+     "--input takes no --model"),
+    (["decompose", "--model", "jc", "--lindblad-spec", "/nonexistent", "--horizon", "0.1"],
+     "only it takes one"),
+    (["simulate", "--lindblad-spec", "spec.json"], "only it takes one"),
 ])
-def test_missing_trajectory_source_exits_2(tmp_path, capsys, argv, expected):
+def test_missing_trajectory_source_exits_2(tmp_path, capsys, monkeypatch, argv, expected):
+    # the files a row names are valid: a second source is refused, not dropped
+    monkeypatch.chdir(tmp_path)
+    io.write_trajectory("traj.json", models.sample_model("amplitude-damping", [0.0, 0.01, 0.02]))
+    write_spec(tmp_path / "spec.json", [])
     assert main([*argv, "--out", str(tmp_path / "run")]) == EXIT_VALIDATION
     err = capsys.readouterr().err.strip()
-    assert len(err.splitlines()) == 1 and expected in err
-    assert not list(tmp_path.iterdir())
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and expected in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["spec.json", "traj.json"]
 
 
 def test_models_lists_one_line_per_model(capsys):
@@ -133,6 +146,9 @@ def test_decompose_writes_rates_and_hamiltonians(tmp_path):
         # grids past the address space, refused before numpy sees them
         ["decompose", "--model", "jc", "--dt", "1e-300"],
         ["decompose", "--model", "jc", "--horizon", "1e300"],
+        # a count past numpy's intp, refused by SimConfig
+        ["simulate", "--model", "amplitude-damping", "--horizon", "0.01",
+         "--trajectories", "100000000000000000000"],
     ],
 )
 def test_petabyte_input_exits_2(tmp_path, capsys, argv):
@@ -300,6 +316,13 @@ def test_trajectory_too_coarse_exits_2(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "overlap" in err
 
 
+def test_spec_with_jump_ops_not_a_list_exits_2(tmp_path, capsys):
+    spec = write_spec(tmp_path / "spec.json", {"operator": SIGMA_X})
+    assert main(decompose_argv(tmp_path, spec)) == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip()
+    assert err == f"error: {spec}: jump_ops is not a list"
+
+
 def test_spec_without_rho0_exits_2(tmp_path, capsys):
     spec = write_spec(tmp_path / "spec.json", [])
     doc = json.loads((tmp_path / "spec.json").read_text())
@@ -314,7 +337,8 @@ def test_spec_without_rho0_exits_2(tmp_path, capsys):
     [
         ("rho0", np.diag([0.7, 0.7]), "rho0: density matrix trace"),
         ("hamiltonian", np.array([[0.5, 1.0], [0.0, -0.5]]), "Hermitian"),
-        ("rho0", np.diag([0.5, 0.3, 0.2]), "rho0: shape (3, 3) differs from hamiltonian"),
+        # integrate owns the rule
+        ("rho0", np.diag([0.5, 0.3, 0.2]), "rho0: state and Hamiltonian dimensions differ"),
     ],
 )
 def test_bad_spec_matrix_exits_2_naming_file(tmp_path, capsys, key, value, expected):

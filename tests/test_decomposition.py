@@ -7,9 +7,10 @@ import pytest
 from scipy.linalg import expm, polar
 from scipy.optimize import linear_sum_assignment
 
-from probunitary import decomposition
+from probunitary import decomposition, io
 from probunitary.config import DEGENERACY_GAP, OVERLAP_FLOOR, RATE_NEGATIVITY
 from probunitary.decomposition import (
+    DecompositionSeries,
     EigenframeSeries,
     Trajectory,
     _align,
@@ -36,6 +37,11 @@ from conftest import (
 )
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]])
+
+
+def one_time(frames) -> DecompositionSeries:
+    """A record built by hand on the one time of ``frames``."""
+    return DecompositionSeries(np.zeros((1, 2)), np.ones(1), frames)
 
 
 def assert_rates_row(dec, k):
@@ -136,12 +142,23 @@ class TestAlignment:
         with pytest.raises(ValidationError, match=r"^3 times but states of shape \(2, 2, 2\)"):
             align_eigenframes(Trajectory(samples.times, samples.rhos[:2]))
 
-    @pytest.mark.parametrize("per_time", [build_hamiltonian, compute_rates_at])
-    def test_derivative_needs_two_grid_points(self, per_time):
+    @pytest.mark.parametrize("per_time", [
+        build_hamiltonian,
+        compute_rates_at,
+        # a one-time record has no spacing for the singular rule either
+        pytest.param(lambda frames, t: one_time(frames).singular_flags, id="singular_flags"),
+        pytest.param(lambda frames, t: one_time(frames).flagged_intervals, id="flagged_intervals"),
+        pytest.param(lambda frames, t: io.write_rate_report("rates.csv", one_time(frames)),
+                     id="write_rate_report"),
+    ])
+    def test_derivative_needs_two_grid_points(self, per_time, tmp_path, monkeypatch):
         # the grid check sits in align_eigenframes; frames built by hand skip it
+        monkeypatch.chdir(tmp_path)
         frames = EigenframeSeries(np.array([0.0]), np.array([[1.0, 0.0]]), np.eye(2)[None])
-        with pytest.raises(ValidationError, match="need at least two grid points"):
+        with pytest.raises(ValidationError, match="need at least two grid points") as info:
             per_time(frames, 0.0)
+        assert type(info.value) is ValidationError
+        assert not list(tmp_path.iterdir())
 
     def test_nan_sample_rejected(self):
         samples = rotating_qubit_samples(1.0, [0.0, 0.1, 0.2])

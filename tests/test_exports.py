@@ -8,6 +8,7 @@ ValidationError; each table of such values has a row for each of them."""
 import dataclasses
 import importlib
 import inspect
+import itertools
 import pkgutil
 
 import numpy as np
@@ -38,7 +39,6 @@ from probunitary import (
 from probunitary.io import (
     matrix_from_json,
     matrix_to_json,
-    write_hamiltonians,
     write_matrix_file,
     write_trajectory,
 )
@@ -136,7 +136,6 @@ BAD_INPUT = [
     ("matrix_to_json", lambda path: matrix_to_json([["a"]]), "matrix"),
     ("matrix_from_json", lambda path: matrix_from_json([[["a", 0]]]), "numbers"),
     ("write_matrix_file", lambda path: write_matrix_file(path, [["a"]]), "matrix"),
-    ("write_hamiltonians", lambda path: write_hamiltonians(path, [0.0], [[["a"]]]), "hamiltonians"),
     ("write_trajectory", lambda path: write_trajectory(path, Trajectory([0.0], [[["a"]]])),
      "trajectory states"),
     ("ModelParams", lambda path: ModelParams(omega=10**5000), "beyond the float range"),
@@ -204,13 +203,6 @@ WRONG_RANK = [
     ("write_matrix_file", lambda path: write_matrix_file(path, [1.0, 2.0]), "^matrix "),
     ("write_matrix_file", lambda path: write_matrix_file(path, np.ones((2, 3))), "^matrix "),
     ("write_matrix_file", lambda path: write_matrix_file(path, np.ones((2, 2, 2))), "^matrix "),
-    ("write_hamiltonians", lambda path: write_hamiltonians(path, [0.0], 1.0), "hamiltonians of shape"),
-    ("write_hamiltonians", lambda path: write_hamiltonians(path, [0.0], np.eye(2)),
-     "hamiltonians of shape"),
-    ("write_hamiltonians", lambda path: write_hamiltonians(path, [0.0, 1.0], np.ones((3, 2, 2))),
-     "hamiltonians of shape"),
-    ("write_hamiltonians", lambda path: write_hamiltonians(path, [[0.0, 1.0]], np.ones((2, 2, 2))),
-     "^times must be a 1-D array"),
     ("write_trajectory", lambda path: write_trajectory(path, Trajectory([0.0], [1.0])),
      "states of shape"),
     ("ModelParams", lambda path: ModelParams(omega=[1.0, 2.0]), "omega"),
@@ -231,8 +223,8 @@ SKIPPED = {
          "StepTooLarge", "RefusesToSimulate", "SingularChannel"],
         "an exception: takes a message"),
     **dict.fromkeys(
-        ["to_kraus_like", "run_ensemble", "write_rate_report", "write_ensemble_csv",
-         "write_channel_json"],
+        ["to_kraus_like", "run_ensemble", "write_rate_report", "write_hamiltonians",
+         "write_ensemble_csv", "write_channel_json"],
         "takes records made by the package"),
     **dict.fromkeys(["read_json_object", "read_matrix_file", "read_trajectory"],
                     "takes a path; the file's values pass matrix_from_json's rules"),
@@ -251,6 +243,20 @@ def channel():
     return decompose_channel(np.diag([0.7, 0.3]), np.diag([0.6, 0.4]))
 
 
+def row_ids(rows, retired):
+    """Ids entry-number for the rows of a table, numbered in order but
+    skipping the numbers of rows since removed, so that every row keeps
+    its id."""
+    numbers = (i for i in itertools.count() if i not in retired)
+    return [f"{row[0]}-{next(numbers)}" for row in rows]
+
+
+# the numbers of write_hamiltonians' rows: it takes a DecompositionSeries,
+# a record made by the package
+RETIRED_BAD_INPUT = {22}
+RETIRED_WRONG_RANK = {35, 36, 37, 38}
+
+
 def assert_refused(path, call, pattern):
     """call(path) raises exactly ValidationError, its message matching
     pattern, and leaves no file at path."""
@@ -261,13 +267,13 @@ def assert_refused(path, call, pattern):
 
 
 @pytest.mark.parametrize("entry, call, pattern", BAD_INPUT,
-                         ids=[f"{row[0]}-{i}" for i, row in enumerate(BAD_INPUT)])
+                         ids=row_ids(BAD_INPUT, RETIRED_BAD_INPUT))
 def test_bad_input_raises_validation_error(tmp_path, entry, call, pattern):
     assert_refused(tmp_path / "out.json", call, pattern)
 
 
 @pytest.mark.parametrize("entry, call, pattern", WRONG_RANK,
-                         ids=[f"{row[0]}-{i}" for i, row in enumerate(WRONG_RANK)])
+                         ids=row_ids(WRONG_RANK, RETIRED_WRONG_RANK))
 def test_wrong_rank_raises_validation_error(tmp_path, entry, call, pattern):
     assert_refused(tmp_path / "out.json", call, pattern)
 

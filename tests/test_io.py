@@ -11,17 +11,23 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from probunitary import io
-from probunitary.channel import (
-    ChannelDecomposition,
-    KrausLikeForm,
-    decompose_channel,
-    to_kraus_like,
-)
+from probunitary.channel import ChannelDecomposition, decompose_channel, to_kraus_like
 from probunitary.decomposition import DecompositionSeries, EigenframeSeries, Trajectory
 from probunitary.errors import ValidationError
 from probunitary.montecarlo import EnsembleResult
 
 from conftest import random_density_matrix, random_unitary
+
+TIMES = np.array([0.0, 0.1, 0.25])
+
+
+def rotating_frames(times) -> np.ndarray:
+    """Frames rotated by t rad about y, their branch phases turned by
+    e^{2it} and e^{-it}: their driving Hamiltonians are not zero."""
+    c, s = np.cos(times), np.sin(times)
+    phases = np.exp(1j * np.outer(times, [2, -1]))
+    return np.array([[c, -s], [s, c]]).transpose(2, 0, 1) * phases[:, None]
+
 
 # the writers read the grid from the frames and judge the flags by their
 # rules: row 0 is negative (q_1 = -1/3), rows 1 and 2 are singular
@@ -29,12 +35,11 @@ from conftest import random_density_matrix, random_unitary
 DECOMPOSITION = DecompositionSeries(
     rates=np.array([[0.5, -1 / 3], [np.nan, -0.0], [1e-310, 2.5e17]]),
     condition_estimates=np.array([1.0, 12345.678912, np.inf]),
-    frames=EigenframeSeries(np.array([0.0, 0.1, 0.25]), np.full((3, 2), 0.5),
-                            np.broadcast_to(np.eye(2), (3, 2, 2))),
+    frames=EigenframeSeries(TIMES, np.full((3, 2), 0.5), rotating_frames(TIMES)),
 )
 
-# Hamiltonians on DECOMPOSITION's grid, as write_hamiltonians receives them
-HAMILTONIANS = np.array([
+# matrices of special floats on TIMES, written as a trajectory's states
+SPECIAL_STACK = np.array([
     [[0.5, 0.1 - 0.2j], [0.1 + 0.2j, -0.5]],
     [[1 / 3, -0.0], [-0.0j, 5e-324]],
     [[1e300, 2.5j], [-2.5j, -1e-300]],
@@ -95,8 +100,21 @@ class TestGoldenBytes:
         )
 
     def test_hamiltonians(self, tmp_path):
-        assert written(tmp_path, io.write_hamiltonians, DECOMPOSITION.times, HAMILTONIANS) == (
+        # H of the rotating frames by np.gradient's one-sided and
+        # non-uniform central stencils
+        assert written(tmp_path, io.write_hamiltonians, DECOMPOSITION) == (
             b'{"times": [0.0, 0.1, 0.25], "hamiltonians": '
+            b"[[[[-1.9767681165408388, 0.0], [-0.1490027457779453, -0.9858903020239316]], "
+            b"[[-0.1490027457779453, 0.9858903020239316], [0.9933466539753062, 0.0]]], "
+            b"[[[-1.9359588060564983, 0.0], [-0.29283529933128677, -0.9788992534136728]], "
+            b"[[-0.29283529933128677, 0.9788992534136728], [0.960727981952526, 0.0]]], "
+            b"[[[-1.8747448403299887, 0.0], [-0.508584129661299, -0.9684126804982846]], "
+            b"[[-0.508584129661299, 0.9684126804982846], [0.9117999739183555, 0.0]]]]}"
+        )
+
+    def test_trajectory(self, tmp_path):
+        assert written(tmp_path, io.write_trajectory, Trajectory(TIMES, SPECIAL_STACK)) == (
+            b'{"dim": 2, "times": [0.0, 0.1, 0.25], "rho": '
             b"[[[[0.5, 0.0], [0.1, -0.2]], [[0.1, 0.2], [-0.5, 0.0]]], "
             b"[[[0.3333333333333333, 0.0], [-0.0, 0.0]], [[-0.0, -0.0], [5e-324, 0.0]]], "
             b"[[[1e+300, 0.0], [0.0, 2.5]], [[-0.0, -2.5], [-1e-300, 0.0]]]]}"
@@ -112,20 +130,16 @@ class TestGoldenBytes:
         )
 
     def test_channel_with_kraus(self, tmp_path):
-        kraus = KrausLikeForm(
-            operators=np.array([
-                (np.sqrt(1.25) * np.eye(2), np.sqrt(1.25) * np.eye(2)),
-                (0.5 * SIGMA_X, -0.5 * SIGMA_X),
-            ]),
-            signs=np.array([1, -1]),
-        )
-        assert written(tmp_path, io.write_channel_json, CHANNEL, kraus) == CHANNEL_JSON + (
+        # the pairs derived from CHANNEL: K_1 = sqrt(0.25) U_1 = 0.5 e^{0.3i} sigma_x
+        # and Kbar_1 = -K_1^dagger
+        assert written(tmp_path, io.write_channel_json, CHANNEL) == CHANNEL_JSON + (
             b', "kraus_like": [{"k": [[[1.118033988749895, 0.0], [0.0, 0.0]], '
             b'[[0.0, 0.0], [1.118033988749895, 0.0]]], "kbar": [[[1.118033988749895, 0.0], '
             b'[0.0, 0.0]], [[0.0, 0.0], [1.118033988749895, 0.0]]], "sign": 1}, '
-            b'{"k": [[[0.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.0, 0.0]]], '
-            b'"kbar": [[[-0.0, 0.0], [-0.5, 0.0]], [[-0.5, 0.0], [-0.0, 0.0]]], '
-            b'"sign": -1}]}'
+            b'{"k": [[[0.0, 0.0], [0.477668244562803, 0.14776010333066977]], '
+            b'[[0.477668244562803, 0.14776010333066977], [0.0, 0.0]]], '
+            b'"kbar": [[[0.0, 0.0], [-0.477668244562803, 0.14776010333066977]], '
+            b'[[-0.477668244562803, 0.14776010333066977], [0.0, 0.0]]], "sign": -1}]}'
         )
 
 
@@ -162,6 +176,15 @@ class TestRoundTrip:
         io.write_trajectory(path, trajectory)
         back = io.read_trajectory(path)
         assert len(back) == len(trajectory.rhos)
+        assert np.array_equal(bits(back.times), bits(trajectory.times))
+        assert np.array_equal(bits(back.rhos), bits(trajectory.rhos))
+
+    def test_trajectory_of_any_states_is_bit_exact(self, tmp_path):
+        # the reader checks the format, not the states: a state with
+        # eigenvalue -0.2 comes back as written
+        trajectory = Trajectory([0.0, 0.1], [np.diag([1.0, 0.0]), np.diag([1.2, -0.2])])
+        io.write_trajectory(tmp_path / "t.json", trajectory)
+        back = io.read_trajectory(tmp_path / "t.json")
         assert np.array_equal(bits(back.times), bits(trajectory.times))
         assert np.array_equal(bits(back.rhos), bits(trajectory.rhos))
 
@@ -262,9 +285,12 @@ class TestAgainstReferenceEncoder:
 
     def test_hamiltonians_of_600_rows(self, tmp_path):
         rng = np.random.default_rng(6)
-        times, hamiltonians = np.cumsum(rng.uniform(size=600)), awkward_stack(rng, 600, 3)
-        assert written(tmp_path, io.write_hamiltonians, times, hamiltonians) == reference_bytes(
-            tmp_path, {"times": times.tolist(), "hamiltonians": io.matrix_to_json(hamiltonians)}
+        times = np.cumsum(rng.uniform(size=600))
+        frames = np.stack([random_unitary(rng, 3) for _ in times])
+        dec = DecompositionSeries(np.zeros((600, 3)), np.zeros(600),
+                                  EigenframeSeries(times, np.zeros((600, 3)), frames))
+        assert written(tmp_path, io.write_hamiltonians, dec) == reference_bytes(
+            tmp_path, {"times": times.tolist(), "hamiltonians": io.matrix_to_json(dec.hamiltonians)}
         )
 
     def test_trajectory_of_600_rows(self, tmp_path):
@@ -288,7 +314,7 @@ class TestAgainstReferenceEncoder:
         u = random_unitary(rng, 5)
         decomp = decompose_channel(rho_in, 0.6 * rho_in + 0.4 * u @ rho_in @ u.conj().T)
         kraus = to_kraus_like(decomp)
-        assert written(tmp_path, io.write_channel_json, decomp, kraus) == reference_bytes(tmp_path, {
+        assert written(tmp_path, io.write_channel_json, decomp) == reference_bytes(tmp_path, {
             "probabilities": decomp.probabilities.tolist(),
             "unitaries": io.matrix_to_json(decomp.unitaries),
             "classification": decomp.classification,
@@ -336,8 +362,8 @@ class TestEncoderProperties:
     def test_matrix_stacks_match_json_dump(self, tmp_path_factory, m):
         tmp_path = tmp_path_factory.mktemp("stack")
         times = np.arange(len(m)) * 0.1
-        assert written(tmp_path, io.write_hamiltonians, times, m) == reference_bytes(
-            tmp_path, {"times": times.tolist(), "hamiltonians": io.matrix_to_json(m)}
+        assert written(tmp_path, io.write_trajectory, Trajectory(times, m)) == reference_bytes(
+            tmp_path, {"dim": m.shape[1], "times": times.tolist(), "rho": io.matrix_to_json(m)}
         )
         assert written(tmp_path, io.write_matrix_file, m[-1]) == reference_bytes(
             tmp_path, {"dim": m.shape[1], "matrix": io.matrix_to_json(m[-1])}

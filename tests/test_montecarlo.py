@@ -400,8 +400,14 @@ class TestEnsemble:
         assert np.quantile(z[result.stderr > 1e-6], 0.99) <= 4.0
 
     def test_config_validation(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="n_traj must be at least 1"):
             SimConfig(n_traj=0, seed=0)
+        # numpy takes counts and indices no wider than intp
+        intp_max = np.iinfo(np.intp).max
+        for n_traj in (intp_max + 1, 10**20):
+            with pytest.raises(ValidationError, match=f"n_traj .*{n_traj}"):
+                SimConfig(n_traj=n_traj, seed=0)
+        SimConfig(n_traj=intp_max, seed=0)
         # both feed numpy as integers; a float or a bool is refused by name
         for n_traj in (2.5, 2.0, True, "3", None):
             with pytest.raises(ValidationError, match="n_traj"):
