@@ -4,7 +4,10 @@ Subcommands write under the ``--out`` prefix: decompose writes
 ``<out>.rates.csv`` (time, q_0..q_{d-1}, negative and singular flags,
 condition estimate) and ``<out>.hamiltonians.json`` (H on every grid
 time); simulate writes ``<out>.ensemble.csv``; channel writes
-``<out>.channel.json``; models prints the model catalogue.  decompose and
+``<out>.channel.json``; models prints the model catalogue.  The CSV files
+hold ``%.17g`` decimals; the JSON files hold each matrix entry as
+``'%.16e'`` text and every other number as its shortest repr, and both
+read back bit-exactly.  decompose and
 simulate take one trajectory source per run, an ``--input`` file or a
 ``--model`` run, and refuse two.  ``--model lindblad``, and no other
 source, reads a ``--lindblad-spec`` JSON file, keys ``hamiltonian``,

@@ -1,11 +1,14 @@
 """JSON/CSV serialization of trajectories, matrices and reports.
 
 Matrices are stored row-major with explicit [re, im] entry pairs.  JSON
-holds each float as its shortest round-trip repr, so a write/read round
-trip is bit-exact; a matrix stack is written in chunks of rows, with the
-repr computed once per distinct magnitude in the chunk and the text laid
-out by one printf template.  CSV holds ``%.17g`` decimals with CRLF line
-ends, written as one ``%`` template over the whole table.  Every matrix
+holds each float of a matrix as ``'%.16e' % x`` (17 significant digits;
+NaN and +-Infinity as json's words), and every other number, such as a
+time or a probability, as json.dumps' shortest repr, so a write/read
+round trip is bit-exact.  A matrix stack is encoded by numpy in chunks
+of a fixed number of floats: the digits come from an exact scaling by a
+power of ten, and the text is laid out in a fixed byte template.  CSV
+holds ``%.17g`` decimals with CRLF line ends, written as one ``%``
+template over the whole table.  Every matrix
 stack and table crosses the file boundary as one array.  A reader checks
 only its file's format and returns the record the file holds; a writer
 takes the record it writes and derives the file's contents from it.
@@ -13,7 +16,10 @@ takes the record it writes and derives the file's contents from it.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -97,71 +103,155 @@ def read_json_object(path, keys) -> dict:
     return doc
 
 
-_CHUNK = 256
+# Each float of a matrix is written as '%.16e' % x: 17 significant digits,
+# which read back bit-exactly, in one layout.  A float's text fills a slot
+# of _SLOT_WORDS little-endian words, NUL-padded; a chunk of about _CHUNK
+# floats is laid out in slots and fixed text, then its pads are removed.
+_CHUNK = 1 << 14
+_SLOT_WORDS = 3  # 24 bytes: "-2.2250738585072014e-308" and "-Infinity" fit
+# 10**k for k = 0..22, each exact, and its Veltkamp halves
+_POW10 = np.concatenate(([1.0], np.cumprod(np.full(22, 10.0))))
+_POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+# "0000".."9999" and "e-09".."e+19" as little-endian words ("0" is 48)
+_GROUPS = np.arange(10_000)
+_DIGITS = sum((48 + _GROUPS // 10 ** (3 - j) % 10) << 8 * j for j in range(4)).astype(np.uint64)
+_EXPONENTS = np.arange(-9, 20)
+_EXPONENT_TEXT = (101 + np.where(_EXPONENTS < 0, 45, 43) * 2**8 + (48 + abs(_EXPONENTS) // 10) * 2**16
+                  + (48 + abs(_EXPONENTS) % 10) * 2**24).astype(np.uint64)
 
 
-def _float_texts(x: np.ndarray) -> np.ndarray:
-    """json.dumps' text of each float of ``x``, as an object array of
-    x's shape.  repr runs once per distinct magnitude; a sign bit adds
-    "-", except on NaN, which JSON writes unsigned."""
-    magnitudes, inverse = np.unique(np.abs(x), return_inverse=True)
-    text = np.array(list(map(repr, magnitudes.tolist())), dtype=object)
-    text[np.isinf(magnitudes)] = "Infinity"
-    text[np.isnan(magnitudes)] = "NaN"
-    negative = np.signbit(x) & ~np.isnan(x)
-    pool = np.concatenate((text, "-" + text))
-    return pool[inverse.reshape(x.shape) + negative * len(text)]
+def _exact_scaled(v: np.ndarray, k: np.ndarray):
+    """``v * 10**k`` as the unevaluated sum ``p + err`` of two floats
+    (Dekker's two-product: exact for k in 0..22 when nothing underflows)."""
+    p = v * _POW10[k]
+    t = v * 134217729.0
+    vh = t - (t - v)
+    vl = v - vh
+    yh, yl = _POW10_HI[k], _POW10_LO[k]
+    return p, ((vh * yh - p) + vh * yl + vl * yh) + vl * yl
+
+
+def _float_slots(x: np.ndarray) -> np.ndarray:
+    """'%.16e' % v for each float v of the 1-D ``x``, or json's NaN and
+    +-Infinity, as an (x.size, _SLOT_WORDS) array of slots.  A zero or a
+    magnitude in (1e-6, 1e17) is scaled exactly into [1e16, 1e17) and
+    rounded half-even to 17 digits; the others go through one batched %."""
+    a = np.abs(x)
+    fast = ((a > 1e-6) & (a < 1e17)) | (a == 0)
+    v = np.where(fast, a, 0.0)
+    e = np.floor(np.log10(np.where(v == 0, 1.0, v))).astype(np.intp).clip(-6, 16)
+    p, err = _exact_scaled(v, 16 - e)
+    # next to a power of ten log10 can be one off: the exact product says
+    below = ((p < 1e16) | ((p == 1e16) & (err < 0))) & (v != 0)
+    above = (p > 1e17) | ((p == 1e17) & (err >= 0))
+    off = np.flatnonzero(below | above)
+    e[off] += above[off].astype(np.intp) - below[off]
+    p[off], err[off] = _exact_scaled(v[off], 16 - e[off])
+    # p is an even integer (its ulp is at least 2), so rounding err
+    # half-even rounds p + err half-even
+    n = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    carry = n == 10**17
+    n[carry], e[carry] = 10**16, e[carry] + 1
+    high, low = np.divmod(n, 10**8)
+    lead, high = np.divmod(high, 10**8)
+    g = _DIGITS[np.stack(np.divmod(high, 10**4) + np.divmod(low, 10**4))]
+    first, second = g[0] | g[1] << 32, g[2] | g[3] << 32
+    # sign, lead digit, "." and 16 digits, then "e+dd"
+    slots = np.empty((x.size, _SLOT_WORDS), np.uint64)
+    slots[:, 0] = (np.signbit(x).astype(np.uint64) * 45 | (48 + lead.astype(np.uint64)) << 8
+                   | 46 << 16 | first << 24)
+    slots[:, 1] = first >> 40 | second << 24
+    slots[:, 2] = second >> 40 | _EXPONENT_TEXT[e + 9] << 24
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        values = x[slow]
+        text = (f"%-{8 * _SLOT_WORDS}.16e" * slow.size % tuple(values.tolist())).encode()
+        slots[slow] = np.frombuffer(text.replace(b" ", b"\0"), "<u8").reshape(-1, _SLOT_WORDS)
+        for word, hit in ((b"NaN", np.isnan(values)), (b"Infinity", values == np.inf),
+                          (b"-Infinity", values == -np.inf)):
+            slots[slow[hit]] = np.frombuffer(word.ljust(8 * _SLOT_WORDS, b"\0"), "<u8")
+    return slots
 
 
 def _matrix_template(shape) -> str:
-    """printf template of matrix_to_json's text for an array of ``shape``:
-    one %s per float of its [re, im] pairs."""
+    """Template of matrix_to_json's text for an array of ``shape``: one
+    %s per float of its [re, im] pairs."""
     template = "[%s, %s]"
     for n in reversed(shape):
         template = "[" + ", ".join([template] * n) + "]"
     return template
 
 
+@functools.lru_cache(maxsize=32)
+def _row_layout(template: str):
+    """The text of ``template`` before its first slot, and a read-only
+    table of the NUL-padded text after each slot, one row of words per
+    slot; the last runs on into the next item."""
+    head, *tails = re.split("%[sd]", template)
+    tails[-1] += ", " + head
+    width = -(-max(map(len, tails)) // 8) * 8
+    table = np.array([t.encode() for t in tails], f"S{width}").view("<u8").reshape(len(tails), -1)
+    table.flags.writeable = False
+    return head.encode(), table
+
+
 class _Items(NamedTuple):
     """A JSON list with one item per row of the complex ``stack``: the
-    printf ``template`` filled with the floats of the row's [re, im]
-    pairs, in matrix_to_json order, then with the row of ``fields``."""
+    ``template``, its %s filled with the floats of the row's [re, im]
+    pairs in matrix_to_json order, then its %d with the row of the
+    integer ``fields`` (such as a Kraus pair's sign)."""
 
     stack: np.ndarray
     template: str
     fields: np.ndarray
 
 
+def _write_items(fh, items: _Items) -> None:
+    """The list text of ``items``, in chunks of about _CHUNK floats, so
+    that its whole text is never held at once."""
+    head, tails = _row_layout(items.template)
+    n, floats, fields = len(items.stack), 2 * math.prod(items.stack.shape[1:]), items.fields.shape[1]
+    rows = max(1, _CHUNK // floats)
+    fh.write(b"[" + (head if n else b""))
+    for j in range(0, n, rows):
+        chunk = np.ascontiguousarray(items.stack[j:j + rows]).view(float).reshape(-1, floats)
+        cells = np.empty((len(chunk), floats + fields, _SLOT_WORDS + tails.shape[1]), np.uint64)
+        cells[:, :, _SLOT_WORDS:] = tails
+        cells[:, :floats, :_SLOT_WORDS] = _float_slots(chunk.ravel()).reshape(chunk.shape + (-1,))
+        cells[:, floats:, :_SLOT_WORDS] = (items.fields[j:j + rows].astype(f"S{8 * _SLOT_WORDS}")
+                                           .view("<u8").reshape(len(chunk), fields, _SLOT_WORDS))
+        text = cells.astype("<u8", copy=False).view(np.uint8).ravel()
+        text = text[text != 0]
+        # the last item runs on into none
+        fh.write(text if j + rows < n else text[:len(text) - len(b", " + head)])
+    fh.write(b"]")
+
+
 def _write_json(path, doc) -> None:
-    """Write the object ``doc`` byte for byte as json.dump would.  A value
-    that is an array is a matrix or a stack of them, written as its
-    matrix_to_json list; an _Items value is written as its list.  Such
-    lists are encoded in chunks of _CHUNK rows, so their whole text is
-    never held at once: each float is its shortest round-trip repr,
-    computed once per distinct magnitude in the chunk, and the chunk's
-    text is one printf template repeated per row.  Every value is
-    converted before the file is opened, so a refused value leaves none."""
+    """Write the object ``doc`` as json.dump would, except for the floats
+    of matrices.  A value that is an array is a matrix or a stack of them,
+    written as its matrix_to_json list; an _Items value is written as its
+    list.  Each of their floats is written as '%.16e' % v (json's NaN and
+    +-Infinity words otherwise), which reads back bit-exactly; every other
+    value is json.dumps' text.  Every value is converted before the file is
+    opened, so a refused value leaves none."""
     items = []
     for key, value in doc.items():
         if isinstance(value, np.ndarray):
             value = _Items(value.astype(complex, copy=False), _matrix_template(value.shape[1:]),
                            np.empty((len(value), 0), int))
-        items.append((json.dumps(key), value if isinstance(value, _Items) else json.dumps(value)))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("{")
+        items.append((json.dumps(key).encode(), value if isinstance(value, _Items)
+                      else json.dumps(value).encode()))
+    with open(path, "wb") as fh:
+        fh.write(b"{")
         for i, (key, value) in enumerate(items):
-            fh.write((", " if i else "") + key + ": ")
-            if not isinstance(value, _Items):
+            fh.write((b", " if i else b"") + key + b": ")
+            if isinstance(value, _Items):
+                _write_items(fh, value)
+            else:
                 fh.write(value)
-                continue
-            fh.write("[")
-            for j in range(0, len(value.stack), _CHUNK):
-                chunk, fields = value.stack[j:j + _CHUNK], value.fields[j:j + _CHUNK]
-                texts = _float_texts(np.stack((chunk.real, chunk.imag), -1)).reshape(len(chunk), -1)
-                args = np.concatenate((texts, fields.astype(object)), axis=1).ravel().tolist()
-                fh.write((", " if j else "") + ", ".join([value.template] * len(chunk)) % tuple(args))
-            fh.write("]")
-        fh.write("}")
+        fh.write(b"}")
 
 
 def write_trajectory(path, trajectory: Trajectory) -> None:

@@ -188,6 +188,8 @@ def run_ensemble(config: SimConfig, decomposition: DecompositionSeries) -> Ensem
         )
 
     d, n = decomposition.dim, config.n_traj
+    if d > np.iinfo(np.intp).max // np.dtype(np.intp).itemsize // n:
+        raise ValidationError(f"d = {d} labels for each of n_traj = {n} trajectories do not fit an intp array")
     # midpoint rates of every interval, shared by all trajectories
     q_mid = 0.5 * (decomposition.rates[:-1] + decomposition.rates[1:])
     edges = _jump_edges(q_mid, np.diff(times)[:, None])   # (n_steps, d-1)

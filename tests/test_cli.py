@@ -149,6 +149,9 @@ def test_decompose_writes_rates_and_hamiltonians(tmp_path):
         # a count past numpy's intp, refused by SimConfig
         ["simulate", "--model", "amplitude-damping", "--horizon", "0.01",
          "--trajectories", "100000000000000000000"],
+        # a count that fits an intp, but d labels per trajectory do not
+        ["simulate", "--model", "amplitude-damping", "--horizon", "0.01",
+         "--trajectories", "9223372036854775807"],
     ],
 )
 def test_petabyte_input_exits_2(tmp_path, capsys, argv):

@@ -49,6 +49,7 @@ from probunitary.linalg import (
     min_cost_assignment,
     rate_system_matrix,
 )
+from probunitary.montecarlo import SimConfig, run_ensemble
 
 MODULES = sorted(
     info.name for info in pkgutil.iter_modules(probunitary.__path__, "probunitary.")
@@ -287,6 +288,16 @@ def test_every_array_entry_point_has_a_bad_input_row():
     assert (rows | SKIPPED.keys()) - exported == set()
     # an entry point with a bad-input row has a wrong-rank row, and no other does
     assert {entry for entry, _, _ in WRONG_RANK} == rows
+
+
+def test_run_ensemble_refuses_labels_past_intp():
+    # d = 2 labels per trajectory: the (d, n_traj) label array is refused
+    # by its size, before it is allocated
+    decomposition = decompose_trajectory(sample_model("amplitude-damping", [0.0, 0.005, 0.01]))
+    config = SimConfig(n_traj=np.iinfo(np.intp).max, seed=0)
+    with pytest.raises(ValidationError, match=r"d = 2 .* n_traj = 9223372036854775807") as info:
+        run_ensemble(config, decomposition)
+    assert type(info.value) is ValidationError
 
 
 def test_trajectory_is_frozen():

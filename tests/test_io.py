@@ -74,6 +74,52 @@ def written(tmp_path, writer, *args) -> bytes:
     return path.read_bytes()
 
 
+# the keys whose values are matrices or stacks of them
+MATRIX_KEYS = {"hamiltonians", "rho", "matrix", "unitaries", "k", "kbar"}
+
+
+def percent_16e(x: float) -> str:
+    """'%.16e' % x, or json's word for NaN and +-Infinity."""
+    if math.isnan(x):
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return "%.16e" % x
+
+
+def reference_bytes(doc) -> bytes:
+    """``doc`` laid out as json.dump lays it out, each float of a matrix
+    value written by percent_16e and every other value by json.dumps."""
+    def encode(value, matrix):
+        if isinstance(value, dict):
+            return "{" + ", ".join(f"{json.dumps(k)}: {encode(v, matrix or k in MATRIX_KEYS)}"
+                                   for k, v in value.items()) + "}"
+        if isinstance(value, list):
+            return "[" + ", ".join(encode(v, matrix) for v in value) + "]"
+        if matrix and isinstance(value, float):
+            return percent_16e(value)
+        return json.dumps(value)
+    return encode(doc, False).encode()
+
+
+def same_bits(a, b) -> bool:
+    """Equal JSON values, floats compared bit for bit (NaN equal to NaN)."""
+    if isinstance(a, dict):
+        return isinstance(b, dict) and list(a) == list(b) and all(same_bits(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return isinstance(b, list) and len(a) == len(b) and all(map(same_bits, a, b))
+    if isinstance(a, float):
+        return isinstance(b, float) and (math.isnan(a) and math.isnan(b)
+                                         or np.float64(a).view(np.uint64) == np.float64(b).view(np.uint64))
+    return type(a) is type(b) and a == b
+
+
+def assert_encoded(out: bytes, doc) -> None:
+    """``out`` is the reference text of ``doc`` and reads back bit-exactly."""
+    assert out == reference_bytes(doc)
+    assert same_bits(json.loads(out), doc)
+
+
 def ensemble(trace_distance):
     return EnsembleResult(
         times=np.array([0.0, 0.001]),
@@ -102,7 +148,7 @@ class TestGoldenBytes:
     def test_hamiltonians(self, tmp_path):
         # H of the rotating frames by np.gradient's one-sided and
         # non-uniform central stencils
-        assert written(tmp_path, io.write_hamiltonians, DECOMPOSITION) == (
+        assert_encoded(written(tmp_path, io.write_hamiltonians, DECOMPOSITION), json.loads(
             b'{"times": [0.0, 0.1, 0.25], "hamiltonians": '
             b"[[[[-1.9767681165408388, 0.0], [-0.1490027457779453, -0.9858903020239316]], "
             b"[[-0.1490027457779453, 0.9858903020239316], [0.9933466539753062, 0.0]]], "
@@ -110,15 +156,16 @@ class TestGoldenBytes:
             b"[[-0.29283529933128677, 0.9788992534136728], [0.960727981952526, 0.0]]], "
             b"[[[-1.8747448403299887, 0.0], [-0.508584129661299, -0.9684126804982846]], "
             b"[[-0.508584129661299, 0.9684126804982846], [0.9117999739183555, 0.0]]]]}"
-        )
+        ))
 
     def test_trajectory(self, tmp_path):
-        assert written(tmp_path, io.write_trajectory, Trajectory(TIMES, SPECIAL_STACK)) == (
+        out = written(tmp_path, io.write_trajectory, Trajectory(TIMES, SPECIAL_STACK))
+        assert_encoded(out, json.loads(
             b'{"dim": 2, "times": [0.0, 0.1, 0.25], "rho": '
             b"[[[[0.5, 0.0], [0.1, -0.2]], [[0.1, 0.2], [-0.5, 0.0]]], "
             b"[[[0.3333333333333333, 0.0], [-0.0, 0.0]], [[-0.0, -0.0], [5e-324, 0.0]]], "
             b"[[[1e+300, 0.0], [0.0, 2.5]], [[-0.0, -2.5], [-1e-300, 0.0]]]]}"
-        )
+        ))
 
     def test_ensemble_with_trace_distance(self, tmp_path):
         out = written(tmp_path, io.write_ensemble_csv, ensemble(np.array([0.0, 1.2345678901234567e-5])))
@@ -132,7 +179,7 @@ class TestGoldenBytes:
     def test_channel_with_kraus(self, tmp_path):
         # the pairs derived from CHANNEL: K_1 = sqrt(0.25) U_1 = 0.5 e^{0.3i} sigma_x
         # and Kbar_1 = -K_1^dagger
-        assert written(tmp_path, io.write_channel_json, CHANNEL) == CHANNEL_JSON + (
+        assert_encoded(written(tmp_path, io.write_channel_json, CHANNEL), json.loads(CHANNEL_JSON + (
             b', "kraus_like": [{"k": [[[1.118033988749895, 0.0], [0.0, 0.0]], '
             b'[[0.0, 0.0], [1.118033988749895, 0.0]]], "kbar": [[[1.118033988749895, 0.0], '
             b'[0.0, 0.0]], [[0.0, 0.0], [1.118033988749895, 0.0]]], "sign": 1}, '
@@ -140,7 +187,7 @@ class TestGoldenBytes:
             b'[[0.477668244562803, 0.14776010333066977], [0.0, 0.0]]], '
             b'"kbar": [[[0.0, 0.0], [-0.477668244562803, 0.14776010333066977]], '
             b'[[-0.477668244562803, 0.14776010333066977], [0.0, 0.0]]], "sign": -1}]}'
-        )
+        )))
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
@@ -266,14 +313,6 @@ class TestRefusedWrite:
         assert not path.exists()
 
 
-def reference_bytes(tmp_path, doc) -> bytes:
-    """``doc`` as the streaming pure-Python ``json.dump`` writes it."""
-    path = tmp_path / "reference"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-    return path.read_bytes()
-
-
 def awkward_stack(rng, n, d) -> np.ndarray:
     m = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
     m[1, 0, 0], m[n // 2, 0, 1], m[-1, -1, -1] = -0.0, 5e-324 - 0.0j, 1e300 + 1e-300j
@@ -281,7 +320,7 @@ def awkward_stack(rng, n, d) -> np.ndarray:
 
 
 class TestAgainstReferenceEncoder:
-    """Stacks longer than one encoding chunk give json.dump's bytes."""
+    """Stacks longer than one encoding chunk give the reference bytes."""
 
     def test_hamiltonians_of_600_rows(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -289,24 +328,21 @@ class TestAgainstReferenceEncoder:
         frames = np.stack([random_unitary(rng, 3) for _ in times])
         dec = DecompositionSeries(np.zeros((600, 3)), np.zeros(600),
                                   EigenframeSeries(times, np.zeros((600, 3)), frames))
-        assert written(tmp_path, io.write_hamiltonians, dec) == reference_bytes(
-            tmp_path, {"times": times.tolist(), "hamiltonians": io.matrix_to_json(dec.hamiltonians)}
-        )
+        assert_encoded(written(tmp_path, io.write_hamiltonians, dec),
+                       {"times": times.tolist(), "hamiltonians": io.matrix_to_json(dec.hamiltonians)})
 
     def test_trajectory_of_600_rows(self, tmp_path):
         rng = np.random.default_rng(7)
         rhos = awkward_stack(rng, 600, 2)
         times = np.linspace(0.0, 0.6, 600)
-        assert written(tmp_path, io.write_trajectory, Trajectory(times, rhos)) == reference_bytes(
-            tmp_path, {"dim": 2, "times": times.tolist(), "rho": io.matrix_to_json(rhos)}
-        )
+        assert_encoded(written(tmp_path, io.write_trajectory, Trajectory(times, rhos)),
+                       {"dim": 2, "times": times.tolist(), "rho": io.matrix_to_json(rhos)})
 
     def test_integer_states_are_written_as_floats(self, tmp_path):
         rhos = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
         trajectory = Trajectory(np.array([0.0, 1.0]), rhos)
-        assert written(tmp_path, io.write_trajectory, trajectory) == reference_bytes(
-            tmp_path, {"dim": 2, "times": [0.0, 1.0], "rho": io.matrix_to_json(rhos)}
-        )
+        assert_encoded(written(tmp_path, io.write_trajectory, trajectory),
+                       {"dim": 2, "times": [0.0, 1.0], "rho": io.matrix_to_json(rhos.astype(float))})
 
     def test_channel_with_kraus_at_d5(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -314,7 +350,7 @@ class TestAgainstReferenceEncoder:
         u = random_unitary(rng, 5)
         decomp = decompose_channel(rho_in, 0.6 * rho_in + 0.4 * u @ rho_in @ u.conj().T)
         kraus = to_kraus_like(decomp)
-        assert written(tmp_path, io.write_channel_json, decomp) == reference_bytes(tmp_path, {
+        assert_encoded(written(tmp_path, io.write_channel_json, decomp), {
             "probabilities": decomp.probabilities.tolist(),
             "unitaries": io.matrix_to_json(decomp.unitaries),
             "classification": decomp.classification,
@@ -326,13 +362,37 @@ class TestAgainstReferenceEncoder:
         })
 
 
-# entries the encoder must write as json.dump does: signed zeros and NaNs,
-# infinities, subnormals, integral floats and floats at repr's switch to
-# exponent notation; every entry is also drawn with its sign flipped
+# entries the encoder must write as the reference does: signed zeros and
+# NaNs, infinities, subnormals, integral floats and the edges of the exact
+# scaling range; every entry is also drawn with its sign flipped
 special_floats = st.sampled_from([
     0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, 2.2250738585072014e-308 / 3,
-    1e16, 1e-5, 1e-4, 3.0, -7.0, 2.0**53, 0.1,
+    1e16, 1e-5, 1e-4, 3.0, -7.0, 2.0**53, 0.1, 1e-6, 1e17, 1e15 + 0.25, 1e15 + 0.75,
 ])
+
+
+# +-0, the edges of the exact scaling range (1e-6, 1e17) and the floats on
+# both sides of every power of ten in [1e-6, 1e17]
+SCALING_EDGES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308] + [
+    y for j in range(-6, 18) for y in np.nextafter(float(f"1e{j}"), [0.0, np.inf, float(f"1e{j}")]).tolist()
+]
+
+
+class TestFloatEncoder:
+    @settings(max_examples=200, deadline=None)
+    @given(x=hnp.arrays(float, st.integers(1, 300),
+                        elements=st.floats(allow_subnormal=True) | st.sampled_from(SCALING_EDGES)))
+    def test_any_floats_match_percent_16e(self, x):
+        x = np.concatenate((x, -x))
+        slots = io._float_slots(x).astype("<u8").view(np.uint8).reshape(len(x), -1)
+        assert [bytes(s).replace(b"\0", b"").decode() for s in slots] == list(map(percent_16e, x.tolist()))
+
+    def test_stack_at_d16(self, tmp_path):
+        rng = np.random.default_rng(16)
+        rhos = awkward_stack(rng, 40, 16)
+        times = np.linspace(0.0, 1.0, 40)
+        assert_encoded(written(tmp_path, io.write_trajectory, Trajectory(times, rhos)),
+                       {"dim": 16, "times": times.tolist(), "rho": io.matrix_to_json(rhos)})
 
 
 @st.composite
@@ -353,21 +413,19 @@ def awkward_stacks(draw):
 
 
 class TestEncoderProperties:
-    """The JSON writers give json.dump's bytes, and the CSV writers those of
+    """The JSON writers give the reference bytes, and the CSV writers those of
     np.savetxt called with their formats, on any floats, whatever their
     symmetry."""
 
     @settings(max_examples=40, deadline=None)
     @given(m=awkward_stacks())
-    def test_matrix_stacks_match_json_dump(self, tmp_path_factory, m):
+    def test_matrix_stacks_match_reference(self, tmp_path_factory, m):
         tmp_path = tmp_path_factory.mktemp("stack")
         times = np.arange(len(m)) * 0.1
-        assert written(tmp_path, io.write_trajectory, Trajectory(times, m)) == reference_bytes(
-            tmp_path, {"dim": m.shape[1], "times": times.tolist(), "rho": io.matrix_to_json(m)}
-        )
-        assert written(tmp_path, io.write_matrix_file, m[-1]) == reference_bytes(
-            tmp_path, {"dim": m.shape[1], "matrix": io.matrix_to_json(m[-1])}
-        )
+        assert_encoded(written(tmp_path, io.write_trajectory, Trajectory(times, m)),
+                       {"dim": m.shape[1], "times": times.tolist(), "rho": io.matrix_to_json(m)})
+        assert_encoded(written(tmp_path, io.write_matrix_file, m[-1]),
+                       {"dim": m.shape[1], "matrix": io.matrix_to_json(m[-1])})
 
     @settings(max_examples=30, deadline=None)
     @given(m=awkward_stacks())
